@@ -56,10 +56,11 @@ from .quadrature import (
     RuleSpec,
     VarianceEstimate,
     empirical_variance,
+    rule_keys,
     rule_points,
-    run_rule,
+    run_rule_batch,
 )
-from .scramble import ScrambledRule, interlace_integers, scramble_numerators
+from .scramble import ScrambledRule, interlace_integers
 from .weights import (
     ExplicitWeights,
     FiniteIntersectionWeights,

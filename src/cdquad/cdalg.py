@@ -17,8 +17,7 @@ from typing import Callable
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
-from .prf import derive_seed
-from .quadrature import INTERLACED_PLR, MONTE_CARLO, RuleSpec, run_rule, run_rule_seeds
+from .quadrature import INTERLACED_PLR, RuleSpec, run_rule_seeds
 from .weights import Truncation, WeightModel
 
 CoordSet = frozenset[int]
@@ -326,31 +325,9 @@ def cd_estimate(
     master_seed: int,
     dollar: CostModel | None = None,
 ) -> tuple[float, CostLedger]:
-    """Run the plan: sum over active u of an independent randomized rule
-    applied to the anchored component f_{u,a}."""
-    dollar = dollar or cost_model("linear")
-    ledger = CostLedger(dollar)
-    anchor = plan.constants.anchor
-    tpl = plan.template
-    terms = []
-    for u, n in sorted(plan.allocations.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        ledger.charge(u, n)
-        if not u:
-            terms.append(float(f({}, anchor)))
-            continue
-        coords = tuple(sorted(u))
-        spec = RuleSpec(tpl.kind, coords, n, seed=derive_seed(master_seed, "rule", u),
-                        alpha=tpl.alpha, b=tpl.b)
-
-        def g(pts, coords=coords, u=u):
-            x = {j: pts[:, i] for i, j in enumerate(coords)}
-            try:
-                return anchored_component(f, u, anchor, x)
-            except Exception as exc:
-                raise RuntimeError(f"integrand failed on subset {sorted(u)}") from exc
-
-        terms.append(run_rule(spec, g))
-    return math.fsum(terms), ledger
+    """Run the plan once: cd_estimate_many with the single seed master_seed."""
+    ests, ledger = cd_estimate_many(f, plan, [master_seed], dollar)
+    return float(ests[0]), ledger
 
 
 def cd_estimate_many(
@@ -359,16 +336,17 @@ def cd_estimate_many(
     master_seeds,
     dollar: CostModel | None = None,
 ) -> tuple["np.ndarray", CostLedger]:
-    """cd_estimate under many master seeds; entry i is bit-identical to
-    cd_estimate(f, plan, master_seeds[i]).  Batches the per-u scrambles
-    across seeds, which is what makes replicated studies affordable."""
+    """Run the plan under R master seeds: for each, the sum over active u of
+    an independent randomized rule applied to the anchored component
+    f_{u,a}.  Each set u draws its R randomizations in one batch, indexed by
+    the master seeds, and calls the integrand once."""
     import numpy as np
 
     dollar = dollar or cost_model("linear")
     ledger = CostLedger(dollar)
     anchor = plan.constants.anchor
     tpl = plan.template
-    seeds = [int(s) for s in master_seeds]
+    seeds = np.asarray([int(s) for s in master_seeds], dtype=np.uint64)
     terms = []
     for u, n in sorted(plan.allocations.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         ledger.charge(u, n)
@@ -376,8 +354,9 @@ def cd_estimate_many(
             terms.append(np.full(len(seeds), float(f({}, anchor))))
             continue
         coords = tuple(sorted(u))
+        # every set shares seed 0: its key differs through u, and the master
+        # seeds index that key's stream
         spec = RuleSpec(tpl.kind, coords, n, seed=0, alpha=tpl.alpha, b=tpl.b)
-        rule_seeds = [derive_seed(s, "rule", u) for s in seeds]
 
         def g(pts, coords=coords, u=u):
             x = {j: pts[:, i] for i, j in enumerate(coords)}
@@ -386,6 +365,6 @@ def cd_estimate_many(
             except Exception as exc:
                 raise RuntimeError(f"integrand failed on subset {sorted(u)}") from exc
 
-        terms.append(run_rule_seeds(spec, g, rule_seeds))
+        terms.append(run_rule_seeds(spec, g, seeds))
     cols = np.stack(terms, axis=1)
     return np.array([math.fsum(row) for row in cols]), ledger

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 
@@ -183,11 +184,13 @@ def poly_mul_mod(a: PolyGF, c: PolyGF, p: PolyGF) -> PolyGF:
     return (a * c) % p
 
 
+@lru_cache(maxsize=None)
 def is_irreducible(p: PolyGF) -> bool:
     """Trial division against all monic polynomials of degree <= deg(p)/2.
 
     Deterministic and exhaustive; intended for the desk-scale degrees used
-    by the modulus table.
+    by the modulus table.  Cached, so validating the same modulus again (every
+    GeneratingVector does) costs a lookup.
     """
     d = p.degree
     if d < 1:

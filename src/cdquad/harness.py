@@ -40,6 +40,7 @@ from .quadrature import (
     RuleSpec,
     default_generating_vector,
     empirical_variance,
+    rule_keys,
 )
 from .scramble import ScrambledRule, interlace_digit_matrices, numerators_to_digits
 from .weights import (
@@ -536,7 +537,9 @@ def dump_points(
 ) -> list[str]:
     """Emit the (interlaced, scrambled) point set as exact base-b digit
     strings, one point per line, coordinates space-separated.  seed=None
-    means identity scramble (the raw interlaced net)."""
+    means identity scramble (the raw interlaced net); a seed draws the key of
+    rule_points(RuleSpec("plr", (1..s), b^m, seed, alpha)) at index 0, so
+    with the default vector the digits read as floats are that point set."""
     if gv is None:
         gv = default_generating_vector(b, m, s * alpha, alpha)
     if gv.s != s * alpha:
@@ -552,8 +555,8 @@ def dump_points(
             axis=1,
         )  # (n, s, alpha*m)
     else:
-        rule = ScrambledRule(b, m, nums, alpha, seed)
-        per_out = rule.digit_matrices(0)
+        keys = rule_keys(seed, range(1, s + 1), [0])
+        per_out = ScrambledRule(b, m, nums, alpha).digits(keys)[0]
     lines = [f"# b={b} m={m} s={s} alpha={alpha} seed={seed}"]
     for point in per_out:
         lines.append(" ".join("".join(str(int(d)) for d in coord) for coord in point))

@@ -280,43 +280,6 @@ def dual_merit_bruteforce(
     return total
 
 
-class EmpiricalVarianceMerit:
-    """Scores a candidate prefix by scrambled-rule variance on a smooth test
-    integrand with known unit integral, averaged over a fixed replication
-    count.  Slower than the dual criterion but makes no structural
-    assumptions."""
-
-    def __init__(self, b: int, m: int, replications: int = 8, seed: int = 7):
-        self.b = b
-        self.m = m
-        self.replications = replications
-        self.seed = seed
-
-    def start(self, n: int) -> np.ndarray:
-        return np.zeros((n, 0))
-
-    def _variance(self, cols: np.ndarray) -> float:
-        from .kernels import bernoulli
-        from .scramble import scramble_numerators
-
-        ests = []
-        for r in range(self.replications):
-            vals = np.ones(cols.shape[0])
-            for j in range(cols.shape[1]):
-                y = scramble_numerators(
-                    cols[:, j], self.b, self.m, max(self.m, 32), self.seed, (j, r)
-                )
-                vals *= 1.0 + bernoulli(2, y) / 2.0
-            ests.append(float(np.mean(vals)))
-        return float(np.var(ests))
-
-    def score(self, running: np.ndarray, col: np.ndarray, j: int) -> float:
-        return self._variance(np.column_stack([running, col]))
-
-    def extend(self, running: np.ndarray, col: np.ndarray, j: int) -> np.ndarray:
-        return np.column_stack([running, col])
-
-
 @lru_cache(maxsize=32)
 def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     """rho[t_1, ..., t_alpha] = E[B2(X) B2(X')] for one output coordinate of a

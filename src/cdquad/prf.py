@@ -56,9 +56,12 @@ def derive_seed(master: int, *tokens) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def counters_uniform(key: int, n: int, offset: int = 0) -> np.ndarray:
-    """n iid uniforms in [0, 1) from counter values offset..offset+n-1."""
-    ctr = np.arange(offset, offset + n, dtype=np.uint64)
-    bits = mix64_array(ctr ^ np.uint64(key & _MASK))
+def counters_uniform(key, n: int) -> np.ndarray:
+    """n iid uniforms in [0, 1) per key, from counter values 0..n-1.
+
+    key is an int or a uint64 array of shape K; the result has shape K + (n,).
+    """
+    ctr = np.arange(n, dtype=np.uint64)
+    bits = mix64_array(ctr ^ np.asarray(key, dtype=np.uint64)[..., None])
     # keep 53 bits so the conversion to float64 is exact
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

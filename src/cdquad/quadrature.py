@@ -1,9 +1,15 @@
 """Unbiased randomized building-block rules.
 
 Two kinds: plain Monte Carlo, and interlaced scrambled polynomial lattice
-rules.  Both use equal weights 1/n and per-coordinate randomization streams,
-so a rule's coordinate j depends only on its own randomness — the structural
-property that lets variance split along the ANOVA decomposition.
+rules.  Both use equal weights 1/n and independent per-coordinate
+randomization, so variance splits along the ANOVA decomposition.
+
+One key schedule feeds every draw: rule_keys turns (seed, u) into one
+blake2b key and spreads it over an array of R indices with the vectorized
+mix64 PRF, one uint64 key per randomization.  A replication number and a master seed are
+both such an index, and a single draw is the case R = 1.  All entry points
+below are thin fronts over one keyed path that draws the R point sets
+together and calls the integrand once on all R*n points.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -19,21 +24,6 @@ from .gfpoly import FieldBase
 from .lattice import GeneratingVector, plr_points, search_generating_vector
 from .prf import counters_uniform, derive_seed, mix64_array
 from .scramble import ScrambledRule
-
-_COORD = 0x94D049BB133111EB
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _single_uniform(base_keys: np.ndarray, d: int) -> np.ndarray:
-    """The n = 1 degenerate rule: one uniform point per key, shape (R, 1, d).
-
-    Distributionally this is the Owen scramble of the zero point; drawing the
-    53 output bits in one PRF call keeps plans with thousands of singleton
-    allocations affordable.
-    """
-    consts = np.array([(_COORD * (j + 1)) & _MASK64 for j in range(d)], dtype=np.uint64)
-    bits = mix64_array(np.asarray(base_keys, np.uint64)[:, None] ^ consts[None, :])
-    return ((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53)[:, None, :]
 
 MONTE_CARLO = "mc"
 INTERLACED_PLR = "plr"
@@ -43,8 +33,8 @@ INTERLACED_PLR = "plr"
 class RuleSpec:
     """An executable randomized rule on the coordinates in u.
 
-    alpha1/alpha2 carry the variance-assumption metadata F_w(n); both rule
-    kinds implemented here satisfy it with alpha1 = 0, i.e. F identically 1.
+    seed and u name the rule's key; the randomizations of the rule are the
+    indices read from it (see rule_keys).
     """
 
     kind: str
@@ -54,8 +44,6 @@ class RuleSpec:
     alpha: int = 1
     b: int = 2
     gv: GeneratingVector | None = None
-    alpha1: float = 0.0
-    alpha2: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(sorted(set(self.u))))
@@ -81,72 +69,63 @@ def default_generating_vector(b: int, m: int, s: int, alpha: int) -> GeneratingV
     return search_generating_vector(s, m, FieldBase(b), alpha=alpha)
 
 
-def rule_points(spec: RuleSpec, rep=None) -> np.ndarray:
-    """The randomized point array of a rule, shape (n, |u|).
+def rule_keys(seed: int, u, index) -> np.ndarray:
+    """The key schedule: one uint64 key per entry of the index array.
 
-    rep = None uses the spec's seed directly; an integer array of replication
-    indices prepends an axis of independent randomizations (shared spec seed,
-    split per replication).
+    (seed, u) gets a single blake2b key, and entry i is the counter-based
+    PRF of that key at counter index[i].  Distinct indices give distinct keys.
     """
+    key = np.uint64(derive_seed(seed, "rule", u))
+    return mix64_array(np.asarray(index, dtype=np.uint64) ^ key)
+
+
+def _draw(spec: RuleSpec, index) -> np.ndarray:
+    """Point arrays of shape (R, n, |u|), one randomization per index."""
+    index = np.atleast_1d(index)
     d = len(spec.u)
-    reps = np.atleast_1d(np.asarray(rep if rep is not None else 0))
-    scalar = rep is None or np.asarray(rep).ndim == 0
     if d == 0:
-        out = np.empty((len(reps), spec.n, 0))
-        return out[0] if scalar else out
-    if spec.kind == MONTE_CARLO:
-        out = np.empty((len(reps), spec.n, d))
-        for i, r in enumerate(reps):
-            for jpos, j in enumerate(spec.u):
-                key = derive_seed(spec.seed, "mc", int(r), j)
-                out[i, :, jpos] = counters_uniform(key, spec.n)
-        return out[0] if scalar else out
-    if spec.n == 1:
-        keys = np.array(
-            [derive_seed(derive_seed(spec.seed, "plr", spec.u), "rep", int(r)) for r in reps],
-            dtype=np.uint64,
-        )
-        out = _single_uniform(keys, d)
-        return out[0] if scalar else out
+        return np.empty((len(index), spec.n, 0))
+    keys = rule_keys(spec.seed, spec.u, index)
+    if spec.kind == MONTE_CARLO or spec.n == 1:
+        # an n = 1 scrambled rule is the Owen scramble of one point, which is
+        # a uniform draw: take its 53 bits per coordinate in one PRF call
+        return counters_uniform(keys, spec.n * d).reshape(len(keys), spec.n, d)
     gv = spec.gv or default_generating_vector(spec.b, spec.m, d * spec.alpha, spec.alpha)
-    # key the scramble by the coordinate labels so an identical seed yields
-    # the same per-coordinate randomness regardless of which rule asks
-    rule = ScrambledRule(spec.b, spec.m, plr_points(gv).coords, spec.alpha,
-                         derive_seed(spec.seed, "plr", spec.u))
-    out = rule.replicate(reps)
-    return out[0] if scalar else out
+    return ScrambledRule(spec.b, spec.m, plr_points(gv).coords, spec.alpha).points(keys)
+
+
+def _means(spec: RuleSpec, g, pts: np.ndarray) -> np.ndarray:
+    """(1/n) sum of g over each of the R point sets; g is called once on all
+    R*n points stacked, so pointwise integrands pay Python call overhead per
+    rule rather than per randomization."""
+    R = len(pts)
+    vals = np.asarray(g(pts.reshape(R * spec.n, len(spec.u))), dtype=np.float64)
+    return np.broadcast_to(vals, (R * spec.n,)).reshape(R, spec.n).mean(axis=1)
+
+
+def rule_points(spec: RuleSpec, index=0) -> np.ndarray:
+    """The randomized point array of a rule.
+
+    A scalar index gives shape (n, |u|); an index array gives (R, n, |u|)
+    whose row i equals rule_points(spec, index[i]).
+    """
+    pts = _draw(spec, index)
+    return pts[0] if np.ndim(index) == 0 else pts
 
 
 def rule_points_seeds(spec: RuleSpec, seeds) -> np.ndarray:
-    """Point arrays for the same rule under distinct seeds, shape (R, n, d).
-
-    Row i is bit-identical to rule_points(spec with seed=seeds[i]); the PLR
-    path batches all scrambles into one pass.
-    """
-    seeds = [int(s) for s in seeds]
-    d = len(spec.u)
-    if spec.kind == MONTE_CARLO or d == 0:
-        rows = [rule_points(RuleSpec(spec.kind, spec.u, spec.n, s, spec.alpha,
-                                     spec.b, spec.gv)) for s in seeds]
-        return np.stack(rows) if rows else np.empty((0, spec.n, d))
-    base_keys = np.array(
-        [derive_seed(derive_seed(s, "plr", spec.u), "rep", 0) for s in seeds],
-        dtype=np.uint64,
-    )
-    if spec.n == 1:
-        return _single_uniform(base_keys, d)
-    gv = spec.gv or default_generating_vector(spec.b, spec.m, d * spec.alpha, spec.alpha)
-    rule = ScrambledRule(spec.b, spec.m, plr_points(gv).coords, spec.alpha, 0)
-    return rule.replicate_keys(base_keys)
+    """rule_points over an array of master seeds, shape (R, n, |u|)."""
+    return _draw(spec, seeds)
 
 
-def run_rule(spec: RuleSpec, g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """(1/n) sum of g over the rule's points; deterministic given the spec."""
-    pts = rule_points(spec)
-    vals = np.asarray(g(pts), dtype=np.float64)
-    if vals.shape != (spec.n,):
-        vals = np.broadcast_to(vals, (spec.n,))
-    return float(np.mean(vals))
+def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
+    """Estimates for the randomizations `reps` of one rule."""
+    return _means(spec, g, rule_points(spec, reps))
+
+
+def run_rule_seeds(spec: RuleSpec, g, seeds) -> np.ndarray:
+    """Estimates under an array of master seeds; equals run_rule_batch."""
+    return _means(spec, g, rule_points_seeds(spec, seeds))
 
 
 @dataclass(frozen=True)
@@ -159,30 +138,6 @@ class VarianceEstimate:
 
     def __float__(self):
         return self.variance
-
-
-def run_rule_seeds(spec: RuleSpec, g, seeds) -> np.ndarray:
-    """run_rule under many seeds at once; entry i is bit-identical to
-    run_rule(spec with seed=seeds[i]).
-
-    g is called once on all R*n points stacked, so pointwise integrands pay
-    Python call overhead per rule rather than per replication."""
-    pts = rule_points_seeds(spec, seeds)
-    R = len(pts)
-    flat = pts.reshape(R * spec.n, len(spec.u))
-    vals = np.asarray(g(flat), dtype=np.float64)
-    vals = np.broadcast_to(vals, (R * spec.n,))
-    return vals.reshape(R, spec.n).mean(axis=1)
-
-
-def run_rule_batch(spec: RuleSpec, g, reps: np.ndarray) -> np.ndarray:
-    """Estimates for many independent randomizations of one rule."""
-    pts = rule_points(spec, reps)
-    out = np.empty(len(reps))
-    for i in range(len(reps)):
-        vals = np.asarray(g(pts[i]), dtype=np.float64)
-        out[i] = np.mean(np.broadcast_to(vals, (spec.n,)))
-    return out
 
 
 def empirical_variance(spec: RuleSpec, g, replications: int) -> VarianceEstimate:

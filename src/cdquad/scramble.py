@@ -3,7 +3,8 @@
 The scramble is realized with a counter-based PRF: the permutation applied
 to digit t of a coordinate is a deterministic function of (key, t, digits
 1..t-1 of the original point), so replications and per-coordinate streams
-are reproducible and mutually independent by key separation.  Digits are
+are reproducible and mutually independent by key separation.  Keys come
+from the caller (see quadrature.rule_keys); nothing here derives them.  Digits are
 handled as (..., prec) uint8 matrices, most significant first, which keeps
 the whole pipeline vectorized and allows interlaced outputs with more
 digits than fit in a machine word.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .prf import derive_seed, mix64_array
+from .prf import mix64_array
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _DEPTH = 0xD1B54A32D192ED03
@@ -89,22 +90,6 @@ def scramble_digit_matrix(
     return out
 
 
-def scramble_numerators(
-    coords: np.ndarray,
-    b: int,
-    m: int,
-    prec: int,
-    seed: int,
-    tokens: tuple = (),
-    key: np.ndarray | None = None,
-) -> np.ndarray:
-    """Scramble fixed-point numerators of one coordinate; returns floats."""
-    if key is None:
-        key = np.uint64(derive_seed(seed, "scramble", *tokens))
-    digits = numerators_to_digits(coords, b, m)
-    return digits_to_floats(scramble_digit_matrix(digits, b, key, prec), b)
-
-
 def interlace_digit_matrices(streams: np.ndarray) -> np.ndarray:
     """Digit interlacing of alpha equally deep digit streams.
 
@@ -133,18 +118,17 @@ def interlace_integers(numerators, b: int, m: int) -> int:
 class ScrambledRule:
     """Randomized interlaced point generator over a fixed lattice point set.
 
-    Owns the key schedule: output coordinate j, interlacing depth r and
-    replication index get separated keys, so distinct output coordinates are
+    Each replication key is split into one key per input stream (output
+    coordinate j, interlacing depth r), so distinct output coordinates are
     scrambled independently (the property that lets the rule commute with
     projections onto coordinate subsets).
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int,
-                 seed: int, prec: int | None = None):
+                 prec: int | None = None):
         self.b = b
         self.m = m
         self.alpha = alpha
-        self.seed = seed
         num = np.asarray(numerators, dtype=np.uint64)
         if num.ndim != 2 or num.shape[1] % alpha:
             raise ValueError("numerators must be (n, d*alpha)")
@@ -153,57 +137,30 @@ class ScrambledRule:
         cap = float_digit_cap(b)
         self.prec = prec if prec is not None else max(m, -(-cap // alpha))
 
-    def replicate(self, rep: int | np.ndarray) -> np.ndarray:
-        """Point array for replication(s) `rep`.
-
-        Scalar rep gives shape (n, d); an integer array R gives (len(R), n, d)
-        with independent scrambles along the first axis.
-        """
-        rep = np.asarray(rep)
-        scalar = rep.ndim == 0
-        reps = np.atleast_1d(rep)
-        base_keys = np.array(
-            [derive_seed(self.seed, "rep", int(r)) for r in reps], dtype=np.uint64
-        )
-        out = self.replicate_keys(base_keys)
-        return out[0] if scalar else out
-
-    def replicate_keys(self, base_keys: np.ndarray) -> np.ndarray:
-        """Like replicate, but with explicit per-replication base keys
-        (lets callers batch scrambles whose keys come from distinct seeds)."""
-        digs = self.digit_matrices_keys(base_keys)
+    def points(self, keys: np.ndarray) -> np.ndarray:
+        """Point arrays of shape (R, n, d), one independent scramble per key."""
+        digs = self.digits(keys)
         out = np.empty(digs.shape[:3])
+        # one output coordinate at a time bounds the float temporaries
         for jout in range(self.d):
             out[:, :, jout] = digits_to_floats(digs[:, :, jout], self.b)
         return out
 
-    def digit_matrices_keys(self, base_keys: np.ndarray) -> np.ndarray:
+    def digits(self, keys: np.ndarray) -> np.ndarray:
         """Exact interlaced output digits, shape (R, n, d, alpha*prec)."""
-        base_keys = np.asarray(base_keys, dtype=np.uint64)
+        keys = np.asarray(keys, dtype=np.uint64)
         n = self.numerators.shape[0]
         S = self.d * self.alpha
         # one scramble pass over all streams: axis layout (stream, rep, point)
-        keys = np.stack([mix64_array(base_keys ^ _const(_VALUE, u + 1)) for u in range(S)])
+        stream_keys = np.stack([mix64_array(keys ^ _const(_VALUE, u + 1)) for u in range(S)])
         digits = np.stack(
             [numerators_to_digits(self.numerators[:, u], self.b, self.m) for u in range(S)]
         )
         scrambled = scramble_digit_matrix(
-            digits[:, None, :, :], self.b, keys[:, :, None], self.prec
+            digits[:, None, :, :], self.b, stream_keys[:, :, None], self.prec
         )  # (S, R, n, prec)
-        out = np.empty((len(base_keys), n, self.d, self.alpha * self.prec), dtype=np.uint8)
+        out = np.empty((len(keys), n, self.d, self.alpha * self.prec), dtype=np.uint8)
         for jout in range(self.d):
             streams = scrambled[jout * self.alpha:(jout + 1) * self.alpha]
             out[:, :, jout] = interlace_digit_matrices(streams)
         return out
-
-    def digit_matrices(self, rep: int) -> np.ndarray:
-        """Exact interlaced output digits of one replication, (n, d, alpha*prec)."""
-        key = np.array([derive_seed(self.seed, "rep", int(rep))], dtype=np.uint64)
-        return self.digit_matrices_keys(key)[0]
-
-
-def uniform_point(b: int, d: int, alpha: int, seed: int, rep: int) -> np.ndarray:
-    """The n = 1 degenerate rule: Owen scrambling of the zero point, which is
-    a uniform draw on [0,1)^d."""
-    rule = ScrambledRule(b, 0, np.zeros((1, d * alpha), np.uint64), alpha, seed)
-    return rule.replicate(rep)[0]

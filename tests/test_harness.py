@@ -23,6 +23,7 @@ from cdquad.harness import (
 )
 from cdquad.kernels import bernoulli
 from cdquad.lattice import GeneratingVector, plr_points
+from cdquad.quadrature import RuleSpec, rule_points
 from cdquad.weights import (
     FiniteProductWeights,
     ProductWeights,
@@ -155,6 +156,15 @@ class TestDumpPoints:
     def test_seed_sensitivity(self):
         assert dump_points(2, 4, 2, alpha=2, seed=1) != dump_points(2, 4, 2,
                                                                     alpha=2, seed=2)
+
+    @pytest.mark.parametrize("s,alpha", [(1, 1), (2, 2), (3, 3)])
+    def test_scrambled_dump_is_rule_points(self, s, alpha):
+        # the dump and the estimator draw their keys from one schedule
+        lines = dump_points(2, 4, s, alpha=alpha, seed=11)
+        dumped = np.array([[sum(int(c) * 2.0 ** -(p + 1) for p, c in enumerate(digits[:53]))
+                            for digits in line.split()] for line in lines[1:]])
+        pts = rule_points(RuleSpec("plr", tuple(range(1, s + 1)), 16, 11, alpha=alpha))
+        assert np.array_equal(dumped, pts)
 
 
 class TestStudies:

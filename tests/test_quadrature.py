@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdquad.kernels import bernoulli
 from cdquad.quadrature import (
@@ -9,9 +10,9 @@ from cdquad.quadrature import (
     MONTE_CARLO,
     RuleSpec,
     empirical_variance,
+    rule_keys,
     rule_points,
     rule_points_seeds,
-    run_rule,
     run_rule_batch,
     run_rule_seeds,
 )
@@ -46,7 +47,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", [MONTE_CARLO, INTERLACED_PLR])
     def test_bit_exact_reruns(self, kind):
         spec = RuleSpec(kind, (1, 2), 16, seed=42, alpha=2 if kind == "plr" else 1)
-        assert run_rule(spec, smooth_pair) == run_rule(spec, smooth_pair)
+        assert run_rule_batch(spec, smooth_pair, [0]) == run_rule_batch(spec, smooth_pair, [0])
         assert np.array_equal(rule_points(spec), rule_points(spec))
 
     @pytest.mark.parametrize("kind", [MONTE_CARLO, INTERLACED_PLR])
@@ -65,26 +66,21 @@ class TestDeterminism:
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 32, seed=0, alpha=2)
         seeds = [5, 9, 13]
         batch = run_rule_seeds(spec, smooth_pair, seeds)
-        single = [
-            run_rule(RuleSpec(spec.kind, spec.u, spec.n, s, spec.alpha), smooth_pair)
-            for s in seeds
-        ]
+        single = [run_rule_batch(spec, smooth_pair, [s])[0] for s in seeds]
         assert np.array_equal(batch, np.array(single))
 
     def test_points_seeds_rows_bit_identical(self):
         spec = RuleSpec(INTERLACED_PLR, (2, 4), 16, seed=0, alpha=2)
         rows = rule_points_seeds(spec, [3, 7])
         for i, s in enumerate([3, 7]):
-            one = rule_points(RuleSpec(spec.kind, spec.u, spec.n, s, spec.alpha))
-            assert np.array_equal(rows[i], one)
+            assert np.array_equal(rows[i], rule_points(spec, s))
 
-    def test_coordinate_streams_independent_of_companions(self):
-        # same seed, same coordinate label -> same marginal stream even when a
-        # different rule (different u) asks; this is what makes seed-matched
-        # comparisons meaningful
-        full = rule_points(RuleSpec(MONTE_CARLO, (1, 2), 8, 77))
-        solo = rule_points(RuleSpec(MONTE_CARLO, (2,), 8, 77))
-        assert np.array_equal(full[:, 1], solo[:, 0])
+    def test_keys_depend_on_seed_set_and_index(self):
+        base = rule_keys(5, (1, 2), np.arange(4))
+        assert base.dtype == np.uint64 and len(set(base.tolist())) == 4
+        assert np.array_equal(rule_keys(5, (2, 1), [2]), base[2:3])
+        assert not np.isin(rule_keys(6, (1, 2), np.arange(4)), base).any()
+        assert not np.isin(rule_keys(5, (1,), np.arange(4)), base).any()
 
 
 class TestDegenerate:
@@ -92,12 +88,12 @@ class TestDegenerate:
         for kind in (MONTE_CARLO, INTERLACED_PLR):
             for seed in (0, 1, 12345):
                 spec = RuleSpec(kind, (1, 2), 8, seed)
-                assert run_rule(spec, lambda p: np.full(len(p), 2.5)) == 2.5
+                assert run_rule_batch(spec, lambda p: np.full(len(p), 2.5), [0]) == 2.5
 
     def test_empty_u(self):
         spec = RuleSpec(MONTE_CARLO, (), 4, 0)
         assert rule_points(spec).shape == (4, 0)
-        assert run_rule(spec, lambda p: np.ones(len(p))) == 1.0
+        assert run_rule_batch(spec, lambda p: np.ones(len(p)), [0]) == 1.0
 
     def test_n_one_plr_uniform(self):
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 1, 3, alpha=2)
@@ -143,3 +139,46 @@ class TestStatistics:
     def test_variance_needs_two_reps(self):
         with pytest.raises(ValueError):
             empirical_variance(RuleSpec(MONTE_CARLO, (1,), 4, 0), lambda p: p[:, 0], 1)
+
+
+@st.composite
+def keyed_specs(draw):
+    kind = draw(st.sampled_from([MONTE_CARLO, INTERLACED_PLR]))
+    d = draw(st.integers(0, 3))
+    n = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    alpha = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**64 - 1))
+    spec = RuleSpec(kind, tuple(range(1, d + 1)), n, seed, alpha=alpha)
+    index = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4, unique=True))
+    return spec, np.array(index, dtype=np.uint64)
+
+
+class TestKeyedPath:
+    """One keyed path serves every entry point; a single draw is R = 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(keyed_specs())
+    def test_rows_are_single_draws(self, case):
+        spec, index = case
+        pts = rule_points(spec, index)
+        for i, r in enumerate(index):
+            assert np.array_equal(pts[i], rule_points(spec, r))
+
+    @settings(max_examples=40, deadline=None)
+    @given(keyed_specs())
+    def test_seed_entries_match_index_entries(self, case):
+        spec, index = case
+        assert np.array_equal(rule_points_seeds(spec, index), rule_points(spec, index))
+        g = lambda p: 1.0 + p.sum(axis=1)
+        assert np.array_equal(run_rule_seeds(spec, g, index), run_rule_batch(spec, g, index))
+
+    @settings(max_examples=40, deadline=None)
+    @given(keyed_specs())
+    def test_shape_range_and_distinct_rows(self, case):
+        spec, index = case
+        pts = rule_points(spec, index)
+        assert pts.shape == (len(index), spec.n, len(spec.u))
+        assert np.all((pts >= 0) & (pts < 1))
+        if spec.u:
+            rows = {p.tobytes() for p in pts}
+            assert len(rows) == len(index)

@@ -14,8 +14,6 @@ from cdquad.scramble import (
     interlace_integers,
     numerators_to_digits,
     scramble_digit_matrix,
-    scramble_numerators,
-    uniform_point,
 )
 
 
@@ -121,7 +119,8 @@ class TestScrambleDigitMatrix:
         n, m = coords.shape[0], 4
         for key in (7, 8, 9):
             y = np.stack(
-                [scramble_numerators(coords[:, j], 2, m, m, 0, key=np.uint64(key + j))
+                [digits_to_floats(scramble_digit_matrix(
+                    numerators_to_digits(coords[:, j], 2, m), 2, np.uint64(key + j), m), 2)
                  for j in range(2)],
                 axis=1,
             )
@@ -134,16 +133,20 @@ class TestScrambleDigitMatrix:
             assert sorted(ids) == list(range(16))
 
 
+def keys(*values):
+    return np.array(values, dtype=np.uint64)
+
+
 class TestScrambledRule:
     def test_replicate_shapes(self):
-        rule = ScrambledRule(2, 3, small_net(), alpha=1, seed=1)
-        assert rule.replicate(0).shape == (8, 2)
-        assert rule.replicate(np.arange(5)).shape == (5, 8, 2)
+        rule = ScrambledRule(2, 3, small_net(), alpha=1)
+        assert rule.points(keys(1)).shape == (1, 8, 2)
+        assert rule.points(np.arange(5, dtype=np.uint64)).shape == (5, 8, 2)
 
     def test_replications_reproducible_and_distinct(self):
-        rule = ScrambledRule(2, 3, small_net(), alpha=1, seed=1)
-        a = rule.replicate(np.arange(3))
-        b = rule.replicate(np.arange(3))
+        rule = ScrambledRule(2, 3, small_net(), alpha=1)
+        a = rule.points(keys(1, 2, 3))
+        b = rule.points(keys(1, 2, 3))
         assert (a == b).all()
         assert (a[0] != a[1]).any()
 
@@ -151,38 +154,28 @@ class TestScrambledRule:
         # output coordinate j depends only on its own alpha streams' keys:
         # a rule on a subset of coordinates reproduces those columns exactly
         net = small_net(2, 4, 2)
-        full = ScrambledRule(2, 4, net, alpha=1, seed=42).replicate(0)
-        first = ScrambledRule(2, 4, net[:, :1], alpha=1, seed=42).replicate(0)
+        full = ScrambledRule(2, 4, net, alpha=1).points(keys(42))[0]
+        first = ScrambledRule(2, 4, net[:, :1], alpha=1).points(keys(42))[0]
         assert (full[:, 0] == first[:, 0]).all()
 
     def test_interlaced_digits_match_floats(self):
         net = small_net(2, 3, 2)
-        rule = ScrambledRule(2, 3, net, alpha=2, seed=9)
-        pts = rule.replicate(2)
-        digs = rule.digit_matrices(2)
+        rule = ScrambledRule(2, 3, net, alpha=2)
+        pts = rule.points(keys(9, 2))
+        digs = rule.digits(keys(9, 2))
         from_digits = np.stack(
-            [digits_to_floats(digs[:, j, :], 2) for j in range(rule.d)], axis=1
+            [digits_to_floats(digs[:, :, j, :], 2) for j in range(rule.d)], axis=2
         )
         assert np.allclose(pts, from_digits)
 
     def test_unbiased_on_linear(self):
         # d=1, alpha=2 interlaced scrambled rule integrates f(y)=y unbiasedly
         net = small_net(2, 2, 2)
-        rule = ScrambledRule(2, 2, net, alpha=2, seed=3)
-        pts = rule.replicate(np.arange(2000))
+        rule = ScrambledRule(2, 2, net, alpha=2)
+        pts = rule.points(np.arange(2000, dtype=np.uint64))
         means = pts[:, :, 0].mean(axis=1)
         stderr = means.std(ddof=1) / np.sqrt(len(means))
         assert abs(means.mean() - 0.5) <= 4 * stderr
-
-
-class TestUniformPoint:
-    def test_range_and_determinism(self):
-        a = uniform_point(2, 3, 2, seed=7, rep=0)
-        b = uniform_point(2, 3, 2, seed=7, rep=0)
-        assert (a == b).all()
-        assert ((0 <= a) & (a < 1)).all()
-        c = uniform_point(2, 3, 2, seed=7, rep=1)
-        assert (a != c).any()
 
 
 class TestPrf:
@@ -199,3 +192,6 @@ class TestPrf:
         u = counters_uniform(12345, 20000)
         assert ((0 <= u) & (u < 1)).all()
         assert abs(u.mean() - 0.5) < 4 * (1 / np.sqrt(12 * len(u)))
+        # an array of keys draws one row per key, each equal to its own draw
+        rows = counters_uniform(np.array([12345, 7], dtype=np.uint64), 5)
+        assert rows.shape == (2, 5) and np.array_equal(rows[0], u[:5])
