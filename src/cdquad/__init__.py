@@ -43,7 +43,6 @@ from .harness import (
 )
 from .kernels import SobolevKernel, bernoulli, k_chi, k_u, kernel_diag, kernel_mean_M
 from .lattice import (
-    DualWeightedMerit,
     GeneratingVector,
     PointSet,
     irreducible_modulus,
@@ -60,7 +59,7 @@ from .quadrature import (
     rule_points,
     run_rule_batch,
 )
-from .scramble import ScrambledRule, interlace_integers
+from .scramble import ScrambledRule
 from .weights import (
     ExplicitWeights,
     FiniteIntersectionWeights,

@@ -8,9 +8,7 @@ are immutable; every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 
 def _is_prime(n: int) -> bool:
@@ -167,23 +165,6 @@ def poly_from_int(k: int, base: FieldBase) -> PolyGF:
     return PolyGF(base, tuple(cs))
 
 
-def poly_one(base: FieldBase) -> PolyGF:
-    return PolyGF(base, (1,))
-
-
-def poly_x(base: FieldBase) -> PolyGF:
-    return PolyGF(base, (0, 1))
-
-
-def poly_mul_mod(a: PolyGF, c: PolyGF, p: PolyGF) -> PolyGF:
-    """(a*c) mod p with coefficient arithmetic in F_b."""
-    _check_base(a, c)
-    _check_base(a, p)
-    if p.is_zero():
-        raise ZeroDivisionError("zero modulus")
-    return (a * c) % p
-
-
 @lru_cache(maxsize=None)
 def is_irreducible(p: PolyGF) -> bool:
     """Trial division against all monic polynomials of degree <= deg(p)/2.
@@ -226,15 +207,6 @@ def laurent_digits(num: PolyGF, den: PolyGF, m: int) -> DigitString:
     return DigitString(num.base, digits)
 
 
-def v_m(d: DigitString) -> Fraction:
-    """Exact value sum_{l=1}^m t_l b^-l as a Fraction over b^m."""
-    b = d.base.b
-    num = 0
-    for t in d.digits:
-        num = num * b + t
-    return Fraction(num, b ** d.m)
-
-
 def digits_numerator(d: DigitString) -> int:
     """Fixed-point numerator t_1 b^{m-1} + ... + t_m (value = num / b^m)."""
     b = d.base.b
@@ -242,9 +214,3 @@ def digits_numerator(d: DigitString) -> int:
     for t in d.digits:
         num = num * b + t
     return num
-
-
-def all_polys(base: FieldBase, max_degree: int) -> Iterable[PolyGF]:
-    """All polynomials of degree <= max_degree, in encoding order."""
-    for k in range(base.b ** (max_degree + 1)):
-        yield poly_from_int(k, base)

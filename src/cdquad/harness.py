@@ -542,6 +542,8 @@ def dump_points(
     with the default vector the digits read as floats are that point set."""
     if gv is None:
         gv = default_generating_vector(b, m, s * alpha, alpha)
+    if (gv.base.b, gv.m) != (b, m):
+        raise ValueError(f"generating vector is for b={gv.base.b}, m={gv.m}, not b={b}, m={m}")
     if gv.s != s * alpha:
         raise ValueError(f"generating vector has {gv.s} components, need {s * alpha}")
     nums = plr_points(gv).coords

@@ -8,10 +8,9 @@ generic polynomial routines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,7 +152,7 @@ def plr_points(gv: GeneratingVector) -> PointSet:
     return PointSet(gv.base.b, gv.m, np.stack(cols, axis=1))
 
 
-# --- figures of merit for the CBC search ---------------------------------
+# --- search criteria -------------------------------------------------------
 
 
 def _phi_table(b: int, m: int, rate: float = 2.0) -> np.ndarray:
@@ -175,109 +174,15 @@ def _phi_table(b: int, m: int, rate: float = 2.0) -> np.ndarray:
 
 
 def _first_nonzero_digit_pos(coords: np.ndarray, b: int, m: int) -> np.ndarray:
-    """Position (1-based) of the first nonzero base-b digit; 0 for the value 0."""
-    if b == 2:
-        nbits = np.zeros(coords.shape, dtype=np.int64)
-        x = coords.copy()
-        while np.any(x):
-            nz = x > 0
-            nbits[nz] += 1
-            x >>= np.uint64(1)
-        pos = np.where(coords == 0, 0, m - nbits + 1)
-        return pos
-    # per-element loop: the generic base path is desk-scale only
-    flat = coords.ravel()
-    out = np.zeros(flat.shape, dtype=np.int64)
-    for i, v in enumerate(flat):
-        v = int(v)
-        if v == 0:
-            out[i] = 0
-            continue
-        digs = []
-        for _ in range(m):
-            digs.append(v % b)
-            v //= b
-        digs.reverse()
-        out[i] = next(idx + 1 for idx, dd in enumerate(digs) if dd)
-    return out.reshape(coords.shape)
+    """Position (1-based) of the first nonzero base-b digit of an m-digit
+    numerator; 0 for the value 0.
 
-
-class FigureOfMerit(Protocol):
-    def start(self, n: int) -> None: ...
-
-    def score(self, running: np.ndarray, col: np.ndarray, j: int) -> float: ...
-
-    def extend(self, running: np.ndarray, col: np.ndarray, j: int) -> np.ndarray: ...
-
-
-class DualWeightedMerit:
-    """Truncated weighted dual-lattice criterion.
-
-    Equals the exact sum over nonzero dual-lattice vectors k (each component
-    of base-b digit length <= m) of prod_j w_j^{1{k_j != 0}} b^{-r_j mu(k_j)},
-    evaluated through the character-sum identity so the cost is O(n) per
-    candidate instead of an explicit enumeration.  The per-coordinate rates
-    r_j let interlaced rules penalize depth at b^{-2 alpha mu}, matching the
-    digit positions the interlacing maps each stream to.
+    A nonzero x has its first nonzero digit at m - #{1 <= k < m : x >= b^k}.
     """
-
-    def __init__(self, b: int, m: int, coord_weights: Sequence[float],
-                 rates: Sequence[float] | None = None):
-        self.b = b
-        self.m = m
-        self.w = list(coord_weights)
-        self.rates = list(rates) if rates is not None else [2.0] * len(self.w)
-        self._phi = {r: _phi_table(b, m, r) for r in set(self.rates)}
-
-    def _factor(self, col: np.ndarray, j: int) -> np.ndarray:
-        pos = _first_nonzero_digit_pos(col, self.b, self.m)
-        return 1.0 + self.w[j] * self._phi[self.rates[j]][pos]
-
-    def start(self, n: int) -> np.ndarray:
-        return np.ones(n)
-
-    def score(self, running: np.ndarray, col: np.ndarray, j: int) -> float:
-        return float(np.mean(running * self._factor(col, j)) - 1.0)
-
-    def extend(self, running: np.ndarray, col: np.ndarray, j: int) -> np.ndarray:
-        return running * self._factor(col, j)
-
-
-def dual_merit_bruteforce(
-    gv: GeneratingVector, coord_weights: Sequence[float],
-    rates: Sequence[float] | None = None,
-) -> float:
-    """Oracle for DualWeightedMerit: explicit dual-lattice enumeration.
-
-    Only feasible at tiny sizes (b^(m*s) candidate vectors).
-    """
-    b, m, s = gv.base.b, gv.m, gv.s
-    if rates is None:
-        rates = [2.0] * s
-    total = 0.0
-
-    def mu(k: int) -> int:
-        d = 0
-        while k:
-            d += 1
-            k //= b
-        return d
-
-    import itertools
-
-    for kvec in itertools.product(range(b**m), repeat=s):
-        if not any(kvec):
-            continue
-        acc = PolyGF(gv.base, ())
-        for k, q in zip(kvec, gv.q):
-            acc = acc + poly_from_int(k, gv.base) * q
-        if (acc % gv.modulus).is_zero():
-            term = 1.0
-            for j, k in enumerate(kvec):
-                if k:
-                    term *= coord_weights[j] * b ** (-rates[j] * mu(k))
-            total += term
-    return total
+    x = np.asarray(coords, dtype=np.uint64)
+    powers = np.array([b**k for k in range(1, m)], dtype=np.uint64)
+    pos = m - np.searchsorted(powers, x, side="right")
+    return np.where(x == 0, 0, pos)
 
 
 @lru_cache(maxsize=32)
@@ -396,8 +301,11 @@ def scramble_variance(gv: GeneratingVector, alpha: int,
     return float(np.mean(excess))
 
 
-def _search_variance(d: int, m: int, base: FieldBase, weights, alpha: int,
-                     budget: int | None) -> GeneratingVector:
+_VARIANCE_TRIALS = 128
+
+
+def _search_variance(d: int, m: int, base: FieldBase, weights,
+                     alpha: int) -> GeneratingVector:
     """Randomized search ranked by the exact scramble variance.
 
     The variance criterion does not factor per stream, so instead of a CBC
@@ -409,9 +317,8 @@ def _search_variance(d: int, m: int, base: FieldBase, weights, alpha: int,
     cw = [max(weights.singleton(j + 1), 1e-12) if weights is not None else 1.0
           for j in range(d)]
     rng = np.random.default_rng([0x5CA1E, base.b, m, d, alpha])
-    trials = budget if budget is not None else 128
     best: tuple[float, GeneratingVector] | None = None
-    for _ in range(max(trials, 1)):
+    for _ in range(_VARIANCE_TRIALS):
         qs = tuple(poly_from_int(int(rng.integers(1, n)), base)
                    for _ in range(d * alpha))
         gv = GeneratingVector(base, m, modulus, qs)
@@ -421,13 +328,6 @@ def _search_variance(d: int, m: int, base: FieldBase, weights, alpha: int,
     return best[1]
 
 
-def _column_for(base: FieldBase, m: int, modulus: PolyGF, q: PolyGF) -> np.ndarray:
-    gv1 = GeneratingVector(base, m, modulus, (q,))
-    if base.b == 2:
-        return _column_base2(gv1, 0)
-    return _column_generic(gv1, 0)
-
-
 @lru_cache(maxsize=64)
 def _field_exp_table(b: int, m: int) -> np.ndarray:
     """Encodings of g^0, g^1, ..., g^{b^m-2} for a primitive element g of the
@@ -435,7 +335,8 @@ def _field_exp_table(b: int, m: int) -> np.ndarray:
     base = FieldBase(b)
     modulus = irreducible_modulus(b, m)
     n = b**m
-    for genc in range(2, n):
+    # g = 1 generates only the trivial group of F_2[x]/p with deg p = 1
+    for genc in range(1, n):
         g = poly_from_int(genc, base)
         seq = np.empty(n - 1, dtype=np.int64)
         cur = poly_from_int(1, base)
@@ -452,30 +353,24 @@ def _field_exp_table(b: int, m: int) -> np.ndarray:
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
-def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates, budget) -> GeneratingVector:
-    """CBC search under DualWeightedMerit via cyclic-group correlation.
+def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
+    """CBC search under the weighted dual-lattice criterion via cyclic-group
+    correlation.
 
-    For h = g^i and q = g^t the product hq is g^{i+t}, so the candidate
-    scores for all q at once are a circular cross-correlation of the running
-    products with the per-point merit factors — one FFT pair per component.
+    The criterion is the sum over nonzero dual-lattice vectors k of
+    prod_j cw_j^{1{k_j != 0}} b^{-rates_j mu(k_j)}; the character-sum identity
+    turns it into the mean over points h of prod_j (1 + cw_j phi(h_j)).  For
+    h = g^i and q = g^t the product hq is g^{i+t}, so the candidate scores
+    for all q at once are a circular cross-correlation of the running
+    products with the per-point factors — one FFT pair per component.
     """
     b = base.b
     n = b**m
     N = n - 1
     modulus = irreducible_modulus(b, m)
     exp_ = _field_exp_table(b, m)
-    gv1 = GeneratingVector(base, m, modulus, (poly_from_int(1, base),))
-    col1 = _column_base2(gv1, 0) if b == 2 else _column_generic(gv1, 0)
-    pos = _first_nonzero_digit_pos(col1, b, m)
-
-    if budget is None or budget >= N:
-        allowed = np.ones(N, dtype=bool)
-    elif budget == 0:
-        allowed = exp_ == 1
-    else:
-        k = max(1, budget)
-        encs = {1 + round(i * (N - 1) / max(k - 1, 1)) for i in range(k)}
-        allowed = np.isin(exp_, list(encs))
+    unit = GeneratingVector(base, m, modulus, (poly_from_int(1, base),))
+    pos = _first_nonzero_digit_pos(plr_points(unit).coords[:, 0], b, m)
 
     running = np.ones(n)
     chosen = []
@@ -486,8 +381,8 @@ def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates, budget) -> GeneratingV
         F = fac_by_h[exp_]
         corr = np.fft.irfft(np.conj(np.fft.rfft(A)) * np.fft.rfft(F), N)
         scores = (running[0] * fac_by_h[0] + corr) / n - 1.0
-        smin = scores[allowed].min()
-        near = allowed & (scores <= smin + 1e-11 * (1.0 + abs(smin)))
+        smin = scores.min()
+        near = scores <= smin + 1e-11 * (1.0 + abs(smin))
         t = int(min(np.flatnonzero(near), key=lambda i: exp_[i]))
         chosen.append(poly_from_int(int(exp_[t]), base))
         running[exp_] *= F[(np.arange(N) + t) % N]
@@ -501,65 +396,29 @@ def search_generating_vector(
     base: FieldBase,
     weights=None,
     alpha: int = 1,
-    budget: int | None = None,
-    merit: FigureOfMerit | None = None,
 ) -> GeneratingVector:
-    """Component-by-component search for an s-coordinate generating vector.
+    """Search for an s-coordinate generating vector with n = b^m points.
 
     `s` counts underlying lattice coordinates (a rule on d output coordinates
-    with interlacing factor alpha asks for s = d * alpha).  Candidates are
-    ranked by the figure of merit; ties break to the smallest integer
-    encoding, so the search is deterministic.  `budget` caps the number of
-    candidates tried per component by sampling encodings evenly across the
-    whole range 1..b^m - 1 (capping to an encoding prefix would pin the
-    candidate degrees and plant short dual vectors at every m); budget 0
-    keeps the all-ones vector, None tries every candidate.
+    with interlacing factor alpha asks for s = d * alpha).  Interlaced base-2
+    rules are ranked by the exact variance they deliver after scrambling;
+    every other rule comes from a component-by-component search under the
+    weighted dual-lattice criterion, ties breaking to the smallest integer
+    encoding.  Both searches are deterministic.
     """
     b = base.b
-    modulus = irreducible_modulus(b, m)
-    if merit is None and alpha >= 2 and b == 2 and s % alpha == 0 and budget != 0:
+    if alpha >= 2 and b == 2 and s % alpha == 0:
         # interlaced rules are judged by the variance they deliver after
         # scrambling, which the dual criterion only bounds up to the squared
         # worst-case error rate; rank candidates by the exact variance instead
-        return _search_variance(s // alpha, m, base, weights, alpha, budget)
-    if merit is None:
-        # one gamma factor and one interlaced-position factor per stream:
-        # stream depth r contributes digit positions r + (mu-1)*alpha, hence
-        # weight gamma * b^{2(alpha-r)} at depth rate 2*alpha
-        cw = []
-        for j in range(s):
-            out_coord = j // alpha + 1
-            r = j % alpha + 1
-            g = weights.singleton(out_coord) if weights is not None else 1.0
-            cw.append(max(g, 1e-12) * float(b) ** (2 * (alpha - r)))
-        if m >= 1 and b**m > 2:
-            return _cbc_fast(s, m, base, cw, [2.0 * alpha] * s, budget)
-        merit = DualWeightedMerit(b, m, cw, rates=[2.0 * alpha] * s)
-
-    n_candidates = b**m - 1
-    if budget is None or budget >= n_candidates:
-        encodings = range(1, n_candidates + 1)
-    elif budget == 0:
-        encodings = [1]
-    else:
-        k = max(1, budget)
-        encodings = sorted({1 + round(i * (n_candidates - 1) / max(k - 1, 1))
-                            for i in range(k)})
-
-    running = merit.start(b**m)
-    chosen: list[PolyGF] = []
+        return _search_variance(s // alpha, m, base, weights, alpha)
+    # one gamma factor and one interlaced-position factor per stream:
+    # stream depth r contributes digit positions r + (mu-1)*alpha, hence
+    # weight gamma * b^{2(alpha-r)} at depth rate 2*alpha
+    cw = []
     for j in range(s):
-        best = None
-        best_score = math.inf
-        best_col = None
-        for enc in encodings:
-            q = poly_from_int(enc, base)
-            col = _column_for(base, m, modulus, q)
-            sc = merit.score(running, col, j)
-            if sc < best_score - 1e-15:
-                best, best_score, best_col = q, sc, col
-        if best is None:
-            raise RuntimeError("budget exhausted with no valid candidate")
-        running = merit.extend(running, best_col, j)
-        chosen.append(best)
-    return GeneratingVector(base, m, modulus, tuple(chosen))
+        out_coord = j // alpha + 1
+        r = j % alpha + 1
+        g = weights.singleton(out_coord) if weights is not None else 1.0
+        cw.append(max(g, 1e-12) * float(b) ** (2 * (alpha - r)))
+    return _cbc_fast(s, m, base, cw, [2.0 * alpha] * s)

@@ -55,8 +55,13 @@ class RuleSpec:
             m = round(math.log(self.n, self.b))
             if self.b**m != self.n:
                 raise ValueError("PLR rules need n = b^m")
-            if self.gv is not None and self.gv.s != self.alpha * len(self.u):
-                raise ValueError("generating vector dimension must be alpha * |u|")
+            if self.gv is not None:
+                if (self.gv.base.b, self.gv.m) != (self.b, m):
+                    raise ValueError(
+                        f"generating vector is for b={self.gv.base.b}, m={self.gv.m}; "
+                        f"the rule needs b={self.b}, m={m}")
+                if self.gv.s != self.alpha * len(self.u):
+                    raise ValueError("generating vector dimension must be alpha * |u|")
 
     @property
     def m(self) -> int:

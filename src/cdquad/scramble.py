@@ -102,19 +102,6 @@ def interlace_digit_matrices(streams: np.ndarray) -> np.ndarray:
     return moved.reshape(streams.shape[1:-1] + (prec * alpha,))
 
 
-def interlace_integers(numerators, b: int, m: int) -> int:
-    """Exact interlace of alpha m-digit numerators into one alpha*m-digit
-    integer numerator (Python int; used for bit-exact oracles)."""
-    alpha = len(numerators)
-    mats = np.stack([numerators_to_digits(np.asarray([v], np.uint64), b, m)[0]
-                     for v in numerators])
-    digs = interlace_digit_matrices(mats)
-    out = 0
-    for d in digs:
-        out = out * b + int(d)
-    return out
-
-
 class ScrambledRule:
     """Randomized interlaced point generator over a fixed lattice point set.
 

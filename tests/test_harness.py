@@ -133,6 +133,15 @@ class TestDumpPoints:
                               (poly_from_int(1, base),))
         assert dump_points(2, 2, 1, gv=gv)[1:] == ["00", "01", "11", "10"]
 
+    @pytest.mark.parametrize("b,m", [(2, 2), (3, 3)])
+    def test_gv_must_match_base_and_size(self, b, m):
+        from cdquad.gfpoly import FieldBase
+        from cdquad.lattice import search_generating_vector
+
+        gv = search_generating_vector(1, m, FieldBase(b))
+        with pytest.raises(ValueError):
+            dump_points(2, 3, 1, gv=gv)
+
     def test_unscrambled_matches_plr(self):
         lines = dump_points(2, 3, 2)
         assert lines[0].startswith("#")

@@ -1,4 +1,4 @@
-"""Polynomial lattice point sets, figures of merit, and vector search."""
+"""Polynomial lattice point sets, the search criteria, and vector search."""
 
 import itertools
 from fractions import Fraction
@@ -6,16 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdquad.gfpoly import FieldBase, poly_from_int
+from cdquad.gfpoly import FieldBase, PolyGF, poly_from_int
 from cdquad.lattice import (
-    DualWeightedMerit,
     GeneratingVector,
-    dual_merit_bruteforce,
     irreducible_modulus,
     plr_points,
     scramble_variance,
     search_generating_vector,
     _first_nonzero_digit_pos,
+    _phi_table,
     _scramble_rho_table,
 )
 from cdquad.quadrature import RuleSpec, empirical_variance
@@ -88,8 +87,93 @@ class TestPlrPoints:
         assert np.allclose(ps.values(), ps.coords.astype(float) / 8)
 
 
+class DualWeightedMerit:
+    """Truncated weighted dual-lattice criterion, the one `_cbc_fast`
+    minimizes, as a running product over the points.
+
+    Equals the sum over nonzero dual-lattice vectors k (each component of
+    base-b digit length <= m) of prod_j w_j^{1{k_j != 0}} b^{-r_j mu(k_j)},
+    evaluated through the character-sum identity at O(n) per candidate.
+    """
+
+    def __init__(self, b, m, coord_weights, rates=None):
+        self.b = b
+        self.m = m
+        self.w = list(coord_weights)
+        self.rates = list(rates) if rates is not None else [2.0] * len(self.w)
+        self._phi = {r: _phi_table(b, m, r) for r in set(self.rates)}
+
+    def _factor(self, col, j):
+        pos = _first_nonzero_digit_pos(col, self.b, self.m)
+        return 1.0 + self.w[j] * self._phi[self.rates[j]][pos]
+
+    def start(self, n):
+        return np.ones(n)
+
+    def score(self, running, col, j):
+        return float(np.mean(running * self._factor(col, j)) - 1.0)
+
+    def extend(self, running, col, j):
+        return running * self._factor(col, j)
+
+
+def dual_merit_bruteforce(gv, coord_weights, rates=None):
+    """Oracle for DualWeightedMerit: explicit dual-lattice enumeration.
+
+    Only feasible at tiny sizes (b^(m*s) candidate vectors).
+    """
+    b, m, s = gv.base.b, gv.m, gv.s
+    if rates is None:
+        rates = [2.0] * s
+    total = 0.0
+
+    def mu(k):
+        d = 0
+        while k:
+            d += 1
+            k //= b
+        return d
+
+    for kvec in itertools.product(range(b**m), repeat=s):
+        if not any(kvec):
+            continue
+        acc = PolyGF(gv.base, ())
+        for k, q in zip(kvec, gv.q):
+            acc = acc + poly_from_int(k, gv.base) * q
+        if (acc % gv.modulus).is_zero():
+            term = 1.0
+            for j, k in enumerate(kvec):
+                if k:
+                    term *= coord_weights[j] * b ** (-rates[j] * mu(k))
+            total += term
+    return total
+
+
+def cbc_oracle(s, m, base, weights=None, alpha=1):
+    """Direct CBC candidate loop: each component tries every q in 1..b^m - 1
+    under DualWeightedMerit, ties going to the smallest encoding."""
+    b = base.b
+    modulus = irreducible_modulus(b, m)
+    cw = [max(weights.singleton(j // alpha + 1) if weights is not None else 1.0, 1e-12)
+          * float(b) ** (2 * (alpha - 1 - j % alpha)) for j in range(s)]
+    merit = DualWeightedMerit(b, m, cw, rates=[2.0 * alpha] * s)
+    running = merit.start(b**m)
+    chosen = []
+    for j in range(s):
+        best = None
+        for enc in range(1, b**m):
+            q = (poly_from_int(enc, base),)
+            col = plr_points(GeneratingVector(base, m, modulus, q)).coords[:, 0]
+            score = merit.score(running, col, j)
+            if best is None or score < best[0] - 1e-15:
+                best = (score, enc, col)
+        running = merit.extend(running, best[2], j)
+        chosen.append(best[1])
+    return chosen
+
+
 class TestFirstNonzeroDigitPos:
-    @pytest.mark.parametrize("b,m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (2, 1), (3, 1), (2, 13), (3, 6)])
     def test_matches_direct_expansion(self, b, m):
         coords = np.arange(b**m, dtype=np.uint64)
         pos = _first_nonzero_digit_pos(coords, b, m)
@@ -119,10 +203,6 @@ class TestSearch:
         gv = search_generating_vector(1, 2, F2)
         assert gv.q[0].encode() == 1
 
-    def test_budget_zero_all_ones(self):
-        gv = search_generating_vector(3, 4, F2, budget=0)
-        assert [q.encode() for q in gv.q] == [1, 1, 1]
-
     def test_deterministic(self):
         a = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
         b = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
@@ -135,16 +215,20 @@ class TestSearch:
             gv_for(2, 4, [1, 1]), w
         ) + 1e-12
 
-    def test_cbc_fast_agrees_with_slow_path(self):
-        # the FFT correlation path must pick the same vector as the direct
-        # candidate loop under the same merit
-        w = ProductWeights.polynomial(2.0)
-        fast = search_generating_vector(2, 4, F2, weights=w)
-        cw = [max(w.singleton(j + 1), 1e-12) for j in range(2)]
-        slow = search_generating_vector(
-            2, 4, F2, merit=DualWeightedMerit(2, 4, cw, rates=[2.0, 2.0])
-        )
-        assert [q.encode() for q in fast.q] == [q.encode() for q in slow.q]
+    @pytest.mark.parametrize("weights", [None, ProductWeights.polynomial(2.0)],
+                             ids=["unweighted", "poly2"])
+    @pytest.mark.parametrize("b,m,s,alpha", [
+        (b, m, s, alpha)
+        for b, m_max, alphas in ((2, 6, (1,)), (3, 3, (1, 2)))
+        for m in range(1, m_max + 1)
+        for alpha in alphas
+        for s in range(alpha, 5, alpha)
+    ])
+    def test_matches_cbc_oracle(self, b, m, s, alpha, weights):
+        # the FFT correlation must pick the vector of the direct candidate
+        # loop, down to the trivial group at b^m = 2
+        gv = search_generating_vector(s, m, FieldBase(b), weights=weights, alpha=alpha)
+        assert [q.encode() for q in gv.q] == cbc_oracle(s, m, FieldBase(b), weights, alpha)
 
 
 class TestScrambleVariance:

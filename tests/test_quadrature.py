@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdquad.gfpoly import FieldBase
 from cdquad.kernels import bernoulli
+from cdquad.lattice import search_generating_vector
 from cdquad.quadrature import (
     INTERLACED_PLR,
     MONTE_CARLO,
@@ -41,6 +43,13 @@ class TestRuleSpecValidation:
 
     def test_m_property(self):
         assert RuleSpec(INTERLACED_PLR, (1,), 16, 0).m == 4
+
+    @pytest.mark.parametrize("b,m", [(2, 3), (3, 2)])
+    def test_gv_must_match_base_and_size(self, b, m):
+        # a vector for another base or size would silently change n
+        gv = search_generating_vector(2, m, FieldBase(b), alpha=2)
+        with pytest.raises(ValueError):
+            RuleSpec(INTERLACED_PLR, (1,), 4, 0, alpha=2, gv=gv)
 
 
 class TestDeterminism:

@@ -11,10 +11,20 @@ from cdquad.scramble import (
     digits_to_floats,
     float_digit_cap,
     interlace_digit_matrices,
-    interlace_integers,
     numerators_to_digits,
     scramble_digit_matrix,
 )
+
+
+def interlace_integers(numerators, b, m):
+    """Exact interlace of alpha m-digit numerators into one alpha*m-digit
+    integer numerator (Python int; bit-exact oracle)."""
+    mats = np.stack([numerators_to_digits(np.asarray([v], np.uint64), b, m)[0]
+                     for v in numerators])
+    out = 0
+    for d in interlace_digit_matrices(mats):
+        out = out * b + int(d)
+    return out
 
 
 def small_net(b=2, m=3, s=2):
