@@ -24,12 +24,10 @@ from .cdalg import (
 )
 from .harness import (
     ExperimentConfig,
-    bank_preset,
     dump_points,
     run_convergence_study,
     run_variance_study,
     selftest,
-    weight_preset,
 )
 from .quadrature import INTERLACED_PLR, MONTE_CARLO
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .quadrature import (
 from .scramble import ScrambledRule, interlace_digit_matrices, numerators_to_digits
 from .weights import (
     ExplicitWeights,
-    FiniteIntersectionWeights,
     FiniteProductWeights,
     ProductWeights,
     Truncation,
@@ -192,7 +191,6 @@ class BankFunction:
             expected = self.integral
         else:
             v = active[:4]
-            rest = frozenset(active) - frozenset(v)
             eta_a = float(_eta(0.5))
             expected = math.fsum(
                 c * eta_a ** len(u)
@@ -567,8 +565,6 @@ def dump_points(
 
 def selftest(verbose: bool = True) -> bool:
     """Fast invariant suite for the CLI; returns True when everything holds."""
-    from fractions import Fraction
-
     from .decomp import alt_sum_S, anchored_component, downward_closure
     from .gfpoly import FieldBase, poly_from_int
     from .lattice import GeneratingVector as GV, irreducible_modulus

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +60,8 @@ class GeneratingVector:
             )
         if not is_irreducible(self.modulus):
             raise ValueError("modulus must be irreducible")
+        if not self.q:
+            raise ValueError("generating vector needs at least one component")
         q = tuple(qi % self.modulus for qi in self.q)
         for qi in q:
             if qi.is_zero():
@@ -101,7 +104,6 @@ class PointSet:
 
 
 def _column_generic(gv: GeneratingVector, j: int) -> np.ndarray:
-    b = gv.base.b
     out = np.empty(gv.n, dtype=np.uint64)
     for h in range(gv.n):
         hp = poly_from_int(h, gv.base)
@@ -192,80 +194,51 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     t_r leading base-2 digits (t_r = m meaning the stream values coincide, in
     which case the scrambled dust coincides too).
 
-    Base 2 only.  Under nested scrambling the shared digits stay equal, the
-    first differing digit of each stream becomes the exact complement, and
-    everything deeper is independent, so X and X' decompose into sums of
-    independent scaled Bernoulli(1/2) digits.  Every mixed moment is then a
-    polynomial in power sums of the digit weights 2^{-p}.  The deep-match
+    Base 2 only.  Stream r fills output digit positions alpha (a-1) + r, and
+    every scrambled digit is an independent Bernoulli(1/2) unless shared.
+    The table is built from the shared-prefix moment S[t_1, ..., t_alpha]:
+    the same expectation when stream r shares its first t_r digits and all
+    deeper digits are independent (index m+1: all digits shared).  Writing
+    X = A + R and X' = A + R' with A the shared part,
+    S = E[h(A)^2], h(a) = E[B2(a + R)] = a^2 + (2 mu1 - 1) a + mu2 - mu1 + 1/6,
+    mu_k = E[R^k].  A and R are sums of independent Bernoulli(1/2) 2^{-p},
+    whose cumulants are P1/2, P2/4, 0, -P4/8 in the power sums P_k of their
+    weights; R's power sums are the totals 1, 1/3, 1/15 minus A's.
+    Under nested scrambling "share >= t" splits evenly into "share >= t+1"
+    and "share exactly t, then one complementary digit", so along each axis
+    rho_t = 2 S_t - S_{t+1} for t < m and rho_m = S_{m+1}.  The deep-match
     entries are tiny residues of near-total cancellation between O(1)
     moments, so the algebra runs in exact rationals and only the final value
     is rounded to a float.
     """
     from fractions import Fraction as Fr
 
-    def power_sums(r: int, lo: int, hi: int | None) -> list[Fr]:
-        # sum of 2^{-k p(a)} over depths a in [lo, hi] (hi None = infinity),
-        # where stream r occupies output digit positions p(a) = alpha(a-1) + r
-        out = []
-        for k in (1, 2, 3, 4):
-            step = Fr(1, 2 ** (k * alpha))
-            first = Fr(1, 2 ** (k * (alpha * (lo - 1) + r)))
-            if hi is None:
-                out.append(first / (1 - step))
-            elif hi < lo:
-                out.append(Fr(0))
-            else:
-                out.append(first * (1 - step ** (hi - lo + 1)) / (1 - step))
-        return out
+    def prefix_sums(k: int) -> np.ndarray:
+        # P_k of the digit weights of A: a sum over streams r of the weights
+        # of their first t_r digits, t_r = 0..m along axis r and m+1 = all
+        total = 0
+        for r in range(1, alpha + 1):
+            weights = [Fr(1, 2 ** (k * (alpha * a + r))) for a in range(m)]
+            tail = Fr(1, 2 ** (k * r)) / (1 - Fr(1, 2 ** (k * alpha)))
+            sums = np.array([*accumulate(weights, initial=Fr(0)), tail], dtype=object)
+            total = total + sums.reshape((1,) * (r - 1) + (m + 2,) + (1,) * (alpha - r))
+        return total
 
-    def moments(P: list[Fr]) -> tuple[Fr, Fr, Fr, Fr]:
-        # cumulants of a sum of independent Bernoulli(1/2) * u_p add up as
-        # power sums: k1 = P1/2, k2 = P2/4, k3 = 0, k4 = -P4/8
-        k1, k2, k4 = P[0] / 2, P[1] / 4, -P[3] / 8
-        return (k1, k2 + k1**2, 3 * k2 * k1 + k1**3,
-                k4 + 3 * k2**2 + 6 * k2 * k1**2 + k1**4)
+    def shared_moment(P1: Fr, P2: Fr, P4: Fr) -> Fr:
+        # raw moments of A from its cumulants
+        k1, k2, k4 = P1 / 2, P2 / 4, -P4 / 8
+        a2, a3 = k2 + k1 * k1, 3 * k2 * k1 + k1**3
+        a4 = k4 + 3 * k2 * k2 + 6 * k2 * k1 * k1 + k1**4
+        # h(a) = a^2 - P1 a + h0, as R's P1 is 1 - P1 and so 2 mu1 - 1 = -P1
+        mu1 = (1 - P1) / 2
+        h0 = (Fr(1, 3) - P2) / 4 + mu1 * mu1 - mu1 + Fr(1, 6)
+        return a4 - 2 * P1 * a3 + (P1 * P1 + 2 * h0) * a2 - 2 * P1 * h0 * k1 + h0 * h0
 
-    shape = (m + 1,) * alpha
-    tab = np.empty(shape)
-    for ts in np.ndindex(*shape):
-        PW = [Fr(0)] * 4
-        PD = [Fr(0)] * 4
-        PG = [Fr(0)] * 4
-        for r0, t in enumerate(ts):
-            r = r0 + 1
-            if t >= m:
-                PW = [a + v for a, v in zip(PW, power_sums(r, 1, None))]
-            else:
-                PW = [a + v for a, v in zip(PW, power_sums(r, 1, t))]
-                PD = [a + v for a, v in zip(PD, power_sums(r, t + 1, t + 1))]
-                PG = [a + v for a, v in zip(PG, power_sums(r, t + 2, None))]
-        w1, w2, w3, w4 = moments(PW)
-        d1, d2, d3, d4 = moments(PD)
-        g1, g2, _, _ = moments(PG)
-        c = PD[0]  # D + D' = c, the anti-correlated digits are complements
-        # X = W + D + G, X' = W + (c - D) + G' with W, D, G, G' independent
-        ch1, ch2 = c - d1, c * c - 2 * c * d1 + d2
-        E_S, E_T = w1 + d1, w1 + c - d1
-        E_ST = w2 + c * w1 + c * d1 - d2
-        E_S2 = w2 + 2 * w1 * d1 + d2
-        E_T2 = w2 + 2 * w1 * ch1 + ch2
-        E_S2T = w3 + c * w2 + w2 * d1 + 2 * c * w1 * d1 - w1 * d2 + c * d2 - d3
-        E_DC = c * d1 - d2
-        E_DC2 = c * c * d1 - 2 * c * d2 + d3
-        E_D2C = c * d2 - d3
-        E_ST2 = w3 + w2 * d1 + 2 * w2 * ch1 + 2 * w1 * E_DC + w1 * ch2 + E_DC2
-        E_S2T2 = (w4 + 2 * w3 * ch1 + w2 * ch2 + 2 * w3 * d1 + 4 * w2 * E_DC
-                  + 2 * w1 * E_DC2 + w2 * d2 + 2 * w1 * E_D2C
-                  + (c * c * d2 - 2 * c * d3 + d4))
-        E11 = E_ST + g1 * E_S + g1 * E_T + g1 * g1
-        E21 = E_S2T + g1 * E_S2 + 2 * g1 * E_ST + 2 * g1 * g1 * E_S + g2 * E_T + g2 * g1
-        E12 = E_ST2 + g1 * E_T2 + 2 * g1 * E_ST + 2 * g1 * g1 * E_T + g2 * E_S + g2 * g1
-        E22 = (E_S2T2 + 2 * g1 * E_S2T + g2 * E_S2 + 2 * g1 * E_ST2
-               + 4 * g1 * g1 * E_ST + 2 * g1 * g2 * E_S + g2 * E_T2
-               + 2 * g2 * g1 * E_T + g2 * g2)
-        # E[B2(X) B2(X')] expanded over the four mixed moments
-        tab[ts] = float(E22 - E21 - E12 + E11 - Fr(1, 36))
-    return tab
+    S = np.frompyfunc(shared_moment, 3, 1)(prefix_sums(1), prefix_sums(2), prefix_sums(4))
+    # complement step along axis 0, then rotate the next axis to the front
+    for _ in range(alpha):
+        S = np.moveaxis(np.concatenate([2 * S[:m] - S[1:m + 1], S[m + 1:]]), 0, -1)
+    return S.astype(float)
 
 
 def scramble_variance(gv: GeneratingVector, alpha: int,
@@ -406,6 +379,10 @@ def search_generating_vector(
     weighted dual-lattice criterion, ties breaking to the smallest integer
     encoding.  Both searches are deterministic.
     """
+    if alpha < 1:
+        raise ValueError(f"interlacing factor alpha must be >= 1, got {alpha}")
+    if s < 1:
+        raise ValueError(f"number of coordinates s must be >= 1, got {s}")
     b = base.b
     if alpha >= 2 and b == 2 and s % alpha == 0:
         # interlaced rules are judged by the variance they deliver after

@@ -155,7 +155,6 @@ def empirical_variance(spec: RuleSpec, g, replications: int) -> VarianceEstimate
     mean = float(np.mean(ests))
     var = float(np.var(ests, ddof=1))
     # leave-one-out variances in O(R) from the moment identities
-    loo_mean = (R * mean - ests) / (R - 1)
     ss = float(np.sum((ests - mean) ** 2))
     loo_ss = ss - (ests - mean) ** 2 * R / (R - 1)
     loo_var = loo_ss / (R - 2) if R > 2 else np.zeros(R)

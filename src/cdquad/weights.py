@@ -287,6 +287,10 @@ class _FiniteSupportMixin:
     def has_finite_support(self) -> bool:
         return True
 
+    def cutoff_order1(self, max_index: int = 1000) -> "ExplicitWeights":
+        table = {u: g for u, g in self.table.items() if len(u) == 1 and g > 0}
+        return ExplicitWeights(table, _skip_closure_check=True)
+
     def support_closure(self) -> set[CoordSet]:
         out = {frozenset()}
         for u, g in self.table.items():
@@ -358,13 +362,6 @@ class ExplicitWeights(_FiniteSupportMixin, WeightModel):
 
     declared_decay = math.inf
 
-    def decay(self) -> float:
-        return math.inf
-
-    def cutoff_order1(self, max_index: int = 1000) -> "ExplicitWeights":
-        table = {u: g for u, g in self.table.items() if len(u) == 1 and g > 0}
-        return ExplicitWeights(table, _skip_closure_check=True)
-
     def descriptor(self) -> dict:
         return {
             "variant": "explicit",
@@ -400,10 +397,6 @@ class FiniteIntersectionWeights(_FiniteSupportMixin, WeightModel):
 
     def order(self) -> int:
         return max((len(u) for u, g in self.table.items() if g > 0), default=0)
-
-    def cutoff_order1(self, max_index: int = 1000) -> ExplicitWeights:
-        table = {u: g for u, g in self.table.items() if len(u) == 1 and g > 0}
-        return ExplicitWeights(table, _skip_closure_check=True)
 
     def descriptor(self) -> dict:
         return {

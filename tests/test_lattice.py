@@ -44,6 +44,11 @@ class TestGeneratingVector:
         with pytest.raises(ValueError):
             GeneratingVector(F2, 2, p, (poly_from_int(0, F2),))
 
+    @pytest.mark.parametrize("b,m", [(2, 1), (2, 3), (3, 2)])
+    def test_empty_vector(self, b, m):
+        with pytest.raises(ValueError, match="at least one component"):
+            GeneratingVector(FieldBase(b), m, irreducible_modulus(b, m), ())
+
 
 class TestPlrPoints:
     def test_worked_example(self):
@@ -172,6 +177,77 @@ def cbc_oracle(s, m, base, weights=None, alpha=1):
     return chosen
 
 
+def rho_table_oracle(m, alpha):
+    """The scramble covariance table by direct expansion: X and X' split into
+    shared digits W, the complementary digit pair D and independent tails G,
+    and E[B2(X) B2(X')] is expanded over every mixed moment of the parts."""
+    from fractions import Fraction as Fr
+
+    def power_sums(r: int, lo: int, hi: int | None) -> list[Fr]:
+        # sum of 2^{-k p(a)} over depths a in [lo, hi] (hi None = infinity),
+        # where stream r occupies output digit positions p(a) = alpha(a-1) + r
+        out = []
+        for k in (1, 2, 3, 4):
+            step = Fr(1, 2 ** (k * alpha))
+            first = Fr(1, 2 ** (k * (alpha * (lo - 1) + r)))
+            if hi is None:
+                out.append(first / (1 - step))
+            elif hi < lo:
+                out.append(Fr(0))
+            else:
+                out.append(first * (1 - step ** (hi - lo + 1)) / (1 - step))
+        return out
+
+    def moments(P: list[Fr]) -> tuple[Fr, Fr, Fr, Fr]:
+        # cumulants of a sum of independent Bernoulli(1/2) * u_p add up as
+        # power sums: k1 = P1/2, k2 = P2/4, k3 = 0, k4 = -P4/8
+        k1, k2, k4 = P[0] / 2, P[1] / 4, -P[3] / 8
+        return (k1, k2 + k1**2, 3 * k2 * k1 + k1**3,
+                k4 + 3 * k2**2 + 6 * k2 * k1**2 + k1**4)
+
+    shape = (m + 1,) * alpha
+    tab = np.empty(shape)
+    for ts in np.ndindex(*shape):
+        PW = [Fr(0)] * 4
+        PD = [Fr(0)] * 4
+        PG = [Fr(0)] * 4
+        for r0, t in enumerate(ts):
+            r = r0 + 1
+            if t >= m:
+                PW = [a + v for a, v in zip(PW, power_sums(r, 1, None))]
+            else:
+                PW = [a + v for a, v in zip(PW, power_sums(r, 1, t))]
+                PD = [a + v for a, v in zip(PD, power_sums(r, t + 1, t + 1))]
+                PG = [a + v for a, v in zip(PG, power_sums(r, t + 2, None))]
+        w1, w2, w3, w4 = moments(PW)
+        d1, d2, d3, d4 = moments(PD)
+        g1, g2, _, _ = moments(PG)
+        c = PD[0]  # D + D' = c, the anti-correlated digits are complements
+        # X = W + D + G, X' = W + (c - D) + G' with W, D, G, G' independent
+        ch1, ch2 = c - d1, c * c - 2 * c * d1 + d2
+        E_S, E_T = w1 + d1, w1 + c - d1
+        E_ST = w2 + c * w1 + c * d1 - d2
+        E_S2 = w2 + 2 * w1 * d1 + d2
+        E_T2 = w2 + 2 * w1 * ch1 + ch2
+        E_S2T = w3 + c * w2 + w2 * d1 + 2 * c * w1 * d1 - w1 * d2 + c * d2 - d3
+        E_DC = c * d1 - d2
+        E_DC2 = c * c * d1 - 2 * c * d2 + d3
+        E_D2C = c * d2 - d3
+        E_ST2 = w3 + w2 * d1 + 2 * w2 * ch1 + 2 * w1 * E_DC + w1 * ch2 + E_DC2
+        E_S2T2 = (w4 + 2 * w3 * ch1 + w2 * ch2 + 2 * w3 * d1 + 4 * w2 * E_DC
+                  + 2 * w1 * E_DC2 + w2 * d2 + 2 * w1 * E_D2C
+                  + (c * c * d2 - 2 * c * d3 + d4))
+        E11 = E_ST + g1 * E_S + g1 * E_T + g1 * g1
+        E21 = E_S2T + g1 * E_S2 + 2 * g1 * E_ST + 2 * g1 * g1 * E_S + g2 * E_T + g2 * g1
+        E12 = E_ST2 + g1 * E_T2 + 2 * g1 * E_ST + 2 * g1 * g1 * E_T + g2 * E_S + g2 * g1
+        E22 = (E_S2T2 + 2 * g1 * E_S2T + g2 * E_S2 + 2 * g1 * E_ST2
+               + 4 * g1 * g1 * E_ST + 2 * g1 * g2 * E_S + g2 * E_T2
+               + 2 * g2 * g1 * E_T + g2 * g2)
+        # E[B2(X) B2(X')] expanded over the four mixed moments
+        tab[ts] = float(E22 - E21 - E12 + E11 - Fr(1, 36))
+    return tab
+
+
 class TestFirstNonzeroDigitPos:
     @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (2, 1), (3, 1), (2, 13), (3, 6)])
     def test_matches_direct_expansion(self, b, m):
@@ -208,6 +284,14 @@ class TestSearch:
         b = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
         assert [q.encode() for q in a.q] == [q.encode() for q in b.q]
 
+    @pytest.mark.parametrize("b,s,alpha,name", [
+        (2, 0, 1, "s"), (2, -1, 1, "s"), (2, 0, 2, "s"), (3, 0, 1, "s"),
+        (2, 2, 0, "alpha"), (2, 0, 0, "alpha"), (2, 1, -1, "alpha"), (3, 2, 0, "alpha"),
+    ])
+    def test_rejects_nonpositive_s_or_alpha(self, b, s, alpha, name):
+        with pytest.raises(ValueError, match=rf"\b{name} must be >= 1"):
+            search_generating_vector(s, 3, FieldBase(b), alpha=alpha)
+
     def test_cbc_beats_all_ones_merit(self):
         w = [1.0, 1.0]
         gv = search_generating_vector(2, 4, F2)
@@ -237,6 +321,24 @@ class TestScrambleVariance:
             tab = _scramble_rho_table(4, alpha)
             full = tab[(4,) * alpha]
             assert full == pytest.approx(1 / 180, rel=1e-12)
+
+    @pytest.mark.parametrize("m,alpha", [
+        *[(m, alpha) for alpha in (1, 2, 3) for m in range(1, 7)],
+        *[(m, 4) for m in range(1, 4)],
+    ])
+    def test_rho_table_matches_oracle(self, m, alpha):
+        # both compute the same exact rational and round it once
+        assert np.array_equal(_scramble_rho_table(m, alpha), rho_table_oracle(m, alpha))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_full_grid_is_stratified_sampling(self, m):
+        # q = 1 puts one point in each cell of width w = 2^-m, and scrambling
+        # leaves it uniform there: the variance of stratified sampling
+        n = 2**m
+        w = 1.0 / n
+        cells = sum(w * w * (4 / 45 * w * w + (2 * i * w - 1) ** 2 / 12
+                             + w * (2 * i * w - 1) / 6) for i in range(n))
+        assert scramble_variance(gv_for(2, m, [1]), 1) == pytest.approx(cells / n**2, rel=1e-10)
 
     def test_model_matches_empirical(self):
         # the exact covariance model must predict the measured scrambled-rule
