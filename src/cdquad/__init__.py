@@ -41,7 +41,7 @@ from .harness import (
     run_variance_study,
     weight_preset,
 )
-from .kernels import SobolevKernel, bernoulli, k_chi, k_u, kernel_diag, kernel_mean_M
+from .kernels import bernoulli, k_chi, k_u, kernel_diag, kernel_mean_M
 from .lattice import (
     GeneratingVector,
     PointSet,

@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
 from .quadrature import INTERLACED_PLR, RuleSpec, run_rule_seeds
-from .weights import Truncation, WeightModel
+from .weights import PODWeights, Truncation, WeightModel, _ProductFamily, downward_closure
 
 CoordSet = frozenset[int]
 
@@ -134,6 +133,10 @@ class RuleTemplate:
     alpha1: float = 0.0
     alpha2: float = 0.0
 
+    def __post_init__(self):
+        if self.alpha < 1:
+            raise ValueError(f"interlacing factor alpha must be >= 1, got {self.alpha}")
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -222,14 +225,12 @@ def plan_build(
             if np_ >= 1:
                 n_prime[frozenset(u)] = np_
     else:
-        from .weights import PODWeights
-
-        gamma_seq = getattr(w, "gamma_seq", None)
-        if gamma_seq is None or isinstance(w, PODWeights):
+        if not isinstance(w, _ProductFamily) or isinstance(w, PODWeights):
             # the boost-product pruning below is only sound for (possibly
             # order-capped) product weights
             raise PlanningError(f"no planner enumeration for {type(w).__name__}")
-        size_cap = min(MAX_SET_SIZE, getattr(w, "order", MAX_SET_SIZE))
+        gamma_seq = w.gamma_seq
+        size_cap = min(MAX_SET_SIZE, w.order)
         J = truncation.max_index
         boosts = [consts.C_hat * gamma_seq(j) ** consts.alpha0 for j in range(1, J + 1)]
         # suffix[j] = largest factor any extension using coords > j can add
@@ -254,11 +255,7 @@ def plan_build(
         base = consts.c * consts.L * float(w.gamma(frozenset())) ** consts.alpha0
         visit((), base, 1)
 
-    active: set[CoordSet] = {frozenset()}
-    for u in n_prime:
-        items = sorted(u)
-        for k in range(1, len(items) + 1):
-            active.update(frozenset(cmb) for cmb in combinations(items, k))
+    active = downward_closure(n_prime)
     if len(active) > MAX_ACTIVE_SETS:
         raise PlanningError("active-set closure exceeded the hard cap")
     alloc: dict[CoordSet, int] = {}

@@ -4,6 +4,8 @@ Subcommands: plan (print an allocation plan), estimate (one changing
 dimension run on a bank function), study (convergence or variance table),
 points (exact digit dump of a point set), selftest (fast invariant suite).
 A JSON config file can supply any ExperimentConfig field; flags override it.
+Bad input (an unknown preset, an impossible plan, an invalid rule size)
+prints one `cdquad: error:` line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 
 from .cdalg import (
     PlannerConstants,
-    RuleTemplate,
     cd_estimate,
     cost_model,
     epsilon_dimension,
@@ -101,8 +102,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
 def _build_plan(cfg: ExperimentConfig, eps: float):
     w = cfg.resolve_weights()
     consts = PlannerConstants.for_weights(w, eps, cfg.tau, chi=cfg.chi)
-    tpl = RuleTemplate(kind=cfg.rule, alpha=cfg.alpha, b=cfg.base)
-    return plan_build(w, consts, tpl)
+    return plan_build(w, consts, cfg.template())
 
 
 def _cmd_plan(args) -> int:
@@ -206,7 +206,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_selftest)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError) as exc:
+        # bad input (planning errors included) is a usage error, not a crash
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"cdquad: error: {msg}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 Projections onto finitely many coordinates, anchored components via
 inclusion-exclusion, alternating sums over active-set families, and the
-worst-case scalars (bias, r^2, projection operator norm) that drive the
-changing dimension planner.
+worst-case scalars of the analysis.  Of these, the squared bias bound of an
+active-set family is what the convergence study reports next to each plan;
+r^2 and the projection operator norm are the paper's constants, checked
+against closed forms.  Product-type weights enter only through their
+singleton sequence and order factors (weights._ProductFamily).
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from itertools import combinations
 from typing import Callable, Mapping
 
 from .weights import (
-    FiniteProductWeights,
-    PODWeights,
     ProductWeights,
     Truncation,
     WeightModel,
+    _ProductFamily,
+    downward_closure,
+    esym,
 )
 
 CoordSet = frozenset[int]
@@ -108,15 +112,6 @@ def alt_sum_S(Q, u) -> int:
     return sum((-1) ** len(v) for v in Q if frozenset(v) <= u)
 
 
-def downward_closure(Q) -> set[CoordSet]:
-    out = {frozenset()}
-    for q in Q:
-        items = sorted(q)
-        for k in range(1, len(items) + 1):
-            out.update(frozenset(c) for c in combinations(items, k))
-    return out
-
-
 def psi_Q_project(f: BlackBoxIntegrand, Q, a: Anchor) -> BlackBoxIntegrand:
     """The projection of f onto the subspaces sampled by an active set Q:
     Psi_Q f = sum over u in closure(Q) of f_{u,a}.
@@ -155,24 +150,6 @@ class TruncatedSum:
         return self.value
 
 
-def _esym(vals, kmax: int) -> list[float]:
-    """Elementary symmetric sums e_0..e_kmax of a float sequence."""
-    es = [0.0] * (kmax + 1)
-    es[0] = 1.0
-    for g in vals:
-        for k in range(min(kmax, len(vals)), 0, -1):
-            es[k] += es[k - 1] * g
-    return es
-
-
-def _order_factor(w: WeightModel, k: int) -> float:
-    if isinstance(w, PODWeights):
-        return w.order_factors(k)
-    if isinstance(w, FiniteProductWeights):
-        return 1.0 if k <= w.order else 0.0
-    return 1.0
-
-
 def _poly_singleton_tail(w: WeightModel, scale: float, T: Truncation) -> float | None:
     """Bound on sum_{j > max_index} scale * gamma_j, when analytic."""
     params = getattr(w, "_poly_params", None)
@@ -201,7 +178,7 @@ def bias_squared(Q, w: WeightModel, k_aa: float, T: Truncation = Truncation()) -
                 continue
             total += alt_sum_S(Q, u) ** 2 * w.gamma(u) * k_aa ** len(u)
         return TruncatedSum(total, 0.0)
-    if not isinstance(w, (ProductWeights, FiniteProductWeights, PODWeights)):
+    if not isinstance(w, _ProductFamily):
         raise TypeError(f"no bias evaluation path for {type(w).__name__}")
     if isinstance(w, ProductWeights):
         total = _bias_product(Q, w, k_aa, T)
@@ -248,12 +225,9 @@ def _bias_trace_fold(Q, w, k_aa: float, T: Truncation) -> float:
     V = sorted(frozenset().union(*Q)) if Q else []
     outside = [w.gamma_seq(j) * k_aa for j in range(1, T.max_index + 1) if j not in set(V)]
     kmax = T.max_order
-    es = _esym(outside, kmax)
-    rmax = len(V)
-    if isinstance(w, FiniteProductWeights):
-        rmax = min(rmax, w.order)
+    es = esym(outside, kmax)
     total = 0.0
-    for r in range(rmax + 1):
+    for r in range(min(len(V), w.order) + 1):
         for t in combinations(V, r):
             S2 = alt_sum_S(Q, frozenset(t)) ** 2
             if S2 == 0:
@@ -264,7 +238,7 @@ def _bias_trace_fold(Q, w, k_aa: float, T: Truncation) -> float:
             for k in range(0, kmax - r + 1):
                 if r + k == 0:
                     continue  # u must be nonempty
-                total += S2 * _order_factor(w, r + k) * gt * es[k]
+                total += S2 * w.order_factor(r + k) * gt * es[k]
     return total
 
 
@@ -282,7 +256,7 @@ def r_squared(v, u, a_diag: float, w: WeightModel, T: Truncation = Truncation())
                 if g > 0:
                     total += g * a_diag ** len(s - u)
         return TruncatedSum(total, 0.0)
-    if not isinstance(w, (ProductWeights, FiniteProductWeights, PODWeights)):
+    if not isinstance(w, _ProductFamily):
         raise TypeError(f"no r^2 evaluation path for {type(w).__name__}")
     pool = [w.gamma_seq(j) * a_diag for j in range(1, T.max_index + 1) if j not in v]
     gu = 1.0
@@ -295,8 +269,8 @@ def r_squared(v, u, a_diag: float, w: WeightModel, T: Truncation = Truncation())
         if tail is not None and math.isfinite(tail):
             tail = value * math.expm1(tail)
         return TruncatedSum(value, tail)
-    es = _esym(pool, T.max_order)
-    value = sum(_order_factor(w, len(u) + k) * gu * es[k] for k in range(T.max_order + 1))
+    es = esym(pool, T.max_order)
+    value = sum(w.order_factor(len(u) + k) * gu * es[k] for k in range(T.max_order + 1))
     return TruncatedSum(value, None)
 
 

@@ -50,6 +50,7 @@ from .weights import (
     Truncation,
     WeightModel,
     disjoint_pair_weights,
+    downward_closure,
 )
 
 __all__ = [
@@ -66,11 +67,6 @@ __all__ = [
     "ols_slope",
     "selftest",
 ]
-
-# squared norm of B_2(x)/2 per coordinate factor in the smoothness-1 space:
-# the component has zero mean and derivative B_1, and int B_1^2 = 1/12
-_ETA_NORM2 = 1.0 / 12.0
-
 
 def _eta(x):
     return bernoulli(2, x) / 2.0
@@ -119,13 +115,6 @@ class BankFunction:
     def active(self) -> tuple[int, ...]:
         return tuple(sorted(set().union(*self.coeffs.keys()))) if self.coeffs else ()
 
-    def component_norms(self) -> dict[frozenset, float]:
-        """Squared component norms in the smoothness-1 unanchored space."""
-        return {u: c * c * _ETA_NORM2 ** len(u) for u, c in self.coeffs.items()}
-
-    def evaluate(self, assignment: Mapping, anchor_value=0.5):
-        return _bank_eval(self.coeffs, assignment, anchor_value)
-
     def integrand(self) -> BlackBoxIntegrand:
         coeffs = self.coeffs
 
@@ -155,18 +144,13 @@ class BankFunction:
         I(f) minus the sum of anchored-component integrals over Q."""
         eta_a = float(_eta(anchor_value))
         Q = {frozenset(q) for q in Q}
-        cand = set()
-        for z in self.coeffs:
-            zs = sorted(z)
-            for r in range(len(zs) + 1):
-                cand.update(map(frozenset, itertools.combinations(zs, r)))
         # I(f_{v,a}) = (-eta_a)^{|v|} sum_{z >= v} c_z eta_a^{|z|-|v|}
         return math.fsum(
             (-eta_a) ** len(v) * math.fsum(
                 c * eta_a ** (len(z) - len(v))
                 for z, c in self.coeffs.items() if v <= z
             )
-            for v in cand if v not in Q
+            for v in downward_closure(self.coeffs) if v not in Q
         )
 
     def on_points(self, coords: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
@@ -322,11 +306,15 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replications")
         if self.rule not in (INTERLACED_PLR, MONTE_CARLO):
             raise ValueError(f"unknown rule kind {self.rule!r}")
-        # fail fast on bad preset names
+        # fail fast on bad preset names and rule parameters, before any planning
+        self.template()
         weight_preset(self.weights)
         if self.bank is not None:
             bank_preset(self.bank)
         cost_model(self.cost, **self.cost_params)
+
+    def template(self) -> RuleTemplate:
+        return RuleTemplate(kind=self.rule, alpha=self.alpha, b=self.base)
 
     def resolve_weights(self) -> WeightModel:
         return weight_preset(self.weights)
@@ -409,7 +397,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyResult:
     w = cfg.resolve_weights()
     bank = cfg.resolve_bank()
     f = bank.integrand()
-    tpl = RuleTemplate(kind=cfg.rule, alpha=cfg.alpha, b=cfg.base)
+    tpl = cfg.template()
     dollar = cost_model(cfg.cost, **cfg.cost_params)
     anchor = Anchor()
     k_aa = kernel_diag(cfg.chi, anchor.value)
@@ -565,7 +553,7 @@ def dump_points(
 
 def selftest(verbose: bool = True) -> bool:
     """Fast invariant suite for the CLI; returns True when everything holds."""
-    from .decomp import alt_sum_S, anchored_component, downward_closure
+    from .decomp import alt_sum_S, anchored_component
     from .gfpoly import FieldBase, poly_from_int
     from .lattice import GeneratingVector as GV, irreducible_modulus
 

@@ -7,7 +7,6 @@ exact fractions and floating evaluation carries no recurrence round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -87,20 +86,6 @@ def k_chi(chi: int, x, y):
     return acc
 
 
-@dataclass(frozen=True)
-class SobolevKernel:
-    """Product-form kernel of integer smoothness chi on [0,1]^u."""
-
-    chi: int
-
-    def __post_init__(self):
-        if not 1 <= self.chi <= MAX_CHI:
-            raise ValueError(f"smoothness must be in [1, {MAX_CHI}]")
-
-    def __call__(self, x, y):
-        return k_chi(self.chi, x, y)
-
-
 def k_u(chi: int, u: Iterable[int], x: Mapping[int, float], y: Mapping[int, float]):
     """Product kernel over the coordinate set u; the empty product is 1."""
     u = tuple(u)
@@ -141,23 +126,3 @@ def kernel_diag(chi: int, a) -> float:
     """k_chi(a, a), the anchor diagonal used by the planner."""
     return k_chi(chi, a, a)
 
-
-DEFAULT_ANCHOR = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class KernelDiagnostics:
-    """Scalar kernel constants consumed by the planner."""
-
-    M: float
-    k_aa: float
-
-    def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("kernel mean must be positive")
-        if self.k_aa < 0:
-            raise ValueError("anchor diagonal must be nonnegative")
-
-
-def diagnostics(chi: int, anchor=DEFAULT_ANCHOR) -> KernelDiagnostics:
-    return KernelDiagnostics(M=float(kernel_mean_M(chi)), k_aa=float(kernel_diag(chi, Fraction(anchor))))

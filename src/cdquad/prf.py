@@ -12,22 +12,14 @@ import hashlib
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
-def mix64(x: int) -> int:
-    """Scramble a 64-bit integer (splitmix64 finalizer)."""
-    z = (x + _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return z ^ (z >> 31)
-
-
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array (wraparound arithmetic)."""
+    """The splitmix64 finalizer applied to every word of a uint64 array
+    (wraparound arithmetic)."""
     with np.errstate(over="ignore"):
         z = (np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)).astype(np.uint64)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)

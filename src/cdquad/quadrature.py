@@ -49,6 +49,8 @@ class RuleSpec:
         object.__setattr__(self, "u", tuple(sorted(set(self.u))))
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.alpha < 1:
+            raise ValueError(f"interlacing factor alpha must be >= 1, got {self.alpha}")
         if self.kind not in (MONTE_CARLO, INTERLACED_PLR):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == INTERLACED_PLR:

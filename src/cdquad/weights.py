@@ -1,10 +1,12 @@
 """Weight families over finite coordinate sets and their derived scalars.
 
 A weight model assigns a nonnegative importance gamma_u to every finite set
-of coordinate indices, with gamma of the empty set fixed to 1.  Variants:
-product, finite-product (order cutoff), POD, explicit finite maps, and
-finite-intersection families.  Scalars derived here (decay exponent, power
-sums, cut-off weights) drive the sample-allocation planner.
+of coordinate indices, with gamma of the empty set fixed to 1.  The
+product-type families (product, finite-product, POD) all have the form
+gamma_u = Gamma_{|u|} prod_{j in u} gamma_j and differ only in their order
+factors Gamma_k; explicit and finite-intersection weights are finite tables.
+The scalars derived here (decay exponent, weighted power sums) drive the
+sample-allocation planner.
 """
 
 from __future__ import annotations
@@ -36,6 +38,31 @@ class PowerSumResult:
         return self.value
 
 
+def esym(vals: Sequence[float], kmax: int) -> list[float]:
+    """Elementary symmetric sums e_0..e_kmax of a float sequence."""
+    es = [0.0] * (kmax + 1)
+    es[0] = 1.0
+    for g in vals:
+        for k in range(min(kmax, len(vals)), 0, -1):
+            es[k] += es[k - 1] * g
+    return es
+
+
+def downward_closure(Q) -> set[CoordSet]:
+    """Every subset of every set in Q, the empty set included."""
+    out = {frozenset()}
+    for q in Q:
+        items = sorted(q)
+        for k in range(1, len(items) + 1):
+            out.update(frozenset(c) for c in combinations(items, k))
+    return out
+
+
+def _check_exponent(exponent: float):
+    if not 0 < exponent <= 1:
+        raise ValueError("exponent must be in (0, 1]")
+
+
 class WeightModel:
     """Common query surface for all weight variants."""
 
@@ -44,24 +71,8 @@ class WeightModel:
     def gamma(self, u) -> float:
         raise NotImplementedError
 
-    def hat_gamma(self, u, k_aa: float) -> float:
-        """gamma_u scaled by the anchor diagonal, gamma_u * k_aa^{|u|}."""
-        if k_aa < 0:
-            raise ValueError("anchor diagonal must be nonnegative")
-        u = frozenset(u)
-        return self.gamma(u) * k_aa ** len(u)
-
     def singleton(self, j: int) -> float:
         return self.gamma(frozenset([j]))
-
-    def cutoff_order1(self, max_index: int = 1000) -> "ExplicitWeights":
-        """Weights keeping only the singleton masses; everything else zero."""
-        table = {}
-        for j in range(1, max_index + 1):
-            g = self.singleton(j)
-            if g > 0:
-                table[frozenset([j])] = g
-        return ExplicitWeights(table, _skip_closure_check=True)
 
     def decay(self) -> float:
         """Analytic decay exponent, if one is known, else the declared one."""
@@ -97,22 +108,50 @@ def _check_decreasing(seq: Callable[[int], float], upto: int = 50):
         prev = g
 
 
-def _bounded_order_power_sum(gammas: Sequence[float], exponent: float, max_order: int) -> float:
-    """sum over nonempty u within the index list, |u| <= max_order, of (prod gamma)^e.
+class _ProductFamily(WeightModel):
+    """gamma_u = Gamma_{|u|} prod_{j in u} gamma_j for a nonincreasing
+    singleton sequence gamma_seq.  Subclasses supply the order factors
+    Gamma_k (Gamma_0 = 1); order is the largest |u| whose factor may be
+    nonzero."""
 
-    Elementary-symmetric-function recursion; exact enumeration value.
-    """
-    es = [0.0] * (max_order + 1)
-    es[0] = 1.0
-    for g in gammas:
-        ge = g**exponent if g > 0 else 0.0
-        for k in range(min(max_order, len(gammas)), 0, -1):
-            es[k] += es[k - 1] * ge
-    return sum(es[1:])
+    gamma_seq: Callable[[int], float]
+    order = math.inf
+    _variant = "product"
+
+    def order_factor(self, k: int) -> float:
+        return 1.0
+
+    def gamma(self, u) -> float:
+        u = frozenset(u)
+        out = self.order_factor(len(u))
+        for j in u:
+            out *= self.gamma_seq(j)
+        return out
+
+    def _power_sum(self, exponent: float, truncation: Truncation) -> float:
+        """sum over nonempty u in the truncation box of gamma_u^exponent, from
+        the elementary symmetric sums of the gamma_j^exponent."""
+        gs = [self.gamma_seq(j) for j in range(1, truncation.max_index + 1)]
+        kmax = min(self.order, truncation.max_order)
+        es = esym([g**exponent if g > 0 else 0.0 for g in gs], kmax)
+        return sum(self.order_factor(k) ** exponent * es[k] for k in range(1, kmax + 1))
+
+    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
+        _check_exponent(exponent)
+        return PowerSumResult(self._power_sum(exponent, truncation))
+
+    def descriptor(self) -> dict:
+        d = {"variant": self._variant}
+        if self.order < math.inf:
+            d["order"] = self.order
+        params = getattr(self, "_poly_params", None)
+        if params is not None:
+            d["decay"], d["scale"] = params
+        return d
 
 
 @dataclass(frozen=True)
-class ProductWeights(WeightModel):
+class ProductWeights(_ProductFamily):
     """gamma_u = prod_{j in u} gamma_j for a nonincreasing singleton sequence."""
 
     gamma_seq: Callable[[int], float]
@@ -130,17 +169,11 @@ class ProductWeights(WeightModel):
         object.__setattr__(w, "_poly_params", (a, c))
         return w
 
-    def gamma(self, u) -> float:
-        out = 1.0
-        for j in frozenset(u):
-            out *= self.gamma_seq(j)
-        return out
-
     def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
-        if not 0 < exponent <= 1:
-            raise ValueError("exponent must be in (0, 1]")
-        gs = [self.gamma_seq(j) for j in range(1, truncation.max_index + 1)]
-        value = _bounded_order_power_sum(gs, exponent, truncation.max_order)
+        """The shared sum, plus a tail bound for polynomial weights and a
+        divergence flag."""
+        _check_exponent(exponent)
+        value = self._power_sum(exponent, truncation)
         tail = None
         diverged = False
         params = getattr(self, "_poly_params", None)
@@ -156,28 +189,23 @@ class ProductWeights(WeightModel):
                 tail = (1.0 + value) * math.expm1(t_single)
         else:
             # generic Cauchy check on the singleton partial sums
-            half = _bounded_order_power_sum(gs[: truncation.max_index // 2], exponent, truncation.max_order)
+            half = self._power_sum(exponent, Truncation(truncation.max_index // 2, truncation.max_order))
             if value - half > max(1e-9, 1e-6 * abs(value)):
                 diverged = True
         if diverged:
             warnings.warn("weighted power sum looks divergent at this exponent", RuntimeWarning)
         return PowerSumResult(value, tail, diverged)
 
-    def descriptor(self) -> dict:
-        params = getattr(self, "_poly_params", None)
-        d = {"variant": "product"}
-        if params is not None:
-            d["decay"], d["scale"] = params
-        return d
-
 
 @dataclass(frozen=True)
-class FiniteProductWeights(WeightModel):
+class FiniteProductWeights(_ProductFamily):
     """Product weights truncated to sets of size at most `order`."""
 
-    order: int
+    # field() without a default, so the base's math.inf is not taken as one
+    order: int = field()
     gamma_seq: Callable[[int], float]
     declared_decay: float | None = None
+    _variant = "finite-product"
 
     def __post_init__(self):
         if self.order < 1:
@@ -190,67 +218,26 @@ class FiniteProductWeights(WeightModel):
         object.__setattr__(w, "_poly_params", (a, c))
         return w
 
-    def gamma(self, u) -> float:
-        u = frozenset(u)
-        if len(u) > self.order:
-            return 0.0
-        out = 1.0
-        for j in u:
-            out *= self.gamma_seq(j)
-        return out
-
-    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
-        if not 0 < exponent <= 1:
-            raise ValueError("exponent must be in (0, 1]")
-        gs = [self.gamma_seq(j) for j in range(1, truncation.max_index + 1)]
-        cap = min(self.order, truncation.max_order)
-        value = _bounded_order_power_sum(gs, exponent, cap)
-        return PowerSumResult(value, None, False)
-
-    def descriptor(self) -> dict:
-        d = {"variant": "finite-product", "order": self.order}
-        params = getattr(self, "_poly_params", None)
-        if params is not None:
-            d["decay"], d["scale"] = params
-        return d
+    def order_factor(self, k: int) -> float:
+        return 1.0 if k <= self.order else 0.0
 
 
 @dataclass(frozen=True)
-class PODWeights(WeightModel):
+class PODWeights(_ProductFamily):
     """Product-and-order-dependent weights Gamma_{|u|} * prod gamma_j."""
 
     order_factors: Callable[[int], float]
     gamma_seq: Callable[[int], float]
     declared_decay: float | None = None
+    _variant = "pod"
 
     def __post_init__(self):
         _check_decreasing(self.gamma_seq)
         if abs(self.order_factors(0) - 1.0) > 0 or abs(self.order_factors(1) - 1.0) > 0:
             raise ValueError("order factors must satisfy Gamma_0 = Gamma_1 = 1")
 
-    def gamma(self, u) -> float:
-        u = frozenset(u)
-        out = self.order_factors(len(u))
-        for j in u:
-            out *= self.gamma_seq(j)
-        return out
-
-    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
-        if not 0 < exponent <= 1:
-            raise ValueError("exponent must be in (0, 1]")
-        gs = [self.gamma_seq(j) for j in range(1, truncation.max_index + 1)]
-        # order-k slice of the symmetric recursion, scaled by Gamma_k^e
-        es = [0.0] * (truncation.max_order + 1)
-        es[0] = 1.0
-        for g in gs:
-            ge = g**exponent if g > 0 else 0.0
-            for k in range(truncation.max_order, 0, -1):
-                es[k] += es[k - 1] * ge
-        value = sum(self.order_factors(k) ** exponent * es[k] for k in range(1, truncation.max_order + 1))
-        return PowerSumResult(value, None, False)
-
-    def descriptor(self) -> dict:
-        return {"variant": "pod"}
+    def order_factor(self, k: int) -> float:
+        return self.order_factors(k)
 
 
 def intersection_degree(support: Mapping[CoordSet, float]) -> int:
@@ -261,16 +248,6 @@ def intersection_degree(support: Mapping[CoordSet, float]) -> int:
         hits = sum(1 for v in pos if u & v)
         worst = max(worst, hits)
     return max(0, worst - 1)
-
-
-def per_coordinate_multiplicity(support: Mapping[CoordSet, float]) -> int:
-    """Smallest eta bounding how many positive sets contain any one coordinate."""
-    pos = [u for u, g in support.items() if g > 0 and u]
-    counts: dict[int, int] = {}
-    for u in pos:
-        for j in u:
-            counts[j] = counts.get(j, 0) + 1
-    return max(counts.values(), default=0)
 
 
 class _FiniteSupportMixin:
@@ -287,24 +264,11 @@ class _FiniteSupportMixin:
     def has_finite_support(self) -> bool:
         return True
 
-    def cutoff_order1(self, max_index: int = 1000) -> "ExplicitWeights":
-        table = {u: g for u, g in self.table.items() if len(u) == 1 and g > 0}
-        return ExplicitWeights(table, _skip_closure_check=True)
-
     def support_closure(self) -> set[CoordSet]:
-        out = {frozenset()}
-        for u, g in self.table.items():
-            if g <= 0:
-                continue
-            items = sorted(u)
-            for k in range(1, len(items) + 1):
-                for sub in combinations(items, k):
-                    out.add(frozenset(sub))
-        return out
+        return downward_closure(u for u, g in self.table.items() if g > 0)
 
     def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
-        if not 0 < exponent <= 1:
-            raise ValueError("exponent must be in (0, 1]")
+        _check_exponent(exponent)
         total = 0.0
         for u, g in sorted(self.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
             if not u or g <= 0:
@@ -314,35 +278,32 @@ class _FiniteSupportMixin:
             total += g**exponent
         return PowerSumResult(total, 0.0, False)
 
-    def _validate_table(self):
-        for u, g in self.table.items():
+    def _normalize_table(self):
+        """Freeze the keys, drop the empty set (its weight is 1 by
+        convention) and reject negative weights."""
+        table = {frozenset(u): float(g) for u, g in self.table.items() if frozenset(u)}
+        object.__setattr__(self, "table", table)
+        for u, g in table.items():
             if g < 0:
                 raise ValueError(f"negative weight for {sorted(u)}")
-            if not u and g != 1.0:
-                raise ValueError("the empty set carries weight 1 by convention")
-
-    def is_monotone(self) -> bool:
-        """True if gamma_u >= gamma_v for every listed pair with u subset of v."""
-        items = [(u, g) for u, g in self.table.items() if g > 0]
-        for u, gu in items:
-            for v, gv in items:
-                if u < v and gu < gv - 1e-15:
-                    return False
-        return True
 
     def _validate_monotone(self):
-        # subset monotonicity of positivity, and of magnitude where both listed
+        # subset monotonicity of positivity
         for u, g in self.table.items():
-            if g <= 0 or not u:
+            if g <= 0:
                 continue
             items = sorted(u)
             for k in range(1, len(items)):
                 for sub in combinations(items, k):
-                    gs = self.gamma(frozenset(sub))
-                    if gs <= 0:
+                    if self.gamma(frozenset(sub)) <= 0:
                         raise ValueError(
                             f"positivity not downward monotone: {sorted(u)} > 0 but {list(sub)} = 0"
                         )
+
+    def _support(self) -> dict:
+        """The table as {"i,j,...": gamma}, by order and then lexicographically."""
+        return {",".join(map(str, sorted(u))): g
+                for u, g in sorted(self.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
 
 
 @dataclass(frozen=True)
@@ -353,20 +314,14 @@ class ExplicitWeights(_FiniteSupportMixin, WeightModel):
     _skip_closure_check: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "table", {frozenset(u): float(g) for u, g in self.table.items() if frozenset(u)}
-        )
-        self._validate_table()
+        self._normalize_table()
         if not self._skip_closure_check:
             self._validate_monotone()
 
     declared_decay = math.inf
 
     def descriptor(self) -> dict:
-        return {
-            "variant": "explicit",
-            "support": {",".join(map(str, sorted(u))): g for u, g in sorted(self.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
-        }
+        return {"variant": "explicit", "support": self._support()}
 
 
 @dataclass(frozen=True)
@@ -383,10 +338,7 @@ class FiniteIntersectionWeights(_FiniteSupportMixin, WeightModel):
     declared_decay: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "table", {frozenset(u): float(g) for u, g in self.table.items() if frozenset(u)}
-        )
-        self._validate_table()
+        self._normalize_table()
         self._validate_monotone()
         actual = intersection_degree(self.table)
         if actual > self.rho:
@@ -395,15 +347,12 @@ class FiniteIntersectionWeights(_FiniteSupportMixin, WeightModel):
     def decay(self) -> float:
         return self.declared_decay if self.declared_decay is not None else math.inf
 
-    def order(self) -> int:
-        return max((len(u) for u, g in self.table.items() if g > 0), default=0)
-
     def descriptor(self) -> dict:
         return {
             "variant": "finite-intersection",
             "rho": self.rho,
             "declared_decay": self.declared_decay,
-            "support": {",".join(map(str, sorted(u))): g for u, g in sorted(self.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
+            "support": self._support(),
         }
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdquad.cdalg import (
     CostLedger,
@@ -20,7 +22,8 @@ from cdquad.cdalg import (
     plan_build,
     plan_cost,
 )
-from cdquad.decomp import Anchor, BlackBoxIntegrand, psi_Q_project
+from cdquad.decomp import Anchor, BlackBoxIntegrand, downward_closure, psi_Q_project
+from cdquad.harness import bank_preset
 from cdquad.kernels import bernoulli
 from cdquad.weights import (
     FiniteProductWeights,
@@ -142,6 +145,11 @@ class TestPlanStructure:
         with pytest.raises(ValueError):
             Plan(cs, {fs(): 1, fs({1}): 0}, RuleTemplate())  # n_u < 1
 
+    @pytest.mark.parametrize("alpha", [0, -2])
+    def test_template_alpha_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            RuleTemplate(alpha=alpha)
+
     def test_json_round_trip_stable(self):
         plan = plan_build(ProductWeights.polynomial(3.0), consts(0.05))
         blob = plan.to_json()
@@ -150,6 +158,35 @@ class TestPlanStructure:
         allocs = {fs(u): n for u, n in data["allocations"]}
         assert allocs == plan.allocations
         assert data["constants"]["eps"] == 0.05
+
+
+@st.composite
+def product_plans(draw):
+    """Plans for product-poly weights with a in [2.2, 5] at a log-uniform eps.
+
+    The eps floor 10^(2.4 - a) keeps every plan below about a thousand
+    active sets, so the estimator run stays quick for each example."""
+    a = draw(st.floats(2.2, 5.0))
+    log_eps = draw(st.floats(2.4 - a, 1.3))
+    tpl = RuleTemplate(kind=draw(st.sampled_from(["plr", "mc"])), alpha=draw(st.integers(1, 3)))
+    w = ProductWeights.polynomial(a)
+    return plan_build(w, PlannerConstants.for_weights(w, 10.0**log_eps, 2.5), tpl)
+
+
+class TestPlanProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(product_plans())
+    def test_plan_invariants(self, plan):
+        alloc = plan.allocations
+        assert set(alloc) == downward_closure(alloc)
+        assert alloc[fs()] == 1
+        if plan.template.kind == "plr":
+            b = plan.template.b
+            assert all(b ** round(math.log(n, b)) == n for n in alloc.values())
+        # the constant bank is integrated exactly and charged the plan's cost
+        est, ledger = cd_estimate(bank_preset("constant").integrand(), plan, 0)
+        assert est == 1.0
+        assert ledger.total == plan_cost(plan, cost_model("linear"))
 
 
 class TestCost:

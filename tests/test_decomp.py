@@ -268,7 +268,7 @@ class TestOperatorNorm:
 
     def test_cutoff_weights_closed_form(self):
         # order-1 cutoff weights: norm = (1 + sum_{j not in v} gamma_j k_aa)^{1/2}
-        w = ProductWeights.polynomial(2.0).cutoff_order1(max_index=50)
+        w = FiniteProductWeights.polynomial(1, 2.0)
         v = (1, 2)
         k_aa = 1 / 12
         expect = math.sqrt(1 + sum(j**-2.0 * k_aa for j in range(3, 51)))

@@ -1,0 +1,77 @@
+"""Design guard: every function in the library has a caller in the library.
+
+A top-level or class-level function counts as called when its name appears
+as a name or an attribute anywhere in src/cdquad outside its own
+definition.  Re-exports in __init__.py do not count, and dunder methods are
+exempt.  The allowlist names the few functions kept for users and tests
+alone, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import cdquad
+
+SRC = Path(cdquad.__file__).resolve().parent
+
+ALLOWED_UNCALLED = {
+    "decomp.psi_operator_norm": "the paper's projection operator norm; tests check it against closed forms",
+    "kernels.kernel_mean_M": "the paper's kernel mean M; tests check it against quadrature",
+    "kernels.k_u": "the paper's product kernel; tests check its factorization",
+    "decomp.psi_Q_project": "the projection Psi_Q f that acceptance criterion 3 compares against",
+    "harness.eps_grid_for_costs": "the eps grid of the acceptance criterion 5 studies",
+}
+
+
+def _definitions():
+    """(module file, module.qualname, node) for every top-level and
+    class-level function."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((path.name, f"{path.stem}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                out.extend((path.name, f"{path.stem}.{node.name}.{item.name}", item)
+                           for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return out
+
+
+def _references():
+    """name -> [(module, line)] of every Name and Attribute outside __init__.py."""
+    refs: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path.name, node.lineno))
+    return refs
+
+
+def _uncalled() -> list[str]:
+    refs = _references()
+    out = []
+    for module, qualname, node in _definitions():
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(m != module or line not in own for m, line in refs.get(name, [])):
+            out.append(qualname)
+    return out
+
+
+def test_every_function_has_a_caller():
+    uncalled = [q for q in _uncalled() if q not in ALLOWED_UNCALLED]
+    assert not uncalled, f"functions without a caller in src/cdquad: {uncalled}"
+
+
+def test_allowlist_is_current():
+    # an allowlisted function that gained a caller, or is gone, leaves the list
+    uncalled = set(_uncalled())
+    assert set(ALLOWED_UNCALLED) <= uncalled, sorted(set(ALLOWED_UNCALLED) - uncalled)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdquad.cli import main
-from cdquad.decomp import downward_closure
+from cdquad.decomp import Anchor, downward_closure
 from cdquad.harness import (
     BankFunction,
     ExperimentConfig,
@@ -45,17 +45,11 @@ class TestBankFunction:
         f = BankFunction("ok", {fs(): 1.0, fs({1, 2}): 0.5})
         assert f.integral == 1.0
 
-    def test_component_norms_keys(self):
-        f = bank_preset("pair")
-        norms = f.component_norms()
-        assert set(norms) == set(f.coeffs)
-        assert all(v >= 0 for v in norms.values())
-
     def test_evaluate_at_anchor(self):
         f = bank_preset("pair")
         eta_a = bernoulli(2, 0.5) / 2
         expect = 1.0 + eta_a + 0.7 * eta_a + 0.5 * eta_a**2
-        assert f.evaluate({}) == pytest.approx(expect, abs=1e-15)
+        assert f.integrand()({}, Anchor()) == pytest.approx(expect, abs=1e-15)
 
     def test_plan_bias_full_closure_zero(self):
         f = bank_preset("pair")
@@ -66,7 +60,7 @@ class TestBankFunction:
         f = bank_preset("pair")
         # sampling only the empty set leaves bias I(f) - f(a)
         got = f.plan_bias({fs()})
-        assert got == pytest.approx(f.integral - f.evaluate({}), abs=1e-14)
+        assert got == pytest.approx(f.integral - f.integrand()({}, Anchor()), abs=1e-14)
 
     def test_plan_bias_partial(self):
         f = bank_preset("pair")
@@ -81,7 +75,7 @@ class TestBankFunction:
         g = f.on_points((1, 2))
         pts = np.array([[0.1, 0.9], [0.5, 0.5]])
         for row, expect in zip(pts, g(pts)):
-            assert f.evaluate({1: row[0], 2: row[1]}) == pytest.approx(expect)
+            assert f.integrand()({1: row[0], 2: row[1]}, Anchor()) == pytest.approx(expect)
 
 
 class TestPresets:
@@ -231,6 +225,12 @@ class TestStudies:
         with pytest.raises(KeyError):
             ExperimentConfig(weights={"preset": "nope"})
 
+    def test_config_rejects_alpha_before_planning(self):
+        # the rule template is built at construction, so a study with a bad
+        # interlacing factor never reaches the planner
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(alpha=0, eps_grid=(0.5,))
+
 
 class TestSelftestAndCLI:
     def test_selftest_passes(self):
@@ -266,3 +266,16 @@ class TestSelftestAndCLI:
     def test_cli_missing_grid(self, capsys):
         assert main(["plan"]) == 2
         assert "eps-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["points", "--m", "2", "--s", "0"], "number of coordinates s must be >= 1"),
+        (["study", "--weights", "nosuch", "--eps-grid", "0.5"], "unknown weight preset 'nosuch'"),
+        (["plan", "--weights", "product-poly,a=0.5", "--eps-grid", "0.5"], "weight decay 0.5 must exceed 1"),
+        (["estimate", "--bank", "pair", "--eps-grid", "0.5", "--alpha", "0"], "alpha must be >= 1"),
+    ])
+    def test_cli_bad_input_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cdquad: error: ")
+        assert captured.err.count("\n") == 1 and message in captured.err

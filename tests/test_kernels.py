@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from cdquad.kernels import (
-    SobolevKernel,
     bernoulli,
     bernoulli_coeffs,
-    diagnostics,
     k_chi,
     k_u,
     kernel_diag,
@@ -82,12 +80,6 @@ class TestKChi:
             gram = np.array([[k_chi(chi, a, b) for b in pts] for a in pts])
             assert np.linalg.eigvalsh(gram).min() >= -1e-9
 
-    def test_sobolev_kernel_wrapper(self):
-        k = SobolevKernel(2)
-        assert k(0.2, 0.7) == pytest.approx(k_chi(2, 0.2, 0.7), abs=1e-15)
-        with pytest.raises(ValueError):
-            SobolevKernel(0)
-
 
 class TestKu:
     def test_empty_set(self):
@@ -133,8 +125,3 @@ class TestScalars:
         assert min(kernel_diag(1, a) for a in grid) == pytest.approx(
             kernel_diag(1, 0.5), abs=1e-12
         )
-
-    def test_diagnostics(self):
-        d = diagnostics(1)
-        assert d.M == pytest.approx(1 / 6, abs=1e-15)
-        assert d.k_aa == pytest.approx(1 / 12, abs=1e-15)

@@ -38,6 +38,12 @@ class TestRuleSpecValidation:
         with pytest.raises(ValueError):
             RuleSpec(MONTE_CARLO, (1,), 0, 0)
 
+    @pytest.mark.parametrize("kind", [MONTE_CARLO, INTERLACED_PLR])
+    @pytest.mark.parametrize("alpha", [0, -1])
+    def test_alpha_positive(self, kind, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            RuleSpec(kind, (1,), 4, 0, alpha=alpha)
+
     def test_u_sorted_deduped(self):
         assert RuleSpec(MONTE_CARLO, (3, 1, 3), 4, 0).u == (1, 3)
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdquad.gfpoly import FieldBase, poly_from_int
 from cdquad.lattice import GeneratingVector, irreducible_modulus, plr_points
-from cdquad.prf import counters_uniform, derive_seed, mix64
+from cdquad.prf import counters_uniform, derive_seed, mix64_array
 from cdquad.scramble import (
     ScrambledRule,
     digits_to_floats,
@@ -14,6 +16,18 @@ from cdquad.scramble import (
     numerators_to_digits,
     scramble_digit_matrix,
 )
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """The splitmix64 finalizer on one Python int: the bit-exact oracle for
+    the vectorized mix64_array."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def interlace_integers(numerators, b, m):
@@ -190,9 +204,23 @@ class TestScrambledRule:
 
 class TestPrf:
     def test_mix64_fixed_point_free_zero(self):
-        assert mix64(0) != 0 or True  # value is defined; main check is stability
-        assert mix64(1) == mix64(1)
+        # the first two outputs of the splitmix64 generator seeded with 0
+        assert mix64(0) == 0xE220A8397B1DCDAF != 0
+        assert mix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
         assert mix64(1) != mix64(2)
+
+    def test_mix64_array_edge_values(self):
+        edges = [0, 1, 2**63, 2**64 - 1]
+        got = mix64_array(np.array(edges, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [mix64(x) for x in edges]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_mix64_array_matches_scalar(self, words):
+        got = mix64_array(np.array(words, dtype=np.uint64))
+        assert got.shape == (len(words),)
+        assert [int(v) for v in got] == [mix64(x) for x in words]
 
     def test_derive_seed_order_sensitive(self):
         assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")

@@ -4,6 +4,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdquad.weights import (
     ExplicitWeights,
@@ -14,7 +16,6 @@ from cdquad.weights import (
     Truncation,
     disjoint_pair_weights,
     intersection_degree,
-    per_coordinate_multiplicity,
 )
 
 fs = frozenset
@@ -40,30 +41,6 @@ class TestGamma:
         w = FiniteProductWeights.polynomial(2, 2.0)
         assert w.gamma(fs({1, 2})) > 0
         assert w.gamma(fs({1, 2, 3})) == 0.0
-
-    def test_hat_gamma(self):
-        w = ExplicitWeights({fs({1, 2}): 0.25, fs({1}): 0.5, fs({2}): 0.5})
-        assert w.hat_gamma(fs({1, 2}), 1 / 12) == pytest.approx(1 / 576, rel=1e-12)
-        assert w.hat_gamma(fs(), 1 / 12) == 1.0
-
-
-class TestCutoff:
-    def test_product(self):
-        w = ProductWeights.polynomial(2.0).cutoff_order1(max_index=10)
-        assert w.gamma(fs({3})) == pytest.approx(1 / 9, rel=1e-12)
-        assert w.gamma(fs({1, 2})) == 0.0
-
-    def test_explicit(self):
-        w = ExplicitWeights({fs({1, 2}): 0.5, fs({1}): 0.7, fs({2}): 0.7})
-        c = w.cutoff_order1()
-        assert c.gamma(fs({1})) == 0.7
-        assert c.gamma(fs({1, 2})) == 0.0
-
-    def test_idempotent(self):
-        w = ProductWeights.polynomial(2.0).cutoff_order1(max_index=20)
-        again = w.cutoff_order1()
-        for j in range(1, 21):
-            assert again.gamma(fs({j})) == w.gamma(fs({j}))
 
 
 class TestDecay:
@@ -112,6 +89,52 @@ class TestWeightedPowerSum:
         assert got.value == pytest.approx(brute, rel=1e-9)
 
 
+@st.composite
+def product_family(draw):
+    """(weights, Gamma, gamma_j) for one of the three product-type classes,
+    with Gamma_k the family's order factor by its definition."""
+    a = draw(st.floats(2.2, 4.0))
+    c = draw(st.floats(0.1, 1.0))
+    kind = draw(st.sampled_from(["product", "finite-product", "pod"]))
+    if kind == "product":
+        w, Gamma = ProductWeights.polynomial(a, c), lambda k: 1.0
+    elif kind == "finite-product":
+        order = draw(st.integers(1, 4))
+        w, Gamma = FiniteProductWeights.polynomial(order, a, c), lambda k: float(k <= order)
+    else:
+        p = draw(st.floats(0.0, 1.0))
+        Gamma = lambda k: math.factorial(k) ** p
+        w = PODWeights(Gamma, lambda j: c * j ** (-a))
+    return w, Gamma, lambda j: c * j ** (-a)
+
+
+class TestProductFamily:
+    """gamma_u = Gamma_{|u|} prod_{j in u} gamma_j for every product-type class."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_family(), st.lists(st.integers(1, 10), min_size=5, max_size=5, unique=True))
+    def test_gamma_is_order_factor_times_product(self, family, coords):
+        w, Gamma, gj = family
+        for size in range(len(coords) + 1):
+            u = frozenset(coords[:size])
+            expect = Gamma(size)
+            for j in u:
+                expect *= gj(j)
+            assert w.gamma(u) == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_family(), st.integers(1, 8), st.integers(1, 5), st.floats(0.5, 1.0))
+    def test_power_sum_matches_enumeration(self, family, max_index, max_order, e):
+        w, Gamma, gj = family
+        brute = math.fsum(
+            (Gamma(k) * math.prod(gj(j) for j in u)) ** e
+            for k in range(1, max_order + 1)
+            for u in combinations(range(1, max_index + 1), k)
+        )
+        got = w.weighted_power_sum(e, Truncation(max_index, max_order)).value
+        assert got == pytest.approx(brute, rel=1e-12, abs=0.0)
+
+
 class TestSupportStructure:
     def test_support_closure(self):
         w = ExplicitWeights({fs({1}): 0.5, fs({2, 3}): 0.25, fs({2}): 0.5, fs({3}): 0.5})
@@ -125,9 +148,6 @@ class TestSupportStructure:
         support = {fs({1, 2}): 1.0, fs({3, 4}): 0.5, fs({1}): 1.0, fs({2}): 1.0,
                    fs({3}): 1.0, fs({4}): 1.0}
         rho = intersection_degree(support)
-        eta = per_coordinate_multiplicity(support)
-        # the paper's equivalence: both count overlap crowding
-        assert rho >= 1 and eta >= 1
         # pairs {1,2} and {3,4} are disjoint: each set meets itself and its
         # two singletons
         assert rho == 2
@@ -155,12 +175,6 @@ class TestValidation:
         # {1,2} positive but {1} absent (implied zero) violates (A6)
         with pytest.raises(ValueError):
             ExplicitWeights({fs({1, 2}): 0.5})
-
-    def test_is_monotone(self):
-        w = ExplicitWeights({fs({1}): 0.7, fs({2}): 0.7, fs({1, 2}): 0.5})
-        assert w.is_monotone()
-        v = ExplicitWeights({fs({1}): 0.1, fs({2}): 0.7, fs({1, 2}): 0.5})
-        assert not v.is_monotone()
 
     def test_product_requires_decreasing(self):
         with pytest.raises(ValueError):
