@@ -4,13 +4,15 @@ Subcommands: plan (print an allocation plan), estimate (one changing
 dimension run on a bank function), study (convergence or variance table),
 points (exact digit dump of a point set), selftest (fast invariant suite).
 A JSON config file can supply any ExperimentConfig field; flags override it.
-Bad input (an unknown preset, an impossible plan, an invalid rule size)
-prints one `cdquad: error:` line to stderr and exits with status 2.
+Bad input (an unknown preset, an impossible plan, an invalid rule size, an
+unreadable config file, an unknown config field) prints one `cdquad: error:`
+line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,7 +75,17 @@ def _add_common(p: argparse.ArgumentParser):
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     fields: dict = {}
     if args.config:
-        fields.update(json.loads(Path(args.config).read_text()))
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        loaded = json.loads(text)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(loaded) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config field(s) in {args.config}: {', '.join(unknown)}")
+        fields.update(loaded)
     overrides = {
         "chi": args.chi, "alpha": args.alpha, "base": args.base,
         "rule": args.rule, "tau": args.tau, "reps": args.reps,

@@ -62,7 +62,8 @@ class GeneratingVector:
             raise ValueError("modulus must be irreducible")
         if not self.q:
             raise ValueError("generating vector needs at least one component")
-        q = tuple(qi % self.modulus for qi in self.q)
+        # components below the modulus degree are already reduced
+        q = tuple(qi % self.modulus if qi.degree >= self.m else qi for qi in self.q)
         for qi in q:
             if qi.is_zero():
                 raise ValueError("generating vector components must be nonzero mod p")
@@ -112,13 +113,14 @@ def _column_generic(gv: GeneratingVector, j: int) -> np.ndarray:
     return out
 
 
-def _column_base2(gv: GeneratingVector, j: int) -> np.ndarray:
-    # carryless arithmetic on packed uint64 encodings
-    m = gv.m
-    p_int = gv.modulus.encode()
-    q_int = gv.q[j].encode()
-    h = np.arange(gv.n, dtype=np.uint64)
-    prod = np.zeros(gv.n, dtype=np.uint64)
+def _column_base2(m: int, p_int: int, q_int: int) -> np.ndarray:
+    """Column q of the base-2 lattice with modulus p, by carryless arithmetic
+    on packed uint64 encodings (degrees up to 2m - 1, so m <= 32)."""
+    if m > 32:
+        raise ValueError(f"base-2 lattice columns need m <= 32, got m = {m}")
+    n = 2**m
+    h = np.arange(n, dtype=np.uint64)
+    prod = np.zeros(n, dtype=np.uint64)
     bit = 0
     qq = q_int
     while qq:
@@ -132,7 +134,7 @@ def _column_base2(gv: GeneratingVector, j: int) -> np.ndarray:
         prod ^= mask * np.uint64(p_int << (d - m))
     # expand w/p to m digits: quotient of (w << m) / p
     rem = prod << np.uint64(m)
-    quo = np.zeros(gv.n, dtype=np.uint64)
+    quo = np.zeros(n, dtype=np.uint64)
     for d in range(2 * m - 1, m - 1, -1):
         mask = (rem >> np.uint64(d)) & np.uint64(1)
         quo |= mask << np.uint64(d - m)
@@ -148,7 +150,7 @@ def plr_points(gv: GeneratingVector) -> PointSet:
     cols = []
     for j in range(gv.s):
         if gv.base.b == 2:
-            cols.append(_column_base2(gv, j))
+            cols.append(_column_base2(gv.m, gv.modulus.encode(), gv.q[j].encode()))
         else:
             cols.append(_column_generic(gv, j))
     return PointSet(gv.base.b, gv.m, np.stack(cols, axis=1))
@@ -242,7 +244,8 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
 
 
 def scramble_variance(gv: GeneratingVector, alpha: int,
-                      coord_weights: Sequence[float] | None = None) -> float:
+                      coord_weights: Sequence[float] | None = None,
+                      memo: dict | None = None) -> float:
     """Exact variance of the stream-scrambled interlaced rule on the product
     test integrand prod_j (1 + sqrt(g_j) B2(x_j)), base 2 only.
 
@@ -250,7 +253,8 @@ def scramble_variance(gv: GeneratingVector, alpha: int,
     to a sum over the point set itself: each point's per-stream leading-zero
     depths index the rho table, covariances multiply across independently
     scrambled output coordinates, and the zero point supplies the diagonal
-    Var(f)/n term.
+    Var(f)/n term.  A lattice column depends only on (m, modulus, q_j), so a
+    caller scoring many vectors passes one memo dict for those depths.
     """
     if gv.base.b != 2:
         raise ValueError("exact scramble variance is implemented for base 2")
@@ -261,14 +265,19 @@ def scramble_variance(gv: GeneratingVector, alpha: int,
     if len(w) != d:
         raise ValueError("need one weight per output coordinate")
     tab = _scramble_rho_table(gv.m, alpha)
-    coords = plr_points(gv).coords
-    pos = _first_nonzero_digit_pos(coords, 2, gv.m)
-    t = np.where(pos == 0, gv.m, pos - 1)  # shared leading digits
+    memo = {} if memo is None else memo
+    t = []  # per stream, the leading digits each point shares with point 0
+    for q in gv.q:
+        key = (gv.m, gv.modulus.encode(), q.encode())
+        if key not in memo:
+            pos = _first_nonzero_digit_pos(_column_base2(*key), 2, gv.m)
+            memo[key] = np.where(pos == 0, gv.m, pos - 1)
+        t.append(memo[key])
     # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
     # residues near 1e-18 that a final mean(prod) - 1 would round away
-    excess = np.zeros(coords.shape[0])
+    excess = np.zeros(gv.n)
     for j in range(d):
-        idx = tuple(t[:, j * alpha + r] for r in range(alpha))
+        idx = tuple(t[j * alpha + r] for r in range(alpha))
         f = w[j] * tab[idx]
         excess += f + excess * f
     return float(np.mean(excess))
@@ -291,11 +300,12 @@ def _search_variance(d: int, m: int, base: FieldBase, weights,
           for j in range(d)]
     rng = np.random.default_rng([0x5CA1E, base.b, m, d, alpha])
     best: tuple[float, GeneratingVector] | None = None
+    memo: dict = {}
     for _ in range(_VARIANCE_TRIALS):
         qs = tuple(poly_from_int(int(rng.integers(1, n)), base)
                    for _ in range(d * alpha))
         gv = GeneratingVector(base, m, modulus, qs)
-        v = scramble_variance(gv, alpha, cw)
+        v = scramble_variance(gv, alpha, cw, memo)
         if best is None or v < best[0]:
             best = (v, gv)
     return best[1]

@@ -76,6 +76,13 @@ def default_generating_vector(b: int, m: int, s: int, alpha: int) -> GeneratingV
     return search_generating_vector(s, m, FieldBase(b), alpha=alpha)
 
 
+@lru_cache(maxsize=128)
+def _scrambled_rule(gv: GeneratingVector, alpha: int) -> ScrambledRule:
+    """The point generator of a vector, so that every rule and draw on it
+    shares one point set and one stream digit matrix."""
+    return ScrambledRule(gv.base.b, gv.m, plr_points(gv).coords, alpha)
+
+
 def rule_keys(seed: int, u, index) -> np.ndarray:
     """The key schedule: one uint64 key per entry of the index array.
 
@@ -98,7 +105,7 @@ def _draw(spec: RuleSpec, index) -> np.ndarray:
         # a uniform draw: take its 53 bits per coordinate in one PRF call
         return counters_uniform(keys, spec.n * d).reshape(len(keys), spec.n, d)
     gv = spec.gv or default_generating_vector(spec.b, spec.m, d * spec.alpha, spec.alpha)
-    return ScrambledRule(spec.b, spec.m, plr_points(gv).coords, spec.alpha).points(keys)
+    return _scrambled_rule(gv, spec.alpha).points(keys)
 
 
 def _means(spec: RuleSpec, g, pts: np.ndarray) -> np.ndarray:

@@ -8,9 +8,28 @@ from the caller (see quadrature.rule_keys); nothing here derives them.  Digits a
 handled as (..., prec) uint8 matrices, most significant first, which keeps
 the whole pipeline vectorized and allows interlaced outputs with more
 digits than fit in a machine word.
+
+Base 2 hashes each node of the scramble tree once (after Friedel and Keller,
+"Fast generation of randomized low-discrepancy point sets", and the exact
+hash-based variant of Burley, "Practical hash-based Owen scrambling").  In
+base 2 the permutation of a digit is either the identity or a flip, so Owen's
+scramble is one random bit per tree node:
+- Digit t of a point with m = in_prec digits is flipped by bit 0 of the hash
+  of its prefix node (t, p), p the point's first t digits, at heap index
+  2^t + p.  All 2^m - 1 nodes are hashed once per key and gathered by prefix,
+  or, when a key scrambles fewer points than there are nodes, each point
+  hashes its own m prefixes.
+- Past digit m the prefix is the point's whole value followed by zeros, so
+  the node bits below the point form one path that only the value selects.
+  One 64-bit hash of (key, value), in a domain apart from the node hashes,
+  gives all of those bits at once: equal values get equal tails and distinct
+  values independent ones, exactly as in the nested scramble.
+Other bases draw a permutation of F_b per digit and prefix, level by level.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +39,9 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _DEPTH = 0xD1B54A32D192ED03
 _DIGIT = np.uint64(0x9E3779B97F4A7C15)
 _VALUE = 0x94D049BB133111EB
+# hash domains of the base-2 scramble: tree nodes, and tail word k of a value
+_NODE = np.uint64(0xA0761D6478BD642F)
+_TAIL = 0xE7037ED1A0B428DB
 
 
 def _const(mult: int, k: int) -> np.uint64:
@@ -27,6 +49,11 @@ def _const(mult: int, k: int) -> np.uint64:
 
 #: float output keeps at most this many base-b digits (b=2 gives full doubles)
 MAX_FLOAT_DIGITS_B2 = 53
+#: base-2 point values and node indices must fit a 64-bit word with room to spare
+MAX_BASE2_DIGITS = 32
+#: ScrambledRule scrambles its keys in chunks of about this many output digits,
+#: so its temporaries stay bounded whatever the number of keys
+_CHUNK_DIGITS = 1 << 21
 
 
 def float_digit_cap(b: int) -> int:
@@ -44,10 +71,85 @@ def numerators_to_digits(coords: np.ndarray, b: int, m: int) -> np.ndarray:
     return out
 
 
+def _pack_word(digits: np.ndarray) -> np.ndarray:
+    """The first 64 base-2 digits of each row as one uint64, digit 0 in the
+    top bit and missing digits zero."""
+    packed = np.packbits(digits[..., :64], axis=-1)
+    word = np.zeros(digits.shape[:-1] + (8,), dtype=np.uint8)
+    word[..., :packed.shape[-1]] = packed
+    return word.view(">u8")[..., 0].astype(np.uint64)
+
+
+def _word_digits(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` bits of each row of uint64 words, most significant
+    first, as digits: (..., k) words give (..., count) digits."""
+    raw = np.asarray(words, dtype=">u8").view(np.uint8)
+    return np.unpackbits(raw[..., :-(-count // 8)], axis=-1, count=count)
+
+
 def digits_to_floats(digits: np.ndarray, b: int) -> np.ndarray:
+    if b == 2:
+        # 53 digits packed into a word are exactly the double's significand
+        word = _pack_word(digits[..., :MAX_FLOAT_DIGITS_B2])
+        return (word >> np.uint64(11)).astype(np.float64) * 2.0**-MAX_FLOAT_DIGITS_B2
     prec = min(digits.shape[-1], float_digit_cap(b))
     scale = float(b) ** -np.arange(1, prec + 1)
     return digits[..., :prec].astype(np.float64) @ scale
+
+
+def _node_flips(node_key: np.ndarray, prefix: np.ndarray, depth: int) -> np.ndarray:
+    """Flip words of the first `depth` digits: bit depth-1-t is bit 0 of the
+    hash of node (t, first t digits of prefix).  node_key and prefix have
+    equal ndim and broadcast together."""
+    shape = np.broadcast_shapes(node_key.shape, prefix.shape)
+    if 2**depth - 1 <= math.prod(shape) // node_key.size:
+        # hash every node once per key, then build the flip word of each of
+        # the 2^depth prefixes one tree level at a time
+        heap = np.arange(1, 2**depth, dtype=np.uint64)
+        bits = mix64_array(node_key[..., None] ^ heap) & np.uint64(1)
+        table = np.zeros(node_key.shape + (1,), dtype=np.uint64)
+        for t in range(depth):
+            level = bits[..., 2**t - 1:2 ** (t + 1) - 1]
+            table = np.repeat((table << np.uint64(1)) | level, 2, axis=-1)
+        row = np.arange(node_key.size, dtype=np.intp).reshape(node_key.shape) * 2**depth
+        return np.take(table.reshape(-1), row + prefix.astype(np.intp))
+    flips = np.zeros(shape, dtype=np.uint64)
+    for t in range(depth):
+        node = (prefix >> np.uint64(depth - t)) | np.uint64(1 << t)
+        flips = (flips << np.uint64(1)) | (mix64_array(node_key ^ node) & np.uint64(1))
+    return flips
+
+
+def _scramble_base2(digits: np.ndarray, key: np.ndarray, out_prec: int) -> np.ndarray:
+    """Base-2 Owen scramble from one hash per tree node and one per value
+    (see the module docstring)."""
+    in_prec = digits.shape[-1]
+    if in_prec > MAX_BASE2_DIGITS:
+        raise ValueError(
+            f"base-2 scrambling supports at most {MAX_BASE2_DIGITS} input digits, got {in_prec}")
+    shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
+    key = key.reshape((1,) * (len(shape) - key.ndim) + key.shape)
+    value = np.zeros(digits.shape[:-1], dtype=np.uint64)
+    if in_prec:
+        value = _pack_word(digits) >> np.uint64(64 - in_prec)
+    value = value.reshape((1,) * (len(shape) - value.ndim) + value.shape)
+    head = min(in_prec, out_prec)
+    words = []  # the out_prec scrambled digits as a string of 64-bit words
+    if head:
+        prefix = value >> np.uint64(in_prec - head)
+        scrambled = prefix ^ _node_flips(mix64_array(key ^ _NODE), prefix, head)
+        words.append(scrambled << np.uint64(64 - head))
+    for k in range(-(-(out_prec - head) // 64)):
+        tail = mix64_array(mix64_array(key ^ _const(_TAIL, k + 1)) ^ value)
+        if head:
+            # the tail digits follow the head digits in the word string
+            words[-1] = words[-1] | (tail >> np.uint64(head))
+            tail = tail << np.uint64(64 - head)
+        if len(words) < -(-out_prec // 64):
+            words.append(tail)
+    if not words:
+        return np.zeros(shape + (0,), dtype=np.uint8)
+    return _word_digits(np.stack(words, axis=-1), out_prec)
 
 
 def scramble_digit_matrix(
@@ -59,10 +161,13 @@ def scramble_digit_matrix(
     leading axes (an array key scrambles each slice with an independent
     stream).  Digits past in_prec are treated as zero, so out_prec > in_prec
     extends the points to full precision as the scrambling of ...000.
+    Base 2 takes at most MAX_BASE2_DIGITS input digits.
     """
     digits = np.asarray(digits, dtype=np.uint8)
-    in_prec = digits.shape[-1]
     key = np.asarray(key, dtype=np.uint64)
+    if b == 2:
+        return _scramble_base2(digits, key, out_prec)
+    in_prec = digits.shape[-1]
     shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
     prefix = np.broadcast_to(mix64_array(key), shape).copy()
     zero = np.zeros(shape, dtype=np.uint64)
@@ -73,19 +178,16 @@ def scramble_digit_matrix(
         else:
             d = zero
         node = mix64_array(prefix ^ _const(_DEPTH, t + 1))
-        if b == 2:
-            out[..., t] = (d ^ (node & np.uint64(1))).astype(np.uint8)
-        else:
-            # perm(v) = rank of a per-value hash; uniform over S_b, with the
-            # value index breaking the (measure-zero) ties deterministically
-            vk = np.stack(
-                [mix64_array(node ^ _const(_VALUE, v + 1)) for v in range(b)]
-            )
-            kd = np.take_along_axis(vk, d[None].astype(np.intp), axis=0)[0]
-            rank = np.zeros(shape, dtype=np.uint8)
-            for v in range(b):
-                rank += ((vk[v] < kd) | ((vk[v] == kd) & (v < d))).astype(np.uint8)
-            out[..., t] = rank
+        # perm(v) = rank of a per-value hash; uniform over S_b, with the
+        # value index breaking the (measure-zero) ties deterministically
+        vk = np.stack(
+            [mix64_array(node ^ _const(_VALUE, v + 1)) for v in range(b)]
+        )
+        kd = np.take_along_axis(vk, d[None].astype(np.intp), axis=0)[0]
+        rank = np.zeros(shape, dtype=np.uint8)
+        for v in range(b):
+            rank += ((vk[v] < kd) | ((vk[v] == kd) & (v < d))).astype(np.uint8)
+        out[..., t] = rank
         prefix = mix64_array(prefix ^ ((d + np.uint64(1)) * _DIGIT))
     return out
 
@@ -98,8 +200,12 @@ def interlace_digit_matrices(streams: np.ndarray) -> np.ndarray:
     """
     alpha = streams.shape[0]
     prec = streams.shape[-1]
-    moved = np.moveaxis(streams, 0, -1)  # (..., prec, alpha)
-    return moved.reshape(streams.shape[1:-1] + (prec * alpha,))
+    out = np.empty(streams.shape[1:-1] + (prec, alpha), dtype=streams.dtype)
+    # one stream at a time: long runs of contiguous reads, unlike one copy
+    # of the transposed (..., prec, alpha) view
+    for r in range(alpha):
+        out[..., r] = streams[r]
+    return out.reshape(streams.shape[1:-1] + (prec * alpha,))
 
 
 class ScrambledRule:
@@ -108,7 +214,9 @@ class ScrambledRule:
     Each replication key is split into one key per input stream (output
     coordinate j, interlacing depth r), so distinct output coordinates are
     scrambled independently (the property that lets the rule commute with
-    projections onto coordinate subsets).
+    projections onto coordinate subsets).  The streams' digit matrix is
+    built once per rule; keys are scrambled in chunks, and row i of every
+    output depends on key i alone.
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int,
@@ -119,35 +227,47 @@ class ScrambledRule:
         num = np.asarray(numerators, dtype=np.uint64)
         if num.ndim != 2 or num.shape[1] % alpha:
             raise ValueError("numerators must be (n, d*alpha)")
-        self.numerators = num
-        self.d = num.shape[1] // alpha
+        self.n, S = num.shape
+        self.d = S // alpha
         cap = float_digit_cap(b)
         self.prec = prec if prec is not None else max(m, -(-cap // alpha))
+        # (point, output coordinate, interlacing depth, digit), so that the
+        # scrambled streams come out next to the digits they interlace with;
+        # read-only, as one rule serves many draws
+        self.stream_digits = numerators_to_digits(num, b, m).reshape(self.n, self.d, alpha, m)
+        self.stream_digits.flags.writeable = False
+        # stream u = j * alpha + r of each key gets its own key
+        self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
+
+    def _chunks(self, R: int):
+        step = max(1, _CHUNK_DIGITS // (self._stream_salt.size * self.n * self.prec))
+        return [slice(i, i + step) for i in range(0, R, step)]
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
-        digs = self.digits(keys)
-        out = np.empty(digs.shape[:3])
-        # one output coordinate at a time bounds the float temporaries
-        for jout in range(self.d):
-            out[:, :, jout] = digits_to_floats(digs[:, :, jout], self.b)
+        keys = np.asarray(keys, dtype=np.uint64)
+        out = np.empty((len(keys), self.n, self.d))
+        for rows in self._chunks(len(keys)):
+            digs = self._digits(keys[rows])
+            # one output coordinate at a time: the base-b matmul rounds by
+            # the layout it is given, and this layout keeps its rounding
+            for j in range(self.d):
+                out[rows, :, j] = digits_to_floats(digs[:, :, j], self.b)
         return out
 
     def digits(self, keys: np.ndarray) -> np.ndarray:
         """Exact interlaced output digits, shape (R, n, d, alpha*prec)."""
         keys = np.asarray(keys, dtype=np.uint64)
-        n = self.numerators.shape[0]
-        S = self.d * self.alpha
-        # one scramble pass over all streams: axis layout (stream, rep, point)
-        stream_keys = np.stack([mix64_array(keys ^ _const(_VALUE, u + 1)) for u in range(S)])
-        digits = np.stack(
-            [numerators_to_digits(self.numerators[:, u], self.b, self.m) for u in range(S)]
-        )
-        scrambled = scramble_digit_matrix(
-            digits[:, None, :, :], self.b, stream_keys[:, :, None], self.prec
-        )  # (S, R, n, prec)
-        out = np.empty((len(keys), n, self.d, self.alpha * self.prec), dtype=np.uint8)
-        for jout in range(self.d):
-            streams = scrambled[jout * self.alpha:(jout + 1) * self.alpha]
-            out[:, :, jout] = interlace_digit_matrices(streams)
+        out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
+        for rows in self._chunks(len(keys)):
+            out[rows] = self._digits(keys[rows])
         return out
+
+    def _digits(self, keys: np.ndarray) -> np.ndarray:
+        # one scramble pass over all streams, axes (rep, point, j, r)
+        stream_keys = mix64_array(keys[:, None] ^ self._stream_salt)
+        scrambled = scramble_digit_matrix(
+            self.stream_digits[None], self.b,
+            stream_keys.reshape(len(keys), 1, self.d, self.alpha), self.prec,
+        )  # (R, n, d, alpha, prec)
+        return interlace_digit_matrices(np.moveaxis(scrambled, 3, 0))

@@ -311,12 +311,10 @@ class ExplicitWeights(_FiniteSupportMixin, WeightModel):
     """Finite map u -> gamma_u with implied zeros elsewhere."""
 
     table: Mapping[CoordSet, float]
-    _skip_closure_check: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self._normalize_table()
-        if not self._skip_closure_check:
-            self._validate_monotone()
+        self._validate_monotone()
 
     declared_decay = math.inf
 

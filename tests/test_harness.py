@@ -272,8 +272,12 @@ class TestSelftestAndCLI:
         (["study", "--weights", "nosuch", "--eps-grid", "0.5"], "unknown weight preset 'nosuch'"),
         (["plan", "--weights", "product-poly,a=0.5", "--eps-grid", "0.5"], "weight decay 0.5 must exceed 1"),
         (["estimate", "--bank", "pair", "--eps-grid", "0.5", "--alpha", "0"], "alpha must be >= 1"),
+        (["plan", "--config", "missing.json", "--eps-grid", "0.5"], "cannot read config missing.json"),
+        (["plan", "--config", "nosuch.json", "--eps-grid", "0.5"], "unknown config field(s) in nosuch.json: nosuch"),
     ])
-    def test_cli_bad_input_is_usage_error(self, capsys, argv, message):
+    def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nosuch.json").write_text('{"nosuch": 1}')
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

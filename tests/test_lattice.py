@@ -13,6 +13,7 @@ from cdquad.lattice import (
     plr_points,
     scramble_variance,
     search_generating_vector,
+    _column_base2,
     _first_nonzero_digit_pos,
     _phi_table,
     _scramble_rho_table,
@@ -90,6 +91,11 @@ class TestPlrPoints:
     def test_values_match_numerators(self):
         ps = plr_points(gv_for(2, 3, [5]))
         assert np.allclose(ps.values(), ps.coords.astype(float) / 8)
+
+    def test_base2_columns_need_m_at_most_32(self):
+        # products of degree up to 2m - 1 must fit the uint64 encodings
+        with pytest.raises(ValueError, match="m <= 32"):
+            _column_base2(33, (1 << 33) | 1, 1)
 
 
 class DualWeightedMerit:
@@ -357,6 +363,14 @@ class TestScrambleVariance:
         chosen = search_generating_vector(alpha, m, F2, alpha=alpha)
         ones = gv_for(2, m, [1] * alpha)
         assert scramble_variance(chosen, alpha) <= scramble_variance(ones, alpha)
+
+    def test_memo_is_shared_across_vectors(self):
+        # one memo serves vectors that share components, with equal results
+        memo = {}
+        for encs in ([3, 9], [9, 3], [3, 5], [5, 9]):
+            gv = gv_for(2, 5, encs)
+            assert scramble_variance(gv, 2, [2.0], memo) == scramble_variance(gv, 2, [2.0])
+        assert len(memo) == 3
 
     def test_nonnegative(self):
         # the merit is an exact variance, so it can never go negative

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdquad.gfpoly import FieldBase
 from cdquad.kernels import bernoulli
-from cdquad.lattice import search_generating_vector
+from cdquad import quadrature
+from cdquad.lattice import plr_points, search_generating_vector
 from cdquad.quadrature import (
     INTERLACED_PLR,
     MONTE_CARLO,
@@ -96,6 +97,28 @@ class TestDeterminism:
         assert np.array_equal(rule_keys(5, (2, 1), [2]), base[2:3])
         assert not np.isin(rule_keys(6, (1, 2), np.arange(4)), base).any()
         assert not np.isin(rule_keys(5, (1,), np.arange(4)), base).any()
+
+
+class TestPointSetCache:
+    def test_one_point_set_per_vector(self, monkeypatch):
+        # every rule and draw on one generating vector shares its point set
+        # and stream digits: plr_points runs once for all of them
+        calls = []
+
+        def counting(gv):
+            calls.append(gv)
+            return plr_points(gv)
+
+        quadrature._scrambled_rule.cache_clear()
+        monkeypatch.setattr(quadrature, "plr_points", counting)
+        try:
+            first = rule_points(RuleSpec(INTERLACED_PLR, (1, 2), 8, 3, alpha=2), np.arange(4))
+            rule_points(RuleSpec(INTERLACED_PLR, (4, 7), 8, 5, alpha=2), np.arange(2))
+            again = rule_points(RuleSpec(INTERLACED_PLR, (1, 2), 8, 3, alpha=2), np.arange(4))
+        finally:
+            quadrature._scrambled_rule.cache_clear()
+        assert len(calls) == 1
+        assert np.array_equal(first, again)
 
 
 class TestDegenerate:

@@ -1,10 +1,18 @@
 """Owen scrambling, digit interlacing, and the randomized rule generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdquad
+from cdquad import scramble
 from cdquad.gfpoly import FieldBase, poly_from_int
 from cdquad.lattice import GeneratingVector, irreducible_modulus, plr_points
 from cdquad.prf import counters_uniform, derive_seed, mix64_array
@@ -19,6 +27,27 @@ from cdquad.scramble import (
 
 
 _MASK64 = (1 << 64) - 1
+
+
+def per_level_scramble_base2(digits, key, out_prec):
+    """Base-2 nested scramble hashed level by level: digit t is flipped by
+    bit 0 of a hash chained over (key, t, the digits before t), for every
+    point and every level.  The distribution oracle of the tree-hash
+    scramble in cdquad.scramble."""
+    digits = np.asarray(digits, dtype=np.uint8)
+    key = np.asarray(key, dtype=np.uint64)
+    in_prec = digits.shape[-1]
+    shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
+    prefix = np.broadcast_to(mix64_array(key), shape).copy()
+    out = np.empty(shape + (out_prec,), dtype=np.uint8)
+    for t in range(out_prec):
+        d = np.zeros(shape, dtype=np.uint64)
+        if t < in_prec:
+            d = np.broadcast_to(digits[..., t], shape).astype(np.uint64)
+        node = mix64_array(prefix ^ np.uint64((0xD1B54A32D192ED03 * (t + 1)) & _MASK64))
+        out[..., t] = (d ^ (node & np.uint64(1))).astype(np.uint8)
+        prefix = mix64_array(prefix ^ ((d + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)))
+    return out
 
 
 def mix64(x: int) -> int:
@@ -65,6 +94,15 @@ class TestDigitPlumbing:
     def test_float_digit_cap(self):
         assert float_digit_cap(2) == 53
         assert float_digit_cap(3) == 33
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 70), st.integers(0, 2**32 - 1))
+    def test_base2_floats_equal_matmul(self, width, seed):
+        # the packed conversion is bit-equal to the float64 digit weights
+        digs = np.random.default_rng(seed).integers(0, 2, (3, 5, width), dtype=np.uint8)
+        prec = min(width, 53)
+        matmul = digs[..., :prec].astype(np.float64) @ (2.0 ** -np.arange(1, prec + 1))
+        assert np.array_equal(digits_to_floats(digs, 2), matmul)
 
 
 class TestInterlace:
@@ -157,6 +195,114 @@ class TestScrambleDigitMatrix:
             assert sorted(ids) == list(range(16))
 
 
+def value_digits(values, m):
+    return numerators_to_digits(np.asarray(values, dtype=np.uint64), 2, m)
+
+
+def key_array(seed, R):
+    return mix64_array(np.arange(R, dtype=np.uint64) ^ np.uint64(seed))
+
+
+class TestBase2TreeScramble:
+    """Properties of the base-2 scramble that hashes each tree node once."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 80), st.integers(0, 2**64 - 1))
+    def test_every_digit_uniform(self, m, prec, seed):
+        # over keys, each scrambled digit of each point is a fair bit
+        R = 2000
+        values = key_array(seed ^ 1, 4) >> np.uint64(64 - m)
+        out = scramble_digit_matrix(value_digits(values, m), 2, key_array(seed, R)[:, None], prec)
+        ones = out.sum(axis=0, dtype=np.int64)  # (points, prec)
+        assert np.all(np.abs(ones - R / 2) < 6 * np.sqrt(R / 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_prefix_is_kept_exactly(self, data):
+        # values sharing exactly t leading digits share exactly t scrambled
+        # digits; equal values share every digit, tail included
+        m = data.draw(st.integers(1, 20))
+        prec = data.draw(st.integers(m, 70))
+        t = data.draw(st.integers(0, m))
+        x = data.draw(st.integers(0, 2**m - 1))
+        y = x
+        if t < m:
+            low = data.draw(st.integers(0, 2 ** (m - t - 1) - 1))
+            y = ((x >> (m - t)) << (m - t)) | ((~x >> (m - t - 1) & 1) << (m - t - 1)) | low
+        key = data.draw(st.integers(0, 2**64 - 1))
+        out = scramble_digit_matrix(value_digits([x, y], m), 2, key, prec)
+        assert np.array_equal(out[0, :t], out[1, :t])
+        if t < m:
+            assert out[0, t] != out[1, t]
+        else:
+            assert np.array_equal(out[0], out[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 60), st.integers(0, 2**64 - 1))
+    def test_equal_values_equal_tails(self, m, extra, seed):
+        values = key_array(seed, 6) >> np.uint64(64 - m)
+        values = np.concatenate([values, values[::-1]])
+        out = scramble_digit_matrix(value_digits(values, m), 2, np.uint64(seed), m + extra)
+        assert np.array_equal(out[:6], out[6:][::-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**64 - 1))
+    def test_rows_equal_single_key_calls(self, m, prec, R, seed):
+        # row i of a batched call equals the call on key i alone, and a point
+        # scrambled alone (per-point node hashes) equals its row in the whole
+        # net (one table of node hashes per key)
+        digs = value_digits(np.arange(2**m), m)
+        keys_ = key_array(seed, R)
+        batch = scramble_digit_matrix(digs, 2, keys_[:, None], prec)
+        for i, k in enumerate(keys_):
+            assert np.array_equal(batch[i], scramble_digit_matrix(digs, 2, k, prec))
+            for p in (0, 2**m - 1, int(k) % 2**m):
+                assert np.array_equal(batch[i, p], scramble_digit_matrix(digs[p], 2, k, prec))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
+           st.integers(0, 2**64 - 1))
+    def test_chunked_rule_rows_equal_single_keys(self, m, alpha, d, R, seed):
+        nums = key_array(seed, 2**m * d * alpha).reshape(2**m, d * alpha) >> np.uint64(64 - m)
+        rule = ScrambledRule(2, m, nums, alpha)
+        keys_ = key_array(seed ^ 7, R)
+        whole_digits, whole_points = rule.digits(keys_), rule.points(keys_)
+        old = scramble._CHUNK_DIGITS
+        try:
+            scramble._CHUNK_DIGITS = 1  # one key per chunk
+            assert np.array_equal(rule.digits(keys_), whole_digits)
+            assert np.array_equal(rule.points(keys_), whole_points)
+        finally:
+            scramble._CHUNK_DIGITS = old
+        for i in range(R):
+            assert np.array_equal(rule.digits(keys_[i:i + 1])[0], whole_digits[i])
+
+    @pytest.mark.parametrize("x,y", [(0b0000, 0b1000), (0b0100, 0b0111), (0b1111, 0b1110),
+                                     (0b0101, 0b0101)])
+    def test_pair_distribution_matches_per_level_oracle(self, x, y):
+        # two-sample chi-square on the joint law of the first 5 scrambled
+        # digits of a pair (one past the 4 input digits), taken from the
+        # whole net so that the node hashes go through the per-key table
+        R, m, prec = 40_000, 4, 5
+        digs = value_digits(np.arange(2**m), m)
+
+        def cells(out):
+            pairs = np.packbits(out[:, [x, y]], axis=-1, bitorder="little")[..., 0]
+            pairs = pairs.astype(np.int64)
+            return np.bincount(pairs[:, 0] * 2**prec + pairs[:, 1], minlength=4**prec)
+
+        new = cells(scramble_digit_matrix(digs, 2, key_array(1, R)[:, None], prec))
+        oracle = cells(per_level_scramble_base2(digs, key_array(2, R)[:, None], prec))
+        seen = (new + oracle) > 0
+        assert np.array_equal(new > 0, oracle > 0)
+        stat = float(np.sum((new[seen] - oracle[seen]) ** 2 / (new[seen] + oracle[seen])))
+        assert scipy.stats.chi2.sf(stat, seen.sum() - 1) > 1e-4
+
+    def test_more_than_32_input_digits_rejected(self):
+        with pytest.raises(ValueError, match="at most 32"):
+            scramble_digit_matrix(np.zeros((2, 33), np.uint8), 2, 1, 40)
+
+
 def keys(*values):
     return np.array(values, dtype=np.uint64)
 
@@ -191,6 +337,24 @@ class TestScrambledRule:
             [digits_to_floats(digs[:, :, j, :], 2) for j in range(rule.d)], axis=2
         )
         assert np.allclose(pts, from_digits)
+
+    def test_criterion4_shape_memory(self):
+        # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),
+        # in a fresh interpreter: chunked scrambling keeps the peak RSS near
+        # the 62.5 MB of points instead of a multiple of the digit depth
+        code = (
+            "import resource, numpy as np\n"
+            "from cdquad.quadrature import RuleSpec, rule_points\n"
+            "pts = rule_points(RuleSpec('plr', (1, 2), 2**13, 7, alpha=3), np.arange(500))\n"
+            "assert pts.shape == (500, 2**13, 2)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+        )
+        src = str(Path(cdquad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        assert float(done.stdout.strip()) < 512
 
     def test_unbiased_on_linear(self):
         # d=1, alpha=2 interlaced scrambled rule integrates f(y)=y unbiasedly
