@@ -39,10 +39,11 @@ from .quadrature import (
     MONTE_CARLO,
     RuleSpec,
     default_generating_vector,
+    _scrambled_rule,
     empirical_variance,
     rule_keys,
 )
-from .scramble import ScrambledRule, interlace_digit_matrices, numerators_to_digits
+from .scramble import interlace_digit_matrices
 from .weights import (
     ExplicitWeights,
     FiniteProductWeights,
@@ -532,19 +533,12 @@ def dump_points(
         raise ValueError(f"generating vector is for b={gv.base.b}, m={gv.m}, not b={b}, m={m}")
     if gv.s != s * alpha:
         raise ValueError(f"generating vector has {gv.s} components, need {s * alpha}")
-    nums = plr_points(gv).coords
+    rule = _scrambled_rule(gv, alpha)
     if seed is None:
-        streams = np.stack(
-            [numerators_to_digits(nums[:, u], b, m) for u in range(s * alpha)]
-        )
-        per_out = np.stack(
-            [interlace_digit_matrices(streams[j * alpha:(j + 1) * alpha])
-             for j in range(s)],
-            axis=1,
-        )  # (n, s, alpha*m)
+        # (n, s, alpha, m) stream digits interlaced per output coordinate
+        per_out = interlace_digit_matrices(np.moveaxis(rule.stream_digits, 2, 0))
     else:
-        keys = rule_keys(seed, range(1, s + 1), [0])
-        per_out = ScrambledRule(b, m, nums, alpha).digits(keys)[0]
+        per_out = rule.digits(rule_keys(seed, range(1, s + 1), [0]))[0]
     lines = [f"# b={b} m={m} s={s} alpha={alpha} seed={seed}"]
     for point in per_out:
         lines.append(" ".join("".join(str(int(d)) for d in coord) for coord in point))

@@ -62,8 +62,7 @@ class GeneratingVector:
             raise ValueError("modulus must be irreducible")
         if not self.q:
             raise ValueError("generating vector needs at least one component")
-        # components below the modulus degree are already reduced
-        q = tuple(qi % self.modulus if qi.degree >= self.m else qi for qi in self.q)
+        q = tuple(qi % self.modulus for qi in self.q)
         for qi in q:
             if qi.is_zero():
                 raise ValueError("generating vector components must be nonzero mod p")
@@ -243,9 +242,19 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     return S.astype(float)
 
 
+@lru_cache(maxsize=4096)
+def _column_depths(m: int, p_int: int, q_int: int) -> np.ndarray:
+    """Leading digits each point of base-2 column q shares with point 0 (m
+    for point 0 itself), as read-only uint8.  A column depends only on
+    (m, modulus, q), so every vector search shares these."""
+    pos = _first_nonzero_digit_pos(_column_base2(m, p_int, q_int), 2, m)
+    depths = np.where(pos == 0, m, pos - 1).astype(np.uint8)
+    depths.flags.writeable = False
+    return depths
+
+
 def scramble_variance(gv: GeneratingVector, alpha: int,
-                      coord_weights: Sequence[float] | None = None,
-                      memo: dict | None = None) -> float:
+                      coord_weights: Sequence[float] | None = None) -> float:
     """Exact variance of the stream-scrambled interlaced rule on the product
     test integrand prod_j (1 + sqrt(g_j) B2(x_j)), base 2 only.
 
@@ -253,8 +262,7 @@ def scramble_variance(gv: GeneratingVector, alpha: int,
     to a sum over the point set itself: each point's per-stream leading-zero
     depths index the rho table, covariances multiply across independently
     scrambled output coordinates, and the zero point supplies the diagonal
-    Var(f)/n term.  A lattice column depends only on (m, modulus, q_j), so a
-    caller scoring many vectors passes one memo dict for those depths.
+    Var(f)/n term.
     """
     if gv.base.b != 2:
         raise ValueError("exact scramble variance is implemented for base 2")
@@ -265,14 +273,8 @@ def scramble_variance(gv: GeneratingVector, alpha: int,
     if len(w) != d:
         raise ValueError("need one weight per output coordinate")
     tab = _scramble_rho_table(gv.m, alpha)
-    memo = {} if memo is None else memo
-    t = []  # per stream, the leading digits each point shares with point 0
-    for q in gv.q:
-        key = (gv.m, gv.modulus.encode(), q.encode())
-        if key not in memo:
-            pos = _first_nonzero_digit_pos(_column_base2(*key), 2, gv.m)
-            memo[key] = np.where(pos == 0, gv.m, pos - 1)
-        t.append(memo[key])
+    p_int = gv.modulus.encode()
+    t = [_column_depths(gv.m, p_int, q.encode()) for q in gv.q]
     # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
     # residues near 1e-18 that a final mean(prod) - 1 would round away
     excess = np.zeros(gv.n)
@@ -300,12 +302,11 @@ def _search_variance(d: int, m: int, base: FieldBase, weights,
           for j in range(d)]
     rng = np.random.default_rng([0x5CA1E, base.b, m, d, alpha])
     best: tuple[float, GeneratingVector] | None = None
-    memo: dict = {}
     for _ in range(_VARIANCE_TRIALS):
         qs = tuple(poly_from_int(int(rng.integers(1, n)), base)
                    for _ in range(d * alpha))
         gv = GeneratingVector(base, m, modulus, qs)
-        v = scramble_variance(gv, alpha, cw, memo)
+        v = scramble_variance(gv, alpha, cw)
         if best is None or v < best[0]:
             best = (v, gv)
     return best[1]

@@ -14,6 +14,7 @@ from cdquad.lattice import (
     scramble_variance,
     search_generating_vector,
     _column_base2,
+    _column_depths,
     _first_nonzero_digit_pos,
     _phi_table,
     _scramble_rho_table,
@@ -44,6 +45,12 @@ class TestGeneratingVector:
         p = irreducible_modulus(2, 2)
         with pytest.raises(ValueError):
             GeneratingVector(F2, 2, p, (poly_from_int(0, F2),))
+
+    def test_component_over_other_field(self):
+        # a base-3 component below the modulus degree is still rejected
+        p = irreducible_modulus(2, 3)
+        with pytest.raises(ValueError, match="different bases"):
+            GeneratingVector(F2, 3, p, (poly_from_int(1, F2), poly_from_int(2, F3)))
 
     @pytest.mark.parametrize("b,m", [(2, 1), (2, 3), (3, 2)])
     def test_empty_vector(self, b, m):
@@ -364,13 +371,18 @@ class TestScrambleVariance:
         ones = gv_for(2, m, [1] * alpha)
         assert scramble_variance(chosen, alpha) <= scramble_variance(ones, alpha)
 
-    def test_memo_is_shared_across_vectors(self):
-        # one memo serves vectors that share components, with equal results
-        memo = {}
+    def test_column_depths_are_shared_across_vectors(self):
+        # vectors that share components share cached columns, and the cached
+        # depths are those of the lattice columns themselves
+        _column_depths.cache_clear()
         for encs in ([3, 9], [9, 3], [3, 5], [5, 9]):
             gv = gv_for(2, 5, encs)
-            assert scramble_variance(gv, 2, [2.0], memo) == scramble_variance(gv, 2, [2.0])
-        assert len(memo) == 3
+            scramble_variance(gv, 2, [2.0])
+            for q, col in zip(gv.q, plr_points(gv).coords.T):
+                pos = _first_nonzero_digit_pos(col, 2, 5)
+                depths = _column_depths(5, gv.modulus.encode(), q.encode())
+                assert np.array_equal(depths, np.where(pos == 0, 5, pos - 1))
+        assert _column_depths.cache_info().currsize == 3
 
     def test_nonnegative(self):
         # the merit is an exact variance, so it can never go negative
