@@ -12,7 +12,6 @@ from .cdalg import (
     cd_estimate,
     cd_estimate_many,
     cost_model,
-    diagnostics_B,
     epsilon_dimension,
     plan_build,
     plan_cost,

@@ -129,9 +129,6 @@ class RuleTemplate:
     kind: str = INTERLACED_PLR
     alpha: int = 1
     b: int = 2
-    # variance-assumption metadata: both built-in rules satisfy alpha1 = 0
-    alpha1: float = 0.0
-    alpha2: float = 0.0
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -299,21 +296,6 @@ def plan_cost(plan: Plan, dollar: CostModel) -> float:
 
 def epsilon_dimension(plan: Plan) -> int:
     return max(len(u) for u in plan.allocations)
-
-
-def diagnostics_B(plan: Plan) -> float:
-    """max over active u and w subseteq u of the variance-assumption factor
-    F_w(n_u) = (1 + ln(n+1)/(|w|-1)^a2)^(a1 (|w|-1)^a2) for |w| >= 2;
-    identically 1 for alpha1 = 0 (the case of both built-in rules)."""
-    a1, a2 = plan.template.alpha1, plan.template.alpha2
-    if a1 == 0:
-        return 1.0
-    best = 1.0
-    for u, n in plan.allocations.items():
-        for size in range(2, len(u) + 1):
-            e = (size - 1) ** a2
-            best = max(best, (1 + math.log(n + 1) / e) ** (a1 * e))
-    return best
 
 
 def cd_estimate(

@@ -5,8 +5,8 @@ dimension run on a bank function), study (convergence or variance table),
 points (exact digit dump of a point set), selftest (fast invariant suite).
 A JSON config file can supply any ExperimentConfig field; flags override it.
 Bad input (an unknown preset, an impossible plan, an invalid rule size, an
-unreadable config file, an unknown config field) prints one `cdquad: error:`
-line to stderr and exits with status 2.
+unreadable config file, an unknown config field, a seed outside [0, 2^64))
+prints one `cdquad: error:` line to stderr and exits with status 2.
 """
 
 from __future__ import annotations

@@ -20,12 +20,10 @@ import numpy as np
 
 from .cdalg import (
     CostModel,
-    Plan,
     PlannerConstants,
     RuleTemplate,
     cd_estimate_many,
     cost_model,
-    diagnostics_B,
     epsilon_dimension,
     plan_build,
     plan_cost,
@@ -307,6 +305,8 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replications")
         if self.rule not in (INTERLACED_PLR, MONTE_CARLO):
             raise ValueError(f"unknown rule kind {self.rule!r}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         # fail fast on bad preset names and rule parameters, before any planning
         self.template()
         weight_preset(self.weights)
@@ -425,7 +425,6 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyResult:
             "stderr_rmse2": stderr,
             "bias2": b2,
             "bias2_bound": bound,
-            "B": diagnostics_B(plan),
         })
     usable = [(r["plan_cost"], r["rmse2"]) for r in rows if r["rmse2"] > 0]
     if len(usable) >= 2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -195,51 +194,42 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     t_r leading base-2 digits (t_r = m meaning the stream values coincide, in
     which case the scrambled dust coincides too).
 
-    Base 2 only.  Stream r fills output digit positions alpha (a-1) + r, and
-    every scrambled digit is an independent Bernoulli(1/2) unless shared.
-    The table is built from the shared-prefix moment S[t_1, ..., t_alpha]:
-    the same expectation when stream r shares its first t_r digits and all
-    deeper digits are independent (index m+1: all digits shared).  Writing
-    X = A + R and X' = A + R' with A the shared part,
-    S = E[h(A)^2], h(a) = E[B2(a + R)] = a^2 + (2 mu1 - 1) a + mu2 - mu1 + 1/6,
-    mu_k = E[R^k].  A and R are sums of independent Bernoulli(1/2) 2^{-p},
-    whose cumulants are P1/2, P2/4, 0, -P4/8 in the power sums P_k of their
-    weights; R's power sums are the totals 1, 1/3, 1/15 minus A's.
-    Under nested scrambling "share >= t" splits evenly into "share >= t+1"
-    and "share exactly t, then one complementary digit", so along each axis
-    rho_t = 2 S_t - S_{t+1} for t < m and rho_m = S_{m+1}.  The deep-match
-    entries are tiny residues of near-total cancellation between O(1)
-    moments, so the algebra runs in exact rationals and only the final value
-    is rounded to a float.
+    Base 2 only.  Digit a >= 0 of stream r fills output digit position
+    p = alpha a + r.  Write scrambled digit p as (1 - e_p)/2 with e_p = +-1 a
+    fair sign; then X = (1 - Y)/2 with Y = sum_p 2^-p e_p, and
+    B2(X) = Y^2/4 - 1/12.  Under nested scrambling e'_p = s_p e_p, where
+    s_p = +1 on a shared digit and -1 on the one complementary digit after
+    the shared ones, and e'_p is independent of e_p (s_p = 0) deeper down.
+    The fourth moment of the Rademacher sums gives
+    E[Y^2 Y'^2] = 1/9 + 2 (C^2 - K), so
+
+        rho = (C^2 - K) / 8,  C = sum_p s_p 4^-p,  K = sum_p s_p^2 16^-p.
+
+    Both sums split over the streams: for t_r < m, stream r adds the 4^-p
+    of its digits a < t_r minus that of digit t_r to C, and the 16^-p of its
+    digits a <= t_r to K; for t_r = m it adds its whole geometric series.
+    The deep-match entries are tiny residues of near-total cancellation, so
+    the sums run in exact rationals and only the final value is rounded to
+    a float.
     """
     from fractions import Fraction as Fr
 
-    def prefix_sums(k: int) -> np.ndarray:
-        # P_k of the digit weights of A: a sum over streams r of the weights
-        # of their first t_r digits, t_r = 0..m along axis r and m+1 = all
-        total = 0
-        for r in range(1, alpha + 1):
-            weights = [Fr(1, 2 ** (k * (alpha * a + r))) for a in range(m)]
-            tail = Fr(1, 2 ** (k * r)) / (1 - Fr(1, 2 ** (k * alpha)))
-            sums = np.array([*accumulate(weights, initial=Fr(0)), tail], dtype=object)
-            total = total + sums.reshape((1,) * (r - 1) + (m + 2,) + (1,) * (alpha - r))
-        return total
-
-    def shared_moment(P1: Fr, P2: Fr, P4: Fr) -> Fr:
-        # raw moments of A from its cumulants
-        k1, k2, k4 = P1 / 2, P2 / 4, -P4 / 8
-        a2, a3 = k2 + k1 * k1, 3 * k2 * k1 + k1**3
-        a4 = k4 + 3 * k2 * k2 + 6 * k2 * k1 * k1 + k1**4
-        # h(a) = a^2 - P1 a + h0, as R's P1 is 1 - P1 and so 2 mu1 - 1 = -P1
-        mu1 = (1 - P1) / 2
-        h0 = (Fr(1, 3) - P2) / 4 + mu1 * mu1 - mu1 + Fr(1, 6)
-        return a4 - 2 * P1 * a3 + (P1 * P1 + 2 * h0) * a2 - 2 * P1 * h0 * k1 + h0 * h0
-
-    S = np.frompyfunc(shared_moment, 3, 1)(prefix_sums(1), prefix_sums(2), prefix_sums(4))
-    # complement step along axis 0, then rotate the next axis to the front
-    for _ in range(alpha):
-        S = np.moveaxis(np.concatenate([2 * S[:m] - S[1:m + 1], S[m + 1:]]), 0, -1)
-    return S.astype(float)
+    C = K = 0
+    for r in range(1, alpha + 1):
+        c, k = [], []
+        shared4 = shared16 = Fr(0)
+        for a in range(m):
+            w = Fr(1, 4 ** (alpha * a + r))
+            c.append(shared4 - w)
+            shared4 += w
+            shared16 += w * w
+            k.append(shared16)
+        c.append(Fr(1, 4**r) / (1 - Fr(1, 4**alpha)))
+        k.append(Fr(1, 16**r) / (1 - Fr(1, 16**alpha)))
+        axis = (1,) * (r - 1) + (m + 1,) + (1,) * (alpha - r)
+        C = C + np.array(c, dtype=object).reshape(axis)
+        K = K + np.array(k, dtype=object).reshape(axis)
+    return ((C * C - K) / 8).astype(float)
 
 
 @lru_cache(maxsize=4096)

@@ -30,11 +30,15 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
 def derive_seed(master: int, *tokens) -> int:
     """Derive an independent 64-bit stream key from a master seed and tokens.
 
-    Tokens may be ints, strings, or iterables of ints (coordinate sets).
-    Distinct token tuples give statistically independent keys.
+    The master seed must lie in [0, 2^64).  Tokens may be ints, strings, or
+    iterables of ints (coordinate sets).  Distinct token tuples give
+    statistically independent keys.
     """
+    master = int(master)
+    if not 0 <= master < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {master}")
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(master).to_bytes(8, "little", signed=False))
+    h.update(master.to_bytes(8, "little"))
     for t in tokens:
         if isinstance(t, str):
             h.update(b"s" + t.encode())

@@ -188,7 +188,8 @@ def scramble_digit_matrix(
         for v in range(b):
             rank += ((vk[v] < kd) | ((vk[v] == kd) & (v < d))).astype(np.uint8)
         out[..., t] = rank
-        prefix = mix64_array(prefix ^ ((d + np.uint64(1)) * _DIGIT))
+        with np.errstate(over="ignore"):  # wraps; 0-d input multiplies scalars
+            prefix = mix64_array(prefix ^ ((d + np.uint64(1)) * _DIGIT))
     return out
 
 
@@ -219,8 +220,7 @@ class ScrambledRule:
     output depends on key i alone.
     """
 
-    def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int,
-                 prec: int | None = None):
+    def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
         self.b = b
         self.m = m
         self.alpha = alpha
@@ -229,8 +229,7 @@ class ScrambledRule:
             raise ValueError("numerators must be (n, d*alpha)")
         self.n, S = num.shape
         self.d = S // alpha
-        cap = float_digit_cap(b)
-        self.prec = prec if prec is not None else max(m, -(-cap // alpha))
+        self.prec = max(m, -(-float_digit_cap(b) // alpha))
         # (point, output coordinate, interlacing depth, digit), so that the
         # scrambled streams come out next to the digits they interlace with;
         # read-only, as one rule serves many draws

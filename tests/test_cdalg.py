@@ -17,7 +17,6 @@ from cdquad.cdalg import (
     cd_estimate,
     cd_estimate_many,
     cost_model,
-    diagnostics_B,
     epsilon_dimension,
     plan_build,
     plan_cost,
@@ -217,20 +216,6 @@ class TestCost:
         bad = CostModel("bad", lambda nu: 0.5)
         with pytest.raises(ValueError):
             bad(0)
-
-
-class TestDiagnosticsB:
-    def test_alpha1_zero_is_one(self):
-        plan = Plan(consts(0.1), {fs(): 1, fs({1, 2}): 15, fs({1}): 1, fs({2}): 1},
-                    MC)
-        assert diagnostics_B(plan) == 1.0
-
-    def test_worked_example(self):
-        # alpha1 = alpha2 = 1, n = 15, |u| = 2 -> 1 + ln 16 ~ 3.7726
-        tpl = RuleTemplate(kind="mc", alpha1=1.0, alpha2=1.0)
-        plan = Plan(consts(0.1), {fs(): 1, fs({1}): 1, fs({2}): 1, fs({1, 2}): 15},
-                    tpl)
-        assert diagnostics_B(plan) == pytest.approx(1 + math.log(16), rel=1e-12)
 
 
 def pair_integrand():

@@ -274,10 +274,19 @@ class TestSelftestAndCLI:
         (["estimate", "--bank", "pair", "--eps-grid", "0.5", "--alpha", "0"], "alpha must be >= 1"),
         (["plan", "--config", "missing.json", "--eps-grid", "0.5"], "cannot read config missing.json"),
         (["plan", "--config", "nosuch.json", "--eps-grid", "0.5"], "unknown config field(s) in nosuch.json: nosuch"),
+        (["estimate", "--bank", "pair", "--eps-grid", "0.5", "--seed", "-1"], "seed must be an integer in [0, 2^64), got -1"),
+        (["study", "--bank", "pair", "--eps-grid", "0.5", "--seed", "18446744073709551616"],
+         "seed must be an integer in [0, 2^64), got 18446744073709551616"),
+        (["study", "--bank", "single", "--n-grid", "4", "--seed", "-1"], "seed must be an integer in [0, 2^64)"),
+        (["points", "--m", "2", "--s", "1", "--scramble", "--seed", "18446744073709551616"],
+         "seed must be an integer in [0, 2^64)"),
+        (["points", "--m", "2", "--s", "1", "--scramble", "--seed", "-1"], "seed must be an integer in [0, 2^64)"),
+        (["plan", "--config", "strseed.json", "--eps-grid", "0.5"], "seed must be an integer in [0, 2^64), got '7'"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nosuch.json").write_text('{"nosuch": 1}')
+        (tmp_path / "strseed.json").write_text('{"seed": "7"}')
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -338,6 +338,7 @@ class TestScrambleVariance:
     @pytest.mark.parametrize("m,alpha", [
         *[(m, alpha) for alpha in (1, 2, 3) for m in range(1, 7)],
         *[(m, 4) for m in range(1, 4)],
+        (10, 2), (10, 3),  # the deepest workload shapes
     ])
     def test_rho_table_matches_oracle(self, m, alpha):
         # both compute the same exact rational and round it once

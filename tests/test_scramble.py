@@ -195,8 +195,8 @@ class TestScrambleDigitMatrix:
             assert sorted(ids) == list(range(16))
 
 
-def value_digits(values, m):
-    return numerators_to_digits(np.asarray(values, dtype=np.uint64), 2, m)
+def value_digits(values, m, b=2):
+    return numerators_to_digits(np.asarray(values, dtype=np.uint64), b, m)
 
 
 def key_array(seed, R):
@@ -204,7 +204,9 @@ def key_array(seed, R):
 
 
 class TestBase2TreeScramble:
-    """Properties of the base-2 scramble that hashes each tree node once."""
+    """Properties of the base-2 scramble that hashes each tree node once.
+    The shared-prefix and batched-row properties also draw base 3, which
+    runs the generic per-level path."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(1, 12), st.integers(1, 80), st.integers(0, 2**64 - 1))
@@ -221,16 +223,19 @@ class TestBase2TreeScramble:
     def test_shared_prefix_is_kept_exactly(self, data):
         # values sharing exactly t leading digits share exactly t scrambled
         # digits; equal values share every digit, tail included
+        b = data.draw(st.sampled_from((2, 3)))
         m = data.draw(st.integers(1, 20))
         prec = data.draw(st.integers(m, 70))
         t = data.draw(st.integers(0, m))
-        x = data.draw(st.integers(0, 2**m - 1))
+        x = data.draw(st.integers(0, b**m - 1))
         y = x
         if t < m:
-            low = data.draw(st.integers(0, 2 ** (m - t - 1) - 1))
-            y = ((x >> (m - t)) << (m - t)) | ((~x >> (m - t - 1) & 1) << (m - t - 1)) | low
+            # keep the first t digits of x, change digit t, draw the rest
+            unit = b ** (m - t - 1)
+            digit = (x // unit + data.draw(st.integers(1, b - 1))) % b
+            y = (x // (unit * b) * b + digit) * unit + data.draw(st.integers(0, unit - 1))
         key = data.draw(st.integers(0, 2**64 - 1))
-        out = scramble_digit_matrix(value_digits([x, y], m), 2, key, prec)
+        out = scramble_digit_matrix(value_digits([x, y], m, b), b, key, prec)
         assert np.array_equal(out[0, :t], out[1, :t])
         if t < m:
             assert out[0, t] != out[1, t]
@@ -246,18 +251,19 @@ class TestBase2TreeScramble:
         assert np.array_equal(out[:6], out[6:][::-1])
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**64 - 1))
-    def test_rows_equal_single_key_calls(self, m, prec, R, seed):
+    @given(st.sampled_from((2, 3)), st.integers(1, 9), st.integers(1, 40), st.integers(1, 6),
+           st.integers(0, 2**64 - 1))
+    def test_rows_equal_single_key_calls(self, b, m, prec, R, seed):
         # row i of a batched call equals the call on key i alone, and a point
-        # scrambled alone (per-point node hashes) equals its row in the whole
-        # net (one table of node hashes per key)
-        digs = value_digits(np.arange(2**m), m)
+        # scrambled alone (in base 2: per-point node hashes) equals its row in
+        # the whole set (one table of node hashes per key)
+        digs = value_digits(np.arange(2**m), m, b)
         keys_ = key_array(seed, R)
-        batch = scramble_digit_matrix(digs, 2, keys_[:, None], prec)
+        batch = scramble_digit_matrix(digs, b, keys_[:, None], prec)
         for i, k in enumerate(keys_):
-            assert np.array_equal(batch[i], scramble_digit_matrix(digs, 2, k, prec))
+            assert np.array_equal(batch[i], scramble_digit_matrix(digs, b, k, prec))
             for p in (0, 2**m - 1, int(k) % 2**m):
-                assert np.array_equal(batch[i, p], scramble_digit_matrix(digs[p], 2, k, prec))
+                assert np.array_equal(batch[i, p], scramble_digit_matrix(digs[p], b, k, prec))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
