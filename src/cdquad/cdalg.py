@@ -317,8 +317,9 @@ def cd_estimate_many(
 ) -> tuple["np.ndarray", CostLedger]:
     """Run the plan under R master seeds: for each, the sum over active u of
     an independent randomized rule applied to the anchored component
-    f_{u,a}.  Each set u draws its R randomizations in one batch, indexed by
-    the master seeds, and calls the integrand once."""
+    f_{u,a}.  The active sets are grouped by rule shape (|u|, n); each group
+    draws the R randomizations of all its sets in one call, indexed by the
+    master seeds, and each set then calls the integrand once."""
     import numpy as np
 
     dollar = dollar or cost_model("linear")
@@ -326,24 +327,35 @@ def cd_estimate_many(
     anchor = plan.constants.anchor
     tpl = plan.template
     seeds = np.asarray([int(s) for s in master_seeds], dtype=np.uint64)
-    terms = []
+    groups: dict[tuple[int, int], list[CoordSet]] = {}
     for u, n in sorted(plan.allocations.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         ledger.charge(u, n)
-        if not u:
-            terms.append(np.full(len(seeds), float(f({}, anchor))))
+        groups.setdefault((len(u), n), []).append(u)
+    terms = []
+    for (size, n), us in groups.items():
+        if not size:
+            terms.append(np.full((1, len(seeds)), float(f({}, anchor))))
             continue
-        coords = tuple(sorted(u))
         # every set shares seed 0: its key differs through u, and the master
         # seeds index that key's stream
-        spec = RuleSpec(tpl.kind, coords, n, seed=0, alpha=tpl.alpha, b=tpl.b)
+        specs = [RuleSpec(tpl.kind, tuple(sorted(u)), n, seed=0, alpha=tpl.alpha, b=tpl.b)
+                 for u in us]
+        gs = [_component(f, u, anchor) for u in us]
+        terms.append(run_rule_seeds(specs, gs, seeds))
+    # fsum is exact, so the sum does not depend on the order of the sets
+    cols = np.concatenate(terms, axis=0)
+    return np.array([math.fsum(col) for col in cols.T]), ledger
 
-        def g(pts, coords=coords, u=u):
-            x = {j: pts[:, i] for i, j in enumerate(coords)}
-            try:
-                return anchored_component(f, u, anchor, x)
-            except Exception as exc:
-                raise RuntimeError(f"integrand failed on subset {sorted(u)}") from exc
 
-        terms.append(run_rule_seeds(spec, g, seeds))
-    cols = np.stack(terms, axis=1)
-    return np.array([math.fsum(row) for row in cols]), ledger
+def _component(f: BlackBoxIntegrand, u: CoordSet, anchor: Anchor):
+    """The anchored component f_{u,a} as a function of (N, |u|) points."""
+    coords = tuple(sorted(u))
+
+    def g(pts):
+        x = {j: pts[:, i] for i, j in enumerate(coords)}
+        try:
+            return anchored_component(f, u, anchor, x)
+        except Exception as exc:
+            raise RuntimeError(f"integrand failed on subset {sorted(u)}") from exc
+
+    return g

@@ -42,21 +42,25 @@ def bernoulli_coeffs(tau: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _float_coeffs_high_first(tau: int) -> tuple[float, ...]:
+    return tuple(float(c) for c in reversed(bernoulli_coeffs(tau)))
+
+
 def bernoulli(tau: int, x):
     """Evaluate B_tau(x); exact when x is a Fraction, float otherwise.
 
     Accepts scalars or numpy arrays.
     """
-    coeffs = bernoulli_coeffs(tau)
     if isinstance(x, Fraction):
         acc = Fraction(0)
-        for c in reversed(coeffs):
+        for c in reversed(bernoulli_coeffs(tau)):
             acc = acc * x + c
         return acc
     xf = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * xf + float(c)
+    for c in _float_coeffs_high_first(tau):
+        acc = acc * xf + c
     return acc
 
 

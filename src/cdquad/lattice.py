@@ -385,6 +385,10 @@ def search_generating_vector(
     if s < 1:
         raise ValueError(f"number of coordinates s must be >= 1, got {s}")
     b = base.b
+    if b**m > 2**32:
+        # lattice digits and carryless products are held in 64-bit words
+        raise ValueError(f"lattice size b^m = {b}^{m} exceeds the 2^32 points "
+                         "the 64-bit digit arithmetic supports")
     if alpha >= 2 and b == 2 and s % alpha == 0:
         # interlaced rules are judged by the variance they deliver after
         # scrambling, which the dual criterion only bounds up to the squared

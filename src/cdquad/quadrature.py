@@ -6,10 +6,14 @@ randomization, so variance splits along the ANOVA decomposition.
 
 One key schedule feeds every draw: rule_keys turns (seed, u) into one
 blake2b key and spreads it over an array of R indices with the vectorized
-mix64 PRF, one uint64 key per randomization.  A replication number and a master seed are
-both such an index, and a single draw is the case R = 1.  All entry points
-below are thin fronts over one keyed path that draws the R point sets
-together and calls the integrand once on all R*n points.
+mix64 PRF, one uint64 key per randomization.  A replication number and a
+master seed are both such an index, and a single draw is the case R = 1.
+All entry points below are thin fronts over one keyed path.  It draws the
+point sets of K rules of one shape (kind, n, |u|, alpha, b, vector) under R
+indices in a single call, since every scramble is a per-key function; the
+changing-dimension estimator uses this to draw each group of active sets of
+equal (|u|, n) at once.  Each rule's integrand is then called once on all of
+its R*n points.
 """
 
 from __future__ import annotations
@@ -93,13 +97,21 @@ def rule_keys(seed: int, u, index) -> np.ndarray:
     return mix64_array(np.asarray(index, dtype=np.uint64) ^ key)
 
 
-def _draw(spec: RuleSpec, index) -> np.ndarray:
-    """Point arrays of shape (R, n, |u|), one randomization per index."""
+def _shape(spec: RuleSpec) -> tuple:
+    return (spec.kind, spec.n, len(spec.u), spec.alpha, spec.b, spec.gv)
+
+
+def _draw(specs, index) -> np.ndarray:
+    """Point arrays of shape (K*R, n, |u|) for K specs of one shape; row
+    k*R + r is randomization index[r] of specs[k]."""
     index = np.atleast_1d(index)
+    spec = specs[0]
+    if any(_shape(other) != _shape(spec) for other in specs[1:]):
+        raise ValueError("rules drawn together must share kind, n, |u|, alpha, b and vector")
     d = len(spec.u)
     if d == 0:
-        return np.empty((len(index), spec.n, 0))
-    keys = rule_keys(spec.seed, spec.u, index)
+        return np.empty((len(specs) * len(index), spec.n, 0))
+    keys = np.concatenate([rule_keys(other.seed, other.u, index) for other in specs])
     if spec.kind == MONTE_CARLO or spec.n == 1:
         # an n = 1 scrambled rule is the Owen scramble of one point, which is
         # a uniform draw: take its 53 bits per coordinate in one PRF call
@@ -123,13 +135,15 @@ def rule_points(spec: RuleSpec, index=0) -> np.ndarray:
     A scalar index gives shape (n, |u|); an index array gives (R, n, |u|)
     whose row i equals rule_points(spec, index[i]).
     """
-    pts = _draw(spec, index)
+    pts = _draw([spec], index)
     return pts[0] if np.ndim(index) == 0 else pts
 
 
-def rule_points_seeds(spec: RuleSpec, seeds) -> np.ndarray:
-    """rule_points over an array of master seeds, shape (R, n, |u|)."""
-    return _draw(spec, seeds)
+def rule_points_seeds(specs, seeds) -> np.ndarray:
+    """The point sets of K rules of one shape under R master seeds, drawn
+    together: shape (K*R, n, |u|), row k*R + r equal to
+    rule_points(specs[k], seeds[r])."""
+    return _draw(list(specs), seeds)
 
 
 def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
@@ -137,9 +151,18 @@ def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
     return _means(spec, g, rule_points(spec, reps))
 
 
-def run_rule_seeds(spec: RuleSpec, g, seeds) -> np.ndarray:
-    """Estimates under an array of master seeds; equals run_rule_batch."""
-    return _means(spec, g, rule_points_seeds(spec, seeds))
+def run_rule_seeds(specs, gs, seeds) -> np.ndarray:
+    """Estimates of K rules of one shape, rule k on its own integrand gs[k],
+    under R master seeds: shape (K, R), row k equal to
+    run_rule_batch(specs[k], gs[k], seeds).  The K point sets come from one
+    draw."""
+    specs = list(specs)
+    if len(gs) != len(specs):
+        raise ValueError(f"need one integrand per rule, got {len(gs)} for {len(specs)}")
+    pts = rule_points_seeds(specs, seeds)
+    R = len(pts) // len(specs)
+    return np.stack([_means(spec, g, pts[k * R:(k + 1) * R])
+                     for k, (spec, g) in enumerate(zip(specs, gs))])
 
 
 @dataclass(frozen=True)

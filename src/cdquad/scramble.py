@@ -53,7 +53,7 @@ MAX_FLOAT_DIGITS_B2 = 53
 MAX_BASE2_DIGITS = 32
 #: ScrambledRule scrambles its keys in chunks of about this many output digits,
 #: so its temporaries stay bounded whatever the number of keys
-_CHUNK_DIGITS = 1 << 21
+_CHUNK_DIGITS = 1 << 20
 
 
 def float_digit_cap(b: int) -> int:
@@ -252,6 +252,7 @@ class ScrambledRule:
             # the layout it is given, and this layout keeps its rounding
             for j in range(self.d):
                 out[rows, :, j] = digits_to_floats(digs[:, :, j], self.b)
+            del digs  # free this chunk's digits before the next is scrambled
         return out
 
     def digits(self, keys: np.ndarray) -> np.ndarray:

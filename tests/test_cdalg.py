@@ -21,9 +21,16 @@ from cdquad.cdalg import (
     plan_build,
     plan_cost,
 )
-from cdquad.decomp import Anchor, BlackBoxIntegrand, downward_closure, psi_Q_project
-from cdquad.harness import bank_preset
+from cdquad.decomp import (
+    Anchor,
+    BlackBoxIntegrand,
+    anchored_component,
+    downward_closure,
+    psi_Q_project,
+)
+from cdquad.harness import bank_from_weights, bank_preset
 from cdquad.kernels import bernoulli
+from cdquad.quadrature import RuleSpec, run_rule_batch
 from cdquad.weights import (
     FiniteProductWeights,
     ProductWeights,
@@ -281,3 +288,50 @@ class TestEstimator:
 
         with pytest.raises(RuntimeError, match="subset"):
             cd_estimate(BlackBoxIntegrand(bad), plan, 0)
+
+
+def cd_estimate_per_set(f, plan, master_seeds):
+    """The estimator with one draw per active set, in the plan's set order:
+    the oracle for the grouped draws of cd_estimate_many."""
+    anchor = plan.constants.anchor
+    tpl = plan.template
+    seeds = np.asarray([int(s) for s in master_seeds], dtype=np.uint64)
+    terms = []
+    for u, n in sorted(plan.allocations.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+        if not u:
+            terms.append(np.full(len(seeds), float(f({}, anchor))))
+            continue
+        coords = tuple(sorted(u))
+        spec = RuleSpec(tpl.kind, coords, n, seed=0, alpha=tpl.alpha, b=tpl.b)
+
+        def g(pts, coords=coords, u=u):
+            return anchored_component(f, u, anchor, {j: pts[:, i] for i, j in enumerate(coords)})
+
+        terms.append(run_rule_batch(spec, g, seeds))
+    cols = np.stack(terms, axis=1)
+    return np.array([math.fsum(row) for row in cols])
+
+
+class TestGroupedEstimator:
+    """cd_estimate_many draws each (|u|, n) group at once; the sets still get
+    exactly the rules they got one by one."""
+
+    @pytest.mark.parametrize("weights,eps", [
+        (ProductWeights.polynomial(3.0), 0.3),
+        (disjoint_pair_weights(a=3.0, count=50), 0.05),
+    ], ids=["product", "pairs"])
+    @pytest.mark.parametrize("tpl", [
+        RuleTemplate("plr", alpha=1, b=2),
+        RuleTemplate("plr", alpha=2, b=2),
+        RuleTemplate("plr", alpha=1, b=3),
+        RuleTemplate("plr", alpha=2, b=3),
+        MC,
+    ], ids=lambda t: f"{t.kind}-a{t.alpha}-b{t.b}")
+    def test_matches_per_set_oracle(self, weights, eps, tpl):
+        plan = plan_build(weights, PlannerConstants.for_weights(weights, eps, 2.5), tpl)
+        shapes = {(len(u), n) for u, n in plan.allocations.items()}
+        assert len(shapes) < len(plan.allocations)  # some group holds several sets
+        f = bank_from_weights(weights).integrand()
+        seeds = [0, 3, 2**64 - 1]
+        many, _ = cd_estimate_many(f, plan, seeds)
+        assert np.array_equal(many, cd_estimate_per_set(f, plan, seeds))

@@ -282,6 +282,9 @@ class TestSelftestAndCLI:
          "seed must be an integer in [0, 2^64)"),
         (["points", "--m", "2", "--s", "1", "--scramble", "--seed", "-1"], "seed must be an integer in [0, 2^64)"),
         (["plan", "--config", "strseed.json", "--eps-grid", "0.5"], "seed must be an integer in [0, 2^64), got '7'"),
+        # past 2^32 points the 64-bit digit arithmetic cannot hold the lattice
+        (["points", "--m", "33", "--s", "1"], "lattice size b^m = 2^33 exceeds the 2^32 points"),
+        (["study", "--n-grid", "8589934592", "--reps", "2"], "lattice size b^m = 2^33 exceeds the 2^32 points"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

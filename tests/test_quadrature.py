@@ -81,13 +81,13 @@ class TestDeterminism:
     def test_seeds_batch_matches_individual(self):
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 32, seed=0, alpha=2)
         seeds = [5, 9, 13]
-        batch = run_rule_seeds(spec, smooth_pair, seeds)
+        batch = run_rule_seeds([spec], [smooth_pair], seeds)
         single = [run_rule_batch(spec, smooth_pair, [s])[0] for s in seeds]
-        assert np.array_equal(batch, np.array(single))
+        assert np.array_equal(batch, np.array([single]))
 
     def test_points_seeds_rows_bit_identical(self):
         spec = RuleSpec(INTERLACED_PLR, (2, 4), 16, seed=0, alpha=2)
-        rows = rule_points_seeds(spec, [3, 7])
+        rows = rule_points_seeds([spec], [3, 7])
         for i, s in enumerate([3, 7]):
             assert np.array_equal(rows[i], rule_points(spec, s))
 
@@ -206,9 +206,9 @@ class TestKeyedPath:
     @given(keyed_specs())
     def test_seed_entries_match_index_entries(self, case):
         spec, index = case
-        assert np.array_equal(rule_points_seeds(spec, index), rule_points(spec, index))
+        assert np.array_equal(rule_points_seeds([spec], index), rule_points(spec, index))
         g = lambda p: 1.0 + p.sum(axis=1)
-        assert np.array_equal(run_rule_seeds(spec, g, index), run_rule_batch(spec, g, index))
+        assert np.array_equal(run_rule_seeds([spec], [g], index)[0], run_rule_batch(spec, g, index))
 
     @settings(max_examples=40, deadline=None)
     @given(keyed_specs())
@@ -220,3 +220,60 @@ class TestKeyedPath:
         if spec.u:
             rows = {p.tobytes() for p in pts}
             assert len(rows) == len(index)
+
+
+@st.composite
+def rule_groups(draw):
+    """K rules of one shape on distinct coordinate sets, and a seed array."""
+    kind = draw(st.sampled_from([MONTE_CARLO, INTERLACED_PLR]))
+    b = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 3))
+    n = b ** draw(st.integers(0, 3))
+    alpha = draw(st.integers(1, 3))
+    sets = draw(st.lists(st.lists(st.integers(1, 9), min_size=d, max_size=d, unique=True),
+                         min_size=1, max_size=4, unique_by=lambda u: tuple(sorted(u))))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4, unique=True))
+    specs = [RuleSpec(kind, tuple(u), n, seed=draw(st.integers(0, 2**64 - 1)), alpha=alpha, b=b)
+             for u in sets]
+    return specs, np.array(seeds, dtype=np.uint64)
+
+
+class TestGroupDraw:
+    """Rules of one shape drawn together equal the rules drawn one by one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rule_groups())
+    def test_group_rows_are_single_draws(self, case):
+        specs, seeds = case
+        R = len(seeds)
+        pts = rule_points_seeds(specs, seeds)
+        assert pts.shape == (len(specs) * R, specs[0].n, len(specs[0].u))
+        for k, spec in enumerate(specs):
+            for r, seed in enumerate(seeds):
+                assert np.array_equal(pts[k * R + r], rule_points(spec, seed))
+        gs = [lambda p, w=k: w + p.sum(axis=1) * (1.0 + p[:, 0]) for k in range(len(specs))]
+        ests = run_rule_seeds(specs, gs, seeds)
+        assert ests.shape == (len(specs), R)
+        for k, spec in enumerate(specs):
+            assert np.array_equal(ests[k], run_rule_batch(spec, gs[k], seeds))
+
+    @pytest.mark.parametrize("other", [
+        RuleSpec(MONTE_CARLO, (3, 4), 8, 0, alpha=2),
+        RuleSpec(INTERLACED_PLR, (3, 4), 16, 0, alpha=2),
+        RuleSpec(INTERLACED_PLR, (3,), 8, 0, alpha=2),
+        RuleSpec(INTERLACED_PLR, (3, 4), 8, 0, alpha=1),
+        RuleSpec(INTERLACED_PLR, (3, 4), 9, 0, alpha=2, b=3),
+        RuleSpec(INTERLACED_PLR, (3, 4), 8, 0, alpha=2,
+                 gv=search_generating_vector(4, 3, FieldBase(2), alpha=1)),
+    ])
+    def test_mixed_shapes_rejected(self, other):
+        spec = RuleSpec(INTERLACED_PLR, (1, 2), 8, 0, alpha=2)
+        with pytest.raises(ValueError, match="share"):
+            rule_points_seeds([spec, other], [0, 1])
+        with pytest.raises(ValueError, match="share"):
+            run_rule_seeds([spec, other], [smooth_pair, smooth_pair], [0, 1])
+
+    def test_one_integrand_per_rule(self):
+        specs = [RuleSpec(MONTE_CARLO, (1,), 4, 0), RuleSpec(MONTE_CARLO, (2,), 4, 0)]
+        with pytest.raises(ValueError, match="one integrand per rule"):
+            run_rule_seeds(specs, [smooth_pair], [0])
