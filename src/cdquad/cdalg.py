@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
@@ -46,14 +46,39 @@ class CostModel:
         return v
 
 
+def _preset_options(kind: str, name: str, options: Mapping, types: Mapping[str, Callable],
+                    required: tuple[str, ...] = ()) -> dict:
+    """The options of a preset, each converted by its type in `types`.
+
+    An option the preset does not take, a missing required one, or a value
+    its type rejects is a ValueError that names the preset and the option.
+    """
+    unknown = sorted(set(options) - set(types))
+    if unknown:
+        raise ValueError(f"{kind} preset {name!r} has no option {', '.join(unknown)} "
+                         f"(it takes {', '.join(types) or 'none'})")
+    missing = [key for key in required if key not in options]
+    if missing:
+        raise ValueError(f"{kind} preset {name!r} needs option {', '.join(missing)}")
+    out = {}
+    for key, value in options.items():
+        try:
+            out[key] = types[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} preset {name!r}: bad value {value!r} for "
+                             f"option {key} ({exc})") from None
+    return out
+
+
 def cost_model(name: str, **params) -> CostModel:
     if name == "linear":
+        _preset_options("cost", name, params, {})
         return CostModel("linear", lambda nu: 1.0 + nu)
     if name == "power":
-        s = params.get("s", 1.0)
+        s = _preset_options("cost", name, params, {"s": float}).get("s", 1.0)
         return CostModel(f"power(s={s})", lambda nu: (1.0 + nu) ** s)
     if name == "exp":
-        sigma = params.get("sigma", 1.0)
+        sigma = _preset_options("cost", name, params, {"sigma": float}).get("sigma", 1.0)
         return CostModel(f"exp(sigma={sigma})", lambda nu: math.exp(sigma * nu))
     raise ValueError(f"unknown cost model {name!r}")
 
@@ -66,8 +91,8 @@ class PlannerConstants:
     """Everything the n_u formula needs.
 
     tau is the building-block variance decay rate; when it is not below
-    decay - 1 it is replaced by decay - 1 - delta, mirroring the analysis.
-    alpha0 defaults to the midpoint of its admissible interval
+    decay - 1, for_weights replaces it by decay - 1 - delta, mirroring the
+    analysis, and puts alpha0 at the midpoint of its admissible interval
     (tau/decay, 1 - 1/decay).
     """
 
@@ -83,8 +108,8 @@ class PlannerConstants:
     delta: float = 0.01
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not self.eps > 0:  # written so that NaN fails too
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if not self.tau / self.decay < self.alpha0 < 1 - 1 / self.decay:
             raise ValueError(
                 f"alpha0 = {self.alpha0} outside (tau/decay, 1 - 1/decay) = "
@@ -96,32 +121,20 @@ class PlannerConstants:
         return max(self.C * (1 + self.k_aa), 4 * self.k_aa)
 
     @classmethod
-    def for_weights(
-        cls,
-        w: WeightModel,
-        eps: float,
-        tau: float,
-        chi: int = 1,
-        anchor: Anchor | None = None,
-        alpha0: float | None = None,
-        c: float = 1.0,
-        C: float = 1.0,
-        delta: float = 0.01,
-        truncation: Truncation = Truncation(),
-    ) -> "PlannerConstants":
+    def for_weights(cls, w: WeightModel, eps: float, tau: float, chi: int = 1) -> "PlannerConstants":
+        if not tau > 0:  # written so that NaN fails too
+            raise ValueError(f"tau must be > 0, got {tau}")
         decay = w.decay()
         if decay <= 1:
             raise PlanningError(f"weight decay {decay} must exceed 1")
         if tau >= decay - 1:
-            tau = decay - 1 - delta
+            tau = decay - 1 - cls.delta
         if tau <= 0:
             raise PlanningError("effective tau is nonpositive; delta too large")
-        anchor = anchor or Anchor()
-        k_aa = float(kernel_diag(chi, anchor.value))
-        if alpha0 is None:
-            alpha0 = 0.5 * (tau / decay + 1 - 1 / decay)
-        L = w.weighted_power_sum(1 - alpha0, truncation).value
-        return cls(eps, tau, decay, k_aa, alpha0, L, c, C, anchor, delta)
+        k_aa = float(kernel_diag(chi, Anchor().value))
+        alpha0 = 0.5 * (tau / decay + 1 - 1 / decay)
+        L = w.weighted_power_sum(1 - alpha0, Truncation()).value
+        return cls(eps, tau, decay, k_aa, alpha0, L)
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,6 @@ def plan_build(
     w: WeightModel,
     consts: PlannerConstants,
     template: RuleTemplate = RuleTemplate(),
-    truncation: Truncation = Truncation(),
 ) -> Plan:
     """Choose the active sets and their sample counts.
 
@@ -228,7 +240,7 @@ def plan_build(
             raise PlanningError(f"no planner enumeration for {type(w).__name__}")
         gamma_seq = w.gamma_seq
         size_cap = min(MAX_SET_SIZE, w.order)
-        J = truncation.max_index
+        J = Truncation().max_index
         boosts = [consts.C_hat * gamma_seq(j) ** consts.alpha0 for j in range(1, J + 1)]
         # suffix[j] = largest factor any extension using coords > j can add
         suffix = [1.0] * (J + 2)

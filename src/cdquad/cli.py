@@ -4,9 +4,10 @@ Subcommands: plan (print an allocation plan), estimate (one changing
 dimension run on a bank function), study (convergence or variance table),
 points (exact digit dump of a point set), selftest (fast invariant suite).
 A JSON config file can supply any ExperimentConfig field; flags override it.
-Bad input (an unknown preset, an impossible plan, an invalid rule size, an
-unreadable config file, an unknown config field, a seed outside [0, 2^64))
-prints one `cdquad: error:` line to stderr and exits with status 2.
+Bad input (an unknown preset or preset option, an impossible plan, an eps
+or tau that is not > 0, an invalid rule size, an unreadable config file, an
+unknown config field, a seed outside [0, 2^64)) prints one `cdquad: error:`
+line to stderr and exits with status 2.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .weights import (
 CoordSet = frozenset[int]
 
 #: inclusion-exclusion over 2^{|u|} evaluations; refuse beyond this
-DEFAULT_ORDER_CAP = 20
+ORDER_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class BlackBoxIntegrand:
 
     evaluator: Callable[[Mapping[int, object], float], object]
     declared_active: CoordSet | None = None
-    known_integral: float | None = None
     # optional analytic anchored components, (u, assignment, anchor_value) ->
     # value; bypasses the 2^|u| inclusion-exclusion when the integrand's
     # structure admits a closed form
@@ -78,7 +77,6 @@ def anchored_component(
     u,
     a: Anchor,
     x: Mapping[int, object],
-    cap: int = DEFAULT_ORDER_CAP,
     _memo: dict | None = None,
 ):
     """The u-component of the anchored decomposition at x:
@@ -88,8 +86,8 @@ def anchored_component(
     memoized within the call (pass a shared dict to memoize across calls).
     """
     u = sorted(frozenset(u))
-    if len(u) > cap:
-        raise ValueError(f"|u| = {len(u)} exceeds the inclusion-exclusion cap {cap}")
+    if len(u) > ORDER_CAP:
+        raise ValueError(f"|u| = {len(u)} exceeds the inclusion-exclusion cap {ORDER_CAP}")
     x = {j: x.get(j, a.value) for j in u}
     if f.anchored is not None:
         return f.anchored(frozenset(u), x, a.value)
@@ -135,7 +133,7 @@ def psi_Q_project(f: BlackBoxIntegrand, Q, a: Anchor) -> BlackBoxIntegrand:
             total = term if total is None else total + term
         return total
 
-    return BlackBoxIntegrand(ev, declared_active=active, known_integral=f.known_integral)
+    return BlackBoxIntegrand(ev, declared_active=active)
 
 
 # --- worst-case scalars ----------------------------------------------------
@@ -274,14 +272,12 @@ def r_squared(v, u, a_diag: float, w: WeightModel, T: Truncation = Truncation())
     return TruncatedSum(value, None)
 
 
-def psi_operator_norm(
-    v, a_diag: float, w: WeightModel, T: Truncation = Truncation(), cap: int = DEFAULT_ORDER_CAP
-) -> float:
+def psi_operator_norm(v, a_diag: float, w: WeightModel, T: Truncation = Truncation()) -> float:
     """Operator norm of the anchored projection onto coordinates v:
     max over u subseteq v with gamma_u > 0 of gamma_u^{-1/2} r_{v,u,a}."""
     v = sorted(frozenset(v))
-    if len(v) > cap:
-        raise ValueError(f"|v| = {len(v)} exceeds the enumeration cap {cap}")
+    if len(v) > ORDER_CAP:
+        raise ValueError(f"|v| = {len(v)} exceeds the enumeration cap {ORDER_CAP}")
     best = 0.0
     for k in range(len(v) + 1):
         for u in combinations(v, k):

@@ -43,9 +43,10 @@ class PolyGF:
     def __post_init__(self):
         b = self.base.b
         cs = tuple(int(c) % b for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
 
     @property
     def degree(self) -> int:
@@ -206,11 +207,3 @@ def laurent_digits(num: PolyGF, den: PolyGF, m: int) -> DigitString:
     digits = tuple(qc[m - l] if 0 <= m - l < len(qc) else 0 for l in range(1, m + 1))
     return DigitString(num.base, digits)
 
-
-def digits_numerator(d: DigitString) -> int:
-    """Fixed-point numerator t_1 b^{m-1} + ... + t_m (value = num / b^m)."""
-    b = d.base.b
-    num = 0
-    for t in d.digits:
-        num = num * b + t
-    return num

@@ -12,8 +12,10 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ from .cdalg import (
     CostModel,
     PlannerConstants,
     RuleTemplate,
+    _preset_options,
     cd_estimate_many,
     cost_model,
     epsilon_dimension,
@@ -134,7 +137,6 @@ class BankFunction:
         return BlackBoxIntegrand(
             evaluator=lambda assignment, av: _bank_eval(coeffs, assignment, av),
             declared_active=frozenset(self.active),
-            known_integral=self.integral,
             anchored=anchored,
         )
 
@@ -241,14 +243,19 @@ def bank_preset(spec) -> BankFunction:
     spec = dict(spec)
     name = spec.pop("preset")
     if name == "weights":
-        w = weight_preset(spec.pop("weights"))
-        return bank_from_weights(w, **spec)
+        # the weights option is a weight preset, which weight_preset checks
+        opts = _preset_options("bank", name, spec, {
+            "weights": weight_preset, "max_index": operator.index, "max_order": operator.index, "name": str},
+            required=("weights",))
+        return bank_from_weights(opts.pop("weights"), **opts)
     if name == "explicit":
-        coeffs = {_parse_coordset(k): float(v) for k, v in spec["coeffs"].items()}
-        return BankFunction(spec.get("name", "explicit"), coeffs)
-    if spec:
-        raise KeyError(f"unexpected bank options {sorted(spec)} for preset {name!r}")
-    return bank_preset(name)
+        opts = _preset_options("bank", name, spec, {"coeffs": MappingProxyType, "name": str},
+                               required=("coeffs",))
+        coeffs = {_parse_coordset(k): float(v) for k, v in opts["coeffs"].items()}
+        return BankFunction(opts.get("name", "explicit"), coeffs)
+    bank = bank_preset(name)
+    _preset_options("bank", name, spec, {})
+    return bank
 
 
 def _parse_coordset(key: str) -> frozenset:
@@ -268,16 +275,19 @@ def weight_preset(spec) -> WeightModel:
     spec = dict(spec)
     name = spec.pop("preset")
     if name == "product-poly":
-        return ProductWeights.polynomial(spec.get("a", 3.0), spec.get("c", 1.0))
+        opts = _preset_options("weight", name, spec, {"a": float, "c": float})
+        return ProductWeights.polynomial(opts.get("a", 3.0), opts.get("c", 1.0))
     if name == "finite-product-poly":
+        opts = _preset_options("weight", name, spec, {"order": operator.index, "a": float, "c": float})
         return FiniteProductWeights.polynomial(
-            spec.get("order", 2), spec.get("a", 3.0), spec.get("c", 1.0)
+            opts.get("order", 2), opts.get("a", 3.0), opts.get("c", 1.0)
         )
     if name == "disjoint-pairs":
-        return disjoint_pair_weights(spec.get("a", 3.0), spec.get("count", 50))
+        opts = _preset_options("weight", name, spec, {"a": float, "count": operator.index})
+        return disjoint_pair_weights(opts.get("a", 3.0), opts.get("count", 50))
     if name == "explicit":
-        table = {_parse_coordset(k): float(v) for k, v in spec["table"].items()}
-        return ExplicitWeights(table)
+        opts = _preset_options("weight", name, spec, {"table": MappingProxyType}, required=("table",))
+        return ExplicitWeights({_parse_coordset(k): float(v) for k, v in opts["table"].items()})
     raise KeyError(f"unknown weight preset {name!r}")
 
 
@@ -547,8 +557,8 @@ def dump_points(
 def selftest(verbose: bool = True) -> bool:
     """Fast invariant suite for the CLI; returns True when everything holds."""
     from .decomp import alt_sum_S, anchored_component
-    from .gfpoly import FieldBase, poly_from_int
-    from .lattice import GeneratingVector as GV, irreducible_modulus
+    from .gfpoly import FieldBase
+    from .lattice import irreducible_modulus
 
     checks: list[tuple[str, bool]] = []
 
@@ -556,15 +566,13 @@ def selftest(verbose: bool = True) -> bool:
     ok = True
     for bb in (2, 3):
         for mm in (1, 2, 3):
-            base = FieldBase(bb)
-            gvec = GV(base, mm, irreducible_modulus(bb, mm), (poly_from_int(1, base),))
+            gvec = GeneratingVector(FieldBase(bb), mm, irreducible_modulus(bb, mm), (1,))
             vals = sorted(plr_points(gvec).values()[:, 0])
             ok &= np.allclose(vals, [i / bb**mm for i in range(bb**mm)])
     checks.append(("plr 1-d projections", ok))
 
     # worked dump example
-    lines = dump_points(2, 2, 1, gv=GeneratingVector(
-        FieldBase(2), 2, irreducible_modulus(2, 2), (poly_from_int(1, FieldBase(2)),)))
+    lines = dump_points(2, 2, 1, gv=GeneratingVector(FieldBase(2), 2, irreducible_modulus(2, 2), (1,)))
     checks.append(("dump worked example", lines[1:] == ["00", "01", "11", "10"]))
 
     # alternating sums vanish on downward closed families

@@ -1,9 +1,13 @@
 """Polynomial lattice point sets and component-by-component vector search.
 
-Points are stored as exact fixed-point numerators over b^m, so everything
-downstream (scrambling, digit dumps) stays bit-exact.  Base 2 gets a
-vectorized carryless-arithmetic path; other prime bases go through the
-generic polynomial routines.
+Polynomials over F_b live here as their base-b integer encodings
+sum_i c_i b^i; `gfpoly.PolyGF` is used only for field arithmetic
+(irreducibility, Laurent division and the field power table).  The points of
+a polynomial lattice rule form a digital net whose generating matrix is the
+Hankel matrix of the Laurent digits of q_j/p, so every column, in every
+base, is built from one Laurent expansion.  Points are stored as exact
+fixed-point numerators over b^m, so everything downstream (scrambling, digit
+dumps) stays bit-exact.
 """
 
 from __future__ import annotations
@@ -14,19 +18,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .gfpoly import (
-    FieldBase,
-    PolyGF,
-    digits_numerator,
-    is_irreducible,
-    laurent_digits,
-    poly_from_int,
-)
+from .gfpoly import FieldBase, is_irreducible, laurent_digits, poly_from_int
+
+
+def _check_size(b: int, m: int):
+    if b**m > 2**32:
+        # the base-2 scramble packs at most 32 digits of a value into 64-bit
+        # words; every base shares that bound on the point count
+        raise ValueError(f"lattice size b^m = {b}^{m} exceeds the 2^32 points "
+                         "the 64-bit digit arithmetic supports")
 
 
 @lru_cache(maxsize=None)
-def irreducible_modulus(b: int, m: int) -> PolyGF:
-    """The irreducible degree-m polynomial over F_b with smallest encoding.
+def irreducible_modulus(b: int, m: int) -> int:
+    """Encoding of the irreducible degree-m polynomial over F_b with smallest
+    encoding.
 
     Exhaustive search; cached.  Supports the desk-scale table b in {2, 3},
     m <= 20 (larger inputs work, just slower).
@@ -34,38 +40,40 @@ def irreducible_modulus(b: int, m: int) -> PolyGF:
     base = FieldBase(b)
     if m < 1:
         raise ValueError("modulus degree must be >= 1")
-    for low in range(b**m):
-        cand = poly_from_int(low + b**m, base)  # monic of degree m
-        if is_irreducible(cand):
-            return cand
+    for p in range(b**m, 2 * b**m):  # monic of degree m
+        if is_irreducible(poly_from_int(p, base)):
+            return p
     raise AssertionError("unreachable: irreducible polynomials exist at every degree")
 
 
 @dataclass(frozen=True)
 class GeneratingVector:
-    """Base, size m (n = b^m points), irreducible modulus, and components q_j."""
+    """Base, size m (n = b^m points), modulus p and components q_j, the
+    polynomials given by their base-b encodings.
+
+    p must be irreducible of degree m, and every q_j a nonzero residue mod p,
+    i.e. 0 < q_j < b^m.
+    """
 
     base: FieldBase
     m: int
-    modulus: PolyGF
-    q: tuple[PolyGF, ...]
+    modulus: int
+    q: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 1:
+        b, m = self.base.b, self.m
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.modulus.degree != self.m:
-            raise ValueError(
-                f"modulus degree {self.modulus.degree} does not match m = {self.m}"
-            )
-        if not is_irreducible(self.modulus):
+        _check_size(b, m)
+        p = poly_from_int(self.modulus, self.base)
+        if p.degree != m:
+            raise ValueError(f"modulus degree {p.degree} does not match m = {m}")
+        if not is_irreducible(p):
             raise ValueError("modulus must be irreducible")
         if not self.q:
             raise ValueError("generating vector needs at least one component")
-        q = tuple(qi % self.modulus for qi in self.q)
-        for qi in q:
-            if qi.is_zero():
-                raise ValueError("generating vector components must be nonzero mod p")
-        object.__setattr__(self, "q", q)
+        if not all(0 < qj < b**m for qj in self.q):
+            raise ValueError(f"generating vector components must lie in (0, b^m = {b**m})")
 
     @property
     def s(self) -> int:
@@ -102,42 +110,29 @@ class PointSet:
         return self.coords.astype(np.float64) / float(self.b**self.m)
 
 
-def _column_generic(gv: GeneratingVector, j: int) -> np.ndarray:
-    out = np.empty(gv.n, dtype=np.uint64)
-    for h in range(gv.n):
-        hp = poly_from_int(h, gv.base)
-        w = (hp * gv.q[j]) % gv.modulus
-        out[h] = digits_numerator(laurent_digits(w, gv.modulus, gv.m))
-    return out
+def _columns(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
+    """Base-b digits of the lattice columns q in qs under modulus p, most
+    significant first: entry [h, j] holds the first m Laurent digits of
+    h(x) q_j(x) / p(x), shape (b^m, len(qs), m).
 
-
-def _column_base2(m: int, p_int: int, q_int: int) -> np.ndarray:
-    """Column q of the base-2 lattice with modulus p, by carryless arithmetic
-    on packed uint64 encodings (degrees up to 2m - 1, so m <= 32)."""
-    if m > 32:
-        raise ValueError(f"base-2 lattice columns need m <= 32, got m = {m}")
-    n = 2**m
-    h = np.arange(n, dtype=np.uint64)
-    prod = np.zeros(n, dtype=np.uint64)
-    bit = 0
-    qq = q_int
-    while qq:
-        if qq & 1:
-            prod ^= h << np.uint64(bit)
-        qq >>= 1
-        bit += 1
-    # reduce mod p: degrees down to m
-    for d in range(2 * m - 2, m - 1, -1):
-        mask = (prod >> np.uint64(d)) & np.uint64(1)
-        prod ^= mask * np.uint64(p_int << (d - m))
-    # expand w/p to m digits: quotient of (w << m) / p
-    rem = prod << np.uint64(m)
-    quo = np.zeros(n, dtype=np.uint64)
-    for d in range(2 * m - 1, m - 1, -1):
-        mask = (rem >> np.uint64(d)) & np.uint64(1)
-        quo |= mask << np.uint64(d - m)
-        rem ^= mask * np.uint64(p_int << (d - m))
-    return quo
+    With u = (u_1, ..., u_{2m-1}) the Laurent digits of q/p, digit i of
+    point h = sum_k h_k b^k is sum_k h_k u_{i+k} mod b (a Hankel matrix), so
+    the rows double over the digits of h: the rows with h_k = a are the rows
+    so far plus a (u_{k+1}, ..., u_{k+m}).  All columns double together.
+    """
+    base = FieldBase(b)
+    den = poly_from_int(p, base)
+    u = np.array([laurent_digits(poly_from_int(q, base), den, 2 * m - 1).digits for q in qs])
+    hankel = u[:, np.add.outer(np.arange(m), np.arange(m))]  # [j, k]: u_{k+1..k+m} of q_j
+    dtype = np.min_scalar_type(2 * b - 2)  # a digit sum before reduction
+    shifts = (np.arange(b)[:, None, None, None] * hankel % b).astype(dtype)
+    rows = np.zeros((1, len(qs), m), dtype=dtype)
+    for k in range(m):
+        rows = (rows + shifts[:, None, :, k, :]).reshape(-1, len(qs), m)
+        # reduce mod b: in unsigned arithmetic rows - b wraps around to a
+        # larger value exactly when rows < b
+        np.minimum(rows, rows - b, out=rows)
+    return rows
 
 
 def plr_points(gv: GeneratingVector) -> PointSet:
@@ -145,13 +140,12 @@ def plr_points(gv: GeneratingVector) -> PointSet:
 
     Coordinate j of point h is the m-digit truncation of h(x) q_j(x) / p(x).
     """
-    cols = []
-    for j in range(gv.s):
-        if gv.base.b == 2:
-            cols.append(_column_base2(gv.m, gv.modulus.encode(), gv.q[j].encode()))
-        else:
-            cols.append(_column_generic(gv, j))
-    return PointSet(gv.base.b, gv.m, np.stack(cols, axis=1))
+    b, m = gv.base.b, gv.m
+    digits = _columns(b, m, gv.modulus, gv.q)
+    coords = np.zeros((gv.n, gv.s), dtype=np.uint64)
+    for t in range(m):
+        coords = coords * np.uint64(b) + digits[..., t]
+    return PointSet(b, m, coords)
 
 
 # --- search criteria -------------------------------------------------------
@@ -173,18 +167,6 @@ def _phi_table(b: int, m: int, rate: float = 2.0) -> np.ndarray:
         val -= b ** (-rate * l) * b ** (l - 1)
         tab[l] = val
     return tab
-
-
-def _first_nonzero_digit_pos(coords: np.ndarray, b: int, m: int) -> np.ndarray:
-    """Position (1-based) of the first nonzero base-b digit of an m-digit
-    numerator; 0 for the value 0.
-
-    A nonzero x has its first nonzero digit at m - #{1 <= k < m : x >= b^k}.
-    """
-    x = np.asarray(coords, dtype=np.uint64)
-    powers = np.array([b**k for k in range(1, m)], dtype=np.uint64)
-    pos = m - np.searchsorted(powers, x, side="right")
-    return np.where(x == 0, 0, pos)
 
 
 @lru_cache(maxsize=32)
@@ -233,12 +215,12 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _column_depths(m: int, p_int: int, q_int: int) -> np.ndarray:
-    """Leading digits each point of base-2 column q shares with point 0 (m
-    for point 0 itself), as read-only uint8.  A column depends only on
-    (m, modulus, q), so every vector search shares these."""
-    pos = _first_nonzero_digit_pos(_column_base2(m, p_int, q_int), 2, m)
-    depths = np.where(pos == 0, m, pos - 1).astype(np.uint8)
+def _column_depths(b: int, m: int, p: int, q: int) -> np.ndarray:
+    """Leading zero digits of each point of column q (m for point 0), as
+    read-only uint8.  A column depends only on (b, m, modulus, q), so every
+    vector search shares these."""
+    depths = (_columns(b, m, p, (q,))[:, 0] != 0).argmax(axis=1).astype(np.uint8)
+    depths[0] = m  # h q mod p is nonzero for h != 0, so only point 0 has no nonzero digit
     depths.flags.writeable = False
     return depths
 
@@ -263,8 +245,7 @@ def scramble_variance(gv: GeneratingVector, alpha: int,
     if len(w) != d:
         raise ValueError("need one weight per output coordinate")
     tab = _scramble_rho_table(gv.m, alpha)
-    p_int = gv.modulus.encode()
-    t = [_column_depths(gv.m, p_int, q.encode()) for q in gv.q]
+    t = [_column_depths(2, gv.m, gv.modulus, q) for q in gv.q]
     # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
     # residues near 1e-18 that a final mean(prod) - 1 would round away
     excess = np.zeros(gv.n)
@@ -293,8 +274,7 @@ def _search_variance(d: int, m: int, base: FieldBase, weights,
     rng = np.random.default_rng([0x5CA1E, base.b, m, d, alpha])
     best: tuple[float, GeneratingVector] | None = None
     for _ in range(_VARIANCE_TRIALS):
-        qs = tuple(poly_from_int(int(rng.integers(1, n)), base)
-                   for _ in range(d * alpha))
+        qs = tuple(int(rng.integers(1, n)) for _ in range(d * alpha))
         gv = GeneratingVector(base, m, modulus, qs)
         v = scramble_variance(gv, alpha, cw)
         if best is None or v < best[0]:
@@ -307,7 +287,7 @@ def _field_exp_table(b: int, m: int) -> np.ndarray:
     """Encodings of g^0, g^1, ..., g^{b^m-2} for a primitive element g of the
     field F_b[x]/p, p = irreducible_modulus(b, m)."""
     base = FieldBase(b)
-    modulus = irreducible_modulus(b, m)
+    modulus = poly_from_int(irreducible_modulus(b, m), base)
     n = b**m
     # g = 1 generates only the trivial group of F_2[x]/p with deg p = 1
     for genc in range(1, n):
@@ -343,8 +323,10 @@ def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
     N = n - 1
     modulus = irreducible_modulus(b, m)
     exp_ = _field_exp_table(b, m)
-    unit = GeneratingVector(base, m, modulus, (poly_from_int(1, base),))
-    pos = _first_nonzero_digit_pos(plr_points(unit).coords[:, 0], b, m)
+    # 1-based position of the first nonzero digit of each point h of the
+    # q = 1 column, 0 for point 0
+    pos = _column_depths(b, m, modulus, 1) + 1
+    pos[0] = 0
 
     running = np.ones(n)
     chosen = []
@@ -358,7 +340,7 @@ def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
         smin = scores.min()
         near = scores <= smin + 1e-11 * (1.0 + abs(smin))
         t = int(min(np.flatnonzero(near), key=lambda i: exp_[i]))
-        chosen.append(poly_from_int(int(exp_[t]), base))
+        chosen.append(int(exp_[t]))
         running[exp_] *= F[(np.arange(N) + t) % N]
         running[0] *= fac_by_h[0]
     return GeneratingVector(base, m, modulus, tuple(chosen))
@@ -385,10 +367,7 @@ def search_generating_vector(
     if s < 1:
         raise ValueError(f"number of coordinates s must be >= 1, got {s}")
     b = base.b
-    if b**m > 2**32:
-        # lattice digits and carryless products are held in 64-bit words
-        raise ValueError(f"lattice size b^m = {b}^{m} exceeds the 2^32 points "
-                         "the 64-bit digit arithmetic supports")
+    _check_size(b, m)  # before the modulus search, which grows with b^m
     if alpha >= 2 and b == 2 and s % alpha == 0:
         # interlaced rules are judged by the variance they deliver after
         # scrambling, which the dual criterion only bounds up to the squared

@@ -163,8 +163,8 @@ class ProductWeights(_ProductFamily):
     @classmethod
     def polynomial(cls, a: float, c: float = 1.0) -> "ProductWeights":
         """gamma_j = c * j^{-a}; decay exponent is a."""
-        if a <= 0 or c < 0:
-            raise ValueError("need a > 0 and c >= 0")
+        if not (a > 0 and c >= 0):  # written so that NaN fails too
+            raise ValueError(f"need a > 0 and c >= 0, got a = {a}, c = {c}")
         w = cls(lambda j, _a=a, _c=c: _c * j ** (-_a), declared_decay=a)
         object.__setattr__(w, "_poly_params", (a, c))
         return w

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestSampleCountFormula:
     def test_eps_positive(self):
         with pytest.raises(ValueError):
             consts(0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -0.1, float("-inf")])
+    def test_eps_must_exceed_zero(self, eps):
+        # a NaN accuracy would never prune the planner's depth-first search
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            consts(eps)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            PlannerConstants.for_weights(ProductWeights.polynomial(3.0), eps, 2.5)
+
+    @pytest.mark.parametrize("tau", [float("nan"), 0.0, -1.0, float("-inf")])
+    def test_for_weights_tau_must_exceed_zero(self, tau):
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            PlannerConstants.for_weights(ProductWeights.polynomial(3.0), 0.1, tau)
 
 
 class TestPlanStructure:
@@ -217,6 +231,16 @@ class TestCost:
         with pytest.raises(ValueError):
             cost_model("quadratic")
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("linear", {"s": 2.0}, "cost preset 'linear' has no option s"),
+        ("power", {"sigma": 1.0}, "cost preset 'power' has no option sigma"),
+        ("exp", {"sigma": "x"}, "bad value 'x' for option sigma"),
+        ("power", {"s": [1]}, "bad value [1] for option s"),
+    ])
+    def test_cost_model_options_are_checked(self, name, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cost_model(name, **params)
+
     def test_cost_at_least_one(self):
         from cdquad.cdalg import CostModel
 
@@ -229,7 +253,7 @@ def pair_integrand():
     def ev(x, a):
         return 1.0 + bernoulli(2, x.get(1, a)) + 0.5 * bernoulli(2, x.get(1, a)) * bernoulli(2, x.get(2, a))
 
-    return BlackBoxIntegrand(ev, declared_active=fs({1, 2}), known_integral=1.0)
+    return BlackBoxIntegrand(ev, declared_active=fs({1, 2}))
 
 
 class TestEstimator:

@@ -44,8 +44,7 @@ def b2_product(coeffs):
         return total
 
     active = fs().union(*coeffs) if coeffs else fs()
-    return BlackBoxIntegrand(ev, declared_active=active,
-                             known_integral=coeffs.get(fs(), 0.0))
+    return BlackBoxIntegrand(ev, declared_active=active)
 
 
 F_PAIR = b2_product({fs(): 1.0, fs({1}): 1.0, fs({2}): 0.7, fs({1, 2}): 0.5})
@@ -129,7 +128,7 @@ class TestAnchoredComponent:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            anchored_component(F_PAIR, tuple(range(1, 25)), A, {}, cap=20)
+            anchored_component(F_PAIR, tuple(range(1, 25)), A, {})
 
     def test_analytic_fast_path_agrees(self):
         # a bank integrand carries closed-form components; they must equal

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cdquad.gfpoly import (
-    DigitString,
     FieldBase,
     PolyGF,
-    digits_numerator,
     is_irreducible,
     laurent_digits,
     poly_from_int,
@@ -159,20 +157,6 @@ class TestLaurentDigits:
         exp_poly = PolyGF(base, tuple(reversed(d.digits)))
         diff = den * exp_poly - frac * PolyGF(base, (0,) * m + (1,))
         assert diff.is_zero() or diff.degree < den.degree
-
-
-class TestVm:
-    def test_examples(self):
-        # numerators over b^m: 0.01 = 1/4, 0.000 = 0, 0.11 = 3/4
-        assert digits_numerator(DigitString(F2, (0, 1))) == 1
-        assert digits_numerator(DigitString(F2, (0, 0, 0))) == 0
-        assert digits_numerator(DigitString(F2, (1, 1))) == 3
-
-    def test_fixed_point_agrees(self):
-        for enc in range(16):
-            digits = f"{enc:04b}"
-            d = DigitString(F2, tuple(int(c) for c in digits))
-            assert digits_numerator(d) == int(digits, 2)
 
 
 class TestHelpers:

@@ -119,12 +119,10 @@ class TestPresets:
 
 class TestDumpPoints:
     def test_worked_example(self):
-        from cdquad.gfpoly import FieldBase, poly_from_int
+        from cdquad.gfpoly import FieldBase
         from cdquad.lattice import irreducible_modulus
 
-        base = FieldBase(2)
-        gv = GeneratingVector(base, 2, irreducible_modulus(2, 2),
-                              (poly_from_int(1, base),))
+        gv = GeneratingVector(FieldBase(2), 2, irreducible_modulus(2, 2), (1,))
         assert dump_points(2, 2, 1, gv=gv)[1:] == ["00", "01", "11", "10"]
 
     @pytest.mark.parametrize("b,m", [(2, 2), (3, 3)])
@@ -285,6 +283,26 @@ class TestSelftestAndCLI:
         # past 2^32 points the 64-bit digit arithmetic cannot hold the lattice
         (["points", "--m", "33", "--s", "1"], "lattice size b^m = 2^33 exceeds the 2^32 points"),
         (["study", "--n-grid", "8589934592", "--reps", "2"], "lattice size b^m = 2^33 exceeds the 2^32 points"),
+        # a NaN accuracy never pruned the planner's search, which then ran on
+        (["plan", "--weights", "product-poly,a=3", "--eps-grid", "nan"], "eps must be > 0, got nan"),
+        (["estimate", "--bank", "pair", "--rule", "mc", "--eps-grid", "nan"], "eps must be > 0, got nan"),
+        (["plan", "--eps-grid", "0.5", "--tau", "nan"], "tau must be > 0, got nan"),
+        (["plan", "--eps-grid", "0.5", "--tau", "-1"], "tau must be > 0, got -1.0"),
+        # preset options are checked by name and converted by type
+        (["plan", "--weights", "product-poly,a=3,foo=1", "--eps-grid", "0.5"],
+         "weight preset 'product-poly' has no option foo"),
+        (["plan", "--cost", "linear,foo=1", "--eps-grid", "0.5"], "cost preset 'linear' has no option foo"),
+        (["plan", "--weights", "product-poly,a=x", "--eps-grid", "0.5"],
+         "weight preset 'product-poly': bad value 'x' for option a"),
+        (["plan", "--weights", "disjoint-pairs,a=3,count=x", "--eps-grid", "0.5"],
+         "weight preset 'disjoint-pairs': bad value 'x' for option count"),
+        (["estimate", "--bank", "weights,weights=product-poly,foo=1", "--eps-grid", "0.5"],
+         "bank preset 'weights' has no option foo"),
+        (["estimate", "--bank", "explicit,coeffs=3", "--eps-grid", "0.5"],
+         "bank preset 'explicit': bad value 3 for option coeffs"),
+        (["plan", "--cost", "exp,sigma=x", "--eps-grid", "0.5"], "cost preset 'exp': bad value 'x' for option sigma"),
+        (["plan", "--weights", "explicit", "--eps-grid", "0.5"], "weight preset 'explicit' needs option table"),
+        (["plan", "--weights", "product-poly,a=nan", "--eps-grid", "0.5"], "need a > 0 and c >= 0, got a = nan"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -6,16 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdquad.gfpoly import FieldBase, PolyGF, poly_from_int
+from cdquad.gfpoly import FieldBase, PolyGF, is_irreducible, laurent_digits, poly_from_int
 from cdquad.lattice import (
     GeneratingVector,
     irreducible_modulus,
     plr_points,
     scramble_variance,
     search_generating_vector,
-    _column_base2,
     _column_depths,
-    _first_nonzero_digit_pos,
     _phi_table,
     _scramble_rho_table,
 )
@@ -23,34 +21,62 @@ from cdquad.quadrature import RuleSpec, empirical_variance
 from cdquad.weights import ProductWeights
 
 F2 = FieldBase(2)
-F3 = FieldBase(3)
 
 
 def gv_for(b, m, q_encs):
+    return GeneratingVector(FieldBase(b), m, irreducible_modulus(b, m), tuple(q_encs))
+
+
+def column_oracle(b, m, p, q):
+    """Column q of the lattice with modulus p, one polynomial product and one
+    Laurent division per point h: the m digits of (h q mod p) / p as a
+    numerator over b^m."""
     base = FieldBase(b)
-    p = irreducible_modulus(b, m)
-    return GeneratingVector(base, m, p, tuple(poly_from_int(e, base) for e in q_encs))
+    pp, qq = poly_from_int(p, base), poly_from_int(q, base)
+    out = []
+    for h in range(b**m):
+        num = 0
+        for t in laurent_digits((poly_from_int(h, base) * qq) % pp, pp, m).digits:
+            num = num * b + t
+        out.append(num)
+    return out
+
+
+def first_nonzero_digit_pos(coords, b, m):
+    """Position (1-based) of the first nonzero base-b digit of an m-digit
+    numerator; 0 for the value 0.
+
+    A nonzero x has its first nonzero digit at m - #{1 <= k < m : x >= b^k}.
+    """
+    x = np.asarray(coords, dtype=np.uint64)
+    powers = np.array([b**k for k in range(1, m)], dtype=np.uint64)
+    pos = m - np.searchsorted(powers, x, side="right")
+    return np.where(x == 0, 0, pos)
 
 
 class TestGeneratingVector:
     def test_wrong_modulus_degree(self):
-        with pytest.raises(ValueError):
-            GeneratingVector(F2, 2, poly_from_int(3, F2), (poly_from_int(1, F2),))
+        with pytest.raises(ValueError, match="modulus degree 1 does not match m = 2"):
+            GeneratingVector(F2, 2, 3, (1,))
 
     def test_reducible_modulus(self):
-        with pytest.raises(ValueError):
-            GeneratingVector(F2, 2, poly_from_int(5, F2), (poly_from_int(1, F2),))
+        # x^2 + 1 = (x + 1)^2 over F_2
+        with pytest.raises(ValueError, match="irreducible"):
+            GeneratingVector(F2, 2, 5, (1,))
 
     def test_zero_component(self):
-        p = irreducible_modulus(2, 2)
-        with pytest.raises(ValueError):
-            GeneratingVector(F2, 2, p, (poly_from_int(0, F2),))
+        with pytest.raises(ValueError, match="components must lie in"):
+            GeneratingVector(F2, 2, irreducible_modulus(2, 2), (1, 0))
 
-    def test_component_over_other_field(self):
-        # a base-3 component below the modulus degree is still rejected
-        p = irreducible_modulus(2, 3)
-        with pytest.raises(ValueError, match="different bases"):
-            GeneratingVector(F2, 3, p, (poly_from_int(1, F2), poly_from_int(2, F3)))
+    @pytest.mark.parametrize("b,m", [(2, 2), (3, 2), (5, 1)])
+    def test_component_not_below_b_to_the_m(self, b, m):
+        with pytest.raises(ValueError, match="components must lie in"):
+            GeneratingVector(FieldBase(b), m, irreducible_modulus(b, m), (1, b**m))
+
+    def test_lattice_size_is_checked_first(self):
+        # x^33 + 1 is reducible, but the size check comes before any other
+        with pytest.raises(ValueError, match=r"b\^m = 2\^33 exceeds the 2\^32 points"):
+            GeneratingVector(F2, 33, 2**33 + 1, (1,))
 
     @pytest.mark.parametrize("b,m", [(2, 1), (2, 3), (3, 2)])
     def test_empty_vector(self, b, m):
@@ -99,10 +125,17 @@ class TestPlrPoints:
         ps = plr_points(gv_for(2, 3, [5]))
         assert np.allclose(ps.values(), ps.coords.astype(float) / 8)
 
-    def test_base2_columns_need_m_at_most_32(self):
-        # products of degree up to 2m - 1 must fit the uint64 encodings
-        with pytest.raises(ValueError, match="m <= 32"):
-            _column_base2(33, (1 << 33) | 1, 1)
+    @pytest.mark.parametrize("b,m", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 3), (3, 4),
+                                     (5, 1), (5, 2), (5, 3), (131, 1)])
+    def test_matches_column_oracle(self, b, m):
+        # every component at small sizes, a spread of them past b^m = 32;
+        # base 131 takes digit sums past 255 before their reduction mod b
+        n = b**m
+        qs = range(1, n) if n <= 32 else sorted({1, 2, b - 1, n // 3, n // 2 + 1, n - 2, n - 1})
+        gv = gv_for(b, m, qs)
+        coords = plr_points(gv).coords
+        for j, q in enumerate(qs):
+            assert coords[:, j].tolist() == column_oracle(b, m, gv.modulus, q)
 
 
 class DualWeightedMerit:
@@ -122,7 +155,7 @@ class DualWeightedMerit:
         self._phi = {r: _phi_table(b, m, r) for r in set(self.rates)}
 
     def _factor(self, col, j):
-        pos = _first_nonzero_digit_pos(col, self.b, self.m)
+        pos = first_nonzero_digit_pos(col, self.b, self.m)
         return 1.0 + self.w[j] * self._phi[self.rates[j]][pos]
 
     def start(self, n):
@@ -157,8 +190,8 @@ def dual_merit_bruteforce(gv, coord_weights, rates=None):
             continue
         acc = PolyGF(gv.base, ())
         for k, q in zip(kvec, gv.q):
-            acc = acc + poly_from_int(k, gv.base) * q
-        if (acc % gv.modulus).is_zero():
+            acc = acc + poly_from_int(k, gv.base) * poly_from_int(q, gv.base)
+        if (acc % poly_from_int(gv.modulus, gv.base)).is_zero():
             term = 1.0
             for j, k in enumerate(kvec):
                 if k:
@@ -180,8 +213,7 @@ def cbc_oracle(s, m, base, weights=None, alpha=1):
     for j in range(s):
         best = None
         for enc in range(1, b**m):
-            q = (poly_from_int(enc, base),)
-            col = plr_points(GeneratingVector(base, m, modulus, q)).coords[:, 0]
+            col = plr_points(GeneratingVector(base, m, modulus, (enc,))).coords[:, 0]
             score = merit.score(running, col, j)
             if best is None or score < best[0] - 1e-15:
                 best = (score, enc, col)
@@ -265,7 +297,7 @@ class TestFirstNonzeroDigitPos:
     @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (2, 1), (3, 1), (2, 13), (3, 6)])
     def test_matches_direct_expansion(self, b, m):
         coords = np.arange(b**m, dtype=np.uint64)
-        pos = _first_nonzero_digit_pos(coords, b, m)
+        pos = first_nonzero_digit_pos(coords, b, m)
         for v, p in zip(coords, pos):
             digs = [(int(v) // b**(m - 1 - t)) % b for t in range(m)]
             expect = next((t + 1 for t, d in enumerate(digs) if d), 0)
@@ -290,12 +322,12 @@ class TestDualWeightedMerit:
 class TestSearch:
     def test_one_dim_tie_breaks_to_one(self):
         gv = search_generating_vector(1, 2, F2)
-        assert gv.q[0].encode() == 1
+        assert gv.q == (1,)
 
     def test_deterministic(self):
         a = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
         b = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
-        assert [q.encode() for q in a.q] == [q.encode() for q in b.q]
+        assert a.q == b.q
 
     @pytest.mark.parametrize("b,s,alpha,name", [
         (2, 0, 1, "s"), (2, -1, 1, "s"), (2, 0, 2, "s"), (3, 0, 1, "s"),
@@ -325,7 +357,7 @@ class TestSearch:
         # the FFT correlation must pick the vector of the direct candidate
         # loop, down to the trivial group at b^m = 2
         gv = search_generating_vector(s, m, FieldBase(b), weights=weights, alpha=alpha)
-        assert [q.encode() for q in gv.q] == cbc_oracle(s, m, FieldBase(b), weights, alpha)
+        assert list(gv.q) == cbc_oracle(s, m, FieldBase(b), weights, alpha)
 
 
 class TestScrambleVariance:
@@ -380,8 +412,8 @@ class TestScrambleVariance:
             gv = gv_for(2, 5, encs)
             scramble_variance(gv, 2, [2.0])
             for q, col in zip(gv.q, plr_points(gv).coords.T):
-                pos = _first_nonzero_digit_pos(col, 2, 5)
-                depths = _column_depths(5, gv.modulus.encode(), q.encode())
+                pos = first_nonzero_digit_pos(col, 2, 5)
+                depths = _column_depths(2, 5, gv.modulus, q)
                 assert np.array_equal(depths, np.where(pos == 0, 5, pos - 1))
         assert _column_depths.cache_info().currsize == 3
 
@@ -406,10 +438,8 @@ class TestScrambleVariance:
 
 class TestIrreducibleModulus:
     def test_degree_and_irreducibility(self):
-        from cdquad.gfpoly import is_irreducible
-
         for b in (2, 3):
             for m in range(1, 8):
-                p = irreducible_modulus(b, m)
+                p = poly_from_int(irreducible_modulus(b, m), FieldBase(b))
                 assert p.degree == m
                 assert is_irreducible(p)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cdquad
 from cdquad import scramble
-from cdquad.gfpoly import FieldBase, poly_from_int
+from cdquad.gfpoly import FieldBase
 from cdquad.lattice import GeneratingVector, irreducible_modulus, plr_points
 from cdquad.prf import counters_uniform, derive_seed, mix64_array
 from cdquad.scramble import (
@@ -71,10 +71,9 @@ def interlace_integers(numerators, b, m):
 
 
 def small_net(b=2, m=3, s=2):
-    base = FieldBase(b)
-    p = irreducible_modulus(b, m)
-    q = tuple(poly_from_int(e, base) for e in ([1, 5] if b == 2 else [1, 2])[:s])
-    return plr_points(GeneratingVector(base, m, p, q)).coords
+    # at m = 2, x (encoding 2) is x^2 + 1 (encoding 5) reduced mod x^2 + x + 1
+    q = ([1, 5] if b == 2 and m > 2 else [1, 2])[:s]
+    return plr_points(GeneratingVector(FieldBase(b), m, irreducible_modulus(b, m), tuple(q))).coords
 
 
 class TestDigitPlumbing:
