@@ -330,8 +330,9 @@ def cd_estimate_many(
     """Run the plan under R master seeds: for each, the sum over active u of
     an independent randomized rule applied to the anchored component
     f_{u,a}.  The active sets are grouped by rule shape (|u|, n); each group
-    draws the R randomizations of all its sets in one call, indexed by the
-    master seeds, and each set then calls the integrand once."""
+    draws the R randomizations of its sets, indexed by the master seeds, in
+    one call per chunk of sets (see quadrature.run_rule_seeds), and each set
+    whose draws fit a chunk calls the integrand once."""
     import numpy as np
 
     dollar = dollar or cost_model("linear")

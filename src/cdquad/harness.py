@@ -44,7 +44,7 @@ from .quadrature import (
     empirical_variance,
     rule_keys,
 )
-from .scramble import interlace_digit_matrices
+from .scramble import check_base, interlace_digit_matrices
 from .weights import (
     ExplicitWeights,
     FiniteProductWeights,
@@ -241,7 +241,7 @@ def bank_preset(spec) -> BankFunction:
         except KeyError:
             raise KeyError(f"unknown bank preset {spec!r}") from None
     spec = dict(spec)
-    name = spec.pop("preset")
+    name = _preset_name("bank", spec, (*_BANK_PRESETS, "weights", "explicit"))
     if name == "weights":
         # the weights option is a weight preset, which weight_preset checks
         opts = _preset_options("bank", name, spec, {
@@ -265,6 +265,13 @@ def _parse_coordset(key: str) -> frozenset:
     return frozenset(int(t) for t in key.replace("{", "").replace("}", "").split(","))
 
 
+def _preset_name(kind: str, spec: dict, known) -> str:
+    """Pop the preset name of a config mapping."""
+    if "preset" not in spec:
+        raise ValueError(f"a {kind} mapping needs a 'preset' key, one of {', '.join(known)}")
+    return spec.pop("preset")
+
+
 def weight_preset(spec) -> WeightModel:
     """Resolve a weight model from a config mapping like
     {"preset": "product-poly", "a": 3.0}."""
@@ -273,7 +280,8 @@ def weight_preset(spec) -> WeightModel:
     if isinstance(spec, str):
         spec = {"preset": spec}
     spec = dict(spec)
-    name = spec.pop("preset")
+    name = _preset_name("weight", spec,
+                        ("product-poly", "finite-product-poly", "disjoint-pairs", "explicit"))
     if name == "product-poly":
         opts = _preset_options("weight", name, spec, {"a": float, "c": float})
         return ProductWeights.polynomial(opts.get("a", 3.0), opts.get("c", 1.0))
@@ -536,6 +544,7 @@ def dump_points(
     means identity scramble (the raw interlaced net); a seed draws the key of
     rule_points(RuleSpec("plr", (1..s), b^m, seed, alpha)) at index 0, so
     with the default vector the digits read as floats are that point set."""
+    check_base(b)
     if gv is None:
         gv = default_generating_vector(b, m, s * alpha, alpha)
     if (gv.base.b, gv.m) != (b, m):

@@ -4,16 +4,23 @@ Two kinds: plain Monte Carlo, and interlaced scrambled polynomial lattice
 rules.  Both use equal weights 1/n and independent per-coordinate
 randomization, so variance splits along the ANOVA decomposition.
 
-One key schedule feeds every draw: rule_keys turns (seed, u) into one
-blake2b key and spreads it over an array of R indices with the vectorized
-mix64 PRF, one uint64 key per randomization.  A replication number and a
-master seed are both such an index, and a single draw is the case R = 1.
-All entry points below are thin fronts over one keyed path.  It draws the
-point sets of K rules of one shape (kind, n, |u|, alpha, b, vector) under R
-indices in a single call, since every scramble is a per-key function; the
-changing-dimension estimator uses this to draw each group of active sets of
-equal (|u|, n) at once.  Each rule's integrand is then called once on all of
-its R*n points.
+One key schedule feeds every draw: each (seed, u) gets one blake2b key, and
+the vectorized mix64 PRF spreads it over an array of R indices, one uint64
+key per randomization; the keys of a group of sets are spread in one call.
+A replication number and a master seed are both such an index, and a single
+draw is the case R = 1.  All entry points below are thin fronts over one
+keyed path.  It draws the point sets of K rules of one shape (kind, n, |u|,
+alpha, b, vector) under R indices in a single call, since every scramble is
+a per-key function; the changing-dimension estimator uses this to draw each
+group of active sets of equal (|u|, n) at once.
+
+Memory contract: the estimators (run_rule_batch, run_rule_seeds and so
+empirical_variance) stream.  They draw, integrate and reduce one chunk of
+the (set, index) grid at a time, about scramble.CHUNK_BYTES of points, so
+they hold one chunk and the (K, R) means, never all R*n points.  A set whose
+R point sets fit one chunk calls its integrand once.  Rows do not depend on
+the chunking, as every draw is a function of its key and every mean of its
+row.  rule_points and rule_points_seeds return the full point array.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from .gfpoly import FieldBase
 from .lattice import GeneratingVector, plr_points, search_generating_vector
 from .prf import counters_uniform, derive_seed, mix64_array
-from .scramble import ScrambledRule
+from .scramble import ScrambledRule, check_base, key_chunks
 
 MONTE_CARLO = "mc"
 INTERLACED_PLR = "plr"
@@ -58,6 +65,7 @@ class RuleSpec:
         if self.kind not in (MONTE_CARLO, INTERLACED_PLR):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == INTERLACED_PLR:
+            check_base(self.b)
             m = round(math.log(self.n, self.b))
             if self.b**m != self.n:
                 raise ValueError("PLR rules need n = b^m")
@@ -87,31 +95,40 @@ def _scrambled_rule(gv: GeneratingVector, alpha: int) -> ScrambledRule:
     return ScrambledRule(gv.base.b, gv.m, plr_points(gv).coords, alpha)
 
 
-def rule_keys(seed: int, u, index) -> np.ndarray:
-    """The key schedule: one uint64 key per entry of the index array.
+def _keys(sets, index) -> np.ndarray:
+    """The key schedule for K (seed, u) pairs: shape (K, R), entry [k, r]
+    the counter-based PRF of the blake2b key of sets[k] at counter index[r].
+    One PRF call spreads the keys of all K sets."""
+    base = np.array([derive_seed(seed, "rule", u) for seed, u in sets], dtype=np.uint64)
+    return mix64_array(np.asarray(index, dtype=np.uint64)[None, :] ^ base[:, None])
 
-    (seed, u) gets a single blake2b key, and entry i is the counter-based
-    PRF of that key at counter index[i].  Distinct indices give distinct keys.
-    """
-    key = np.uint64(derive_seed(seed, "rule", u))
-    return mix64_array(np.asarray(index, dtype=np.uint64) ^ key)
+
+def rule_keys(seed: int, u, index) -> np.ndarray:
+    """One uint64 key per entry of the index array: (seed, u) gets a single
+    blake2b key, and entry i is the PRF of that key at counter index[i].
+    Distinct indices give distinct keys."""
+    return _keys([(seed, u)], np.atleast_1d(index))[0]
 
 
 def _shape(spec: RuleSpec) -> tuple:
     return (spec.kind, spec.n, len(spec.u), spec.alpha, spec.b, spec.gv)
 
 
+def _check_shapes(specs) -> None:
+    if any(_shape(other) != _shape(specs[0]) for other in specs[1:]):
+        raise ValueError("rules drawn together must share kind, n, |u|, alpha, b and vector")
+
+
 def _draw(specs, index) -> np.ndarray:
     """Point arrays of shape (K*R, n, |u|) for K specs of one shape; row
     k*R + r is randomization index[r] of specs[k]."""
     index = np.atleast_1d(index)
+    _check_shapes(specs)
     spec = specs[0]
-    if any(_shape(other) != _shape(spec) for other in specs[1:]):
-        raise ValueError("rules drawn together must share kind, n, |u|, alpha, b and vector")
     d = len(spec.u)
     if d == 0:
         return np.empty((len(specs) * len(index), spec.n, 0))
-    keys = np.concatenate([rule_keys(other.seed, other.u, index) for other in specs])
+    keys = _keys([(other.seed, other.u) for other in specs], index).reshape(-1)
     if spec.kind == MONTE_CARLO or spec.n == 1:
         # an n = 1 scrambled rule is the Owen scramble of one point, which is
         # a uniform draw: take its 53 bits per coordinate in one PRF call
@@ -123,14 +140,43 @@ def _draw(specs, index) -> np.ndarray:
 def _means(spec: RuleSpec, g, pts: np.ndarray) -> np.ndarray:
     """(1/n) sum of g over each of the R point sets; g is called once on all
     R*n points stacked, so pointwise integrands pay Python call overhead per
-    rule rather than per randomization."""
+    rule rather than per randomization.  Each row is reduced on its own, so
+    a row's mean does not depend on the rows drawn with it."""
     R = len(pts)
     vals = np.asarray(g(pts.reshape(R * spec.n, len(spec.u))), dtype=np.float64)
     return np.broadcast_to(vals, (R * spec.n,)).reshape(R, spec.n).mean(axis=1)
 
 
+def _block_means(specs, gs, pts: np.ndarray) -> np.ndarray:
+    """Means of shape (K, r) of K rules whose r point sets each fill
+    consecutive blocks of pts."""
+    r = len(pts) // len(specs)
+    return np.stack([_means(spec, g, pts[k * r:(k + 1) * r])
+                     for k, (spec, g) in enumerate(zip(specs, gs))])
+
+
+def _run(specs, gs, index, draw) -> np.ndarray:
+    """Means of shape (K, R): rule specs[k] on gs[k] under index[r].
+
+    The work streams over chunks of the (set, index) grid, sets first: each
+    chunk is drawn by draw(specs, index), integrated and reduced before the
+    next.  A chunk holds as many whole sets as fit CHUNK_BYTES of points, and
+    a set that alone overflows it is split along its indices, so a set that
+    fits calls its integrand once."""
+    index = np.atleast_1d(index)
+    R = len(index)
+    row_bytes = 8 * specs[0].n * len(specs[0].u)  # one float64 point set
+    out = np.empty((len(specs), R))
+    for sets in key_chunks(len(specs), R * row_bytes):
+        # only a chunk of one set can overflow, and only it splits its index;
+        # a chunk's points are a temporary, freed before the next is drawn
+        for rows in key_chunks(R, row_bytes):
+            out[sets, rows] = _block_means(specs[sets], gs[sets], draw(specs[sets], index[rows]))
+    return out
+
+
 def rule_points(spec: RuleSpec, index=0) -> np.ndarray:
-    """The randomized point array of a rule.
+    """The randomized point array of a rule, in full.
 
     A scalar index gives shape (n, |u|); an index array gives (R, n, |u|)
     whose row i equals rule_points(spec, index[i]).
@@ -141,28 +187,27 @@ def rule_points(spec: RuleSpec, index=0) -> np.ndarray:
 
 def rule_points_seeds(specs, seeds) -> np.ndarray:
     """The point sets of K rules of one shape under R master seeds, drawn
-    together: shape (K*R, n, |u|), row k*R + r equal to
+    together, in full: shape (K*R, n, |u|), row k*R + r equal to
     rule_points(specs[k], seeds[r])."""
     return _draw(list(specs), seeds)
 
 
 def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
-    """Estimates for the randomizations `reps` of one rule."""
-    return _means(spec, g, rule_points(spec, reps))
+    """Estimates for the randomizations `reps` of one rule, drawn by
+    rule_points one chunk of reps at a time."""
+    return _run([spec], [g], reps, lambda _, index: rule_points(spec, index))[0]
 
 
 def run_rule_seeds(specs, gs, seeds) -> np.ndarray:
     """Estimates of K rules of one shape, rule k on its own integrand gs[k],
     under R master seeds: shape (K, R), row k equal to
-    run_rule_batch(specs[k], gs[k], seeds).  The K point sets come from one
-    draw."""
+    run_rule_batch(specs[k], gs[k], seeds).  Each chunk of rules is drawn by
+    one rule_points_seeds call."""
     specs = list(specs)
     if len(gs) != len(specs):
         raise ValueError(f"need one integrand per rule, got {len(gs)} for {len(specs)}")
-    pts = rule_points_seeds(specs, seeds)
-    R = len(pts) // len(specs)
-    return np.stack([_means(spec, g, pts[k * R:(k + 1) * R])
-                     for k, (spec, g) in enumerate(zip(specs, gs))])
+    _check_shapes(specs)
+    return _run(specs, gs, seeds, rule_points_seeds)
 
 
 @dataclass(frozen=True)

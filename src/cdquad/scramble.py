@@ -51,9 +51,24 @@ def _const(mult: int, k: int) -> np.uint64:
 MAX_FLOAT_DIGITS_B2 = 53
 #: base-2 point values and node indices must fit a 64-bit word with room to spare
 MAX_BASE2_DIGITS = 32
-#: ScrambledRule scrambles its keys in chunks of about this many output digits,
-#: so its temporaries stay bounded whatever the number of keys
-_CHUNK_DIGITS = 1 << 20
+#: digits are held as uint8, so the base is at most this: digit b - 1 fits a byte
+MAX_BASE = 256
+#: keyed work runs over chunks of keys whose per-key output totals about this
+#: many bytes (see key_chunks), so its memory is bounded by a chunk whatever
+#: the number of keys
+CHUNK_BYTES = 1 << 21
+
+
+def key_chunks(count: int, bytes_per_key: int) -> list[slice]:
+    """Consecutive slices of range(count), each of as many keys as fit
+    CHUNK_BYTES at bytes_per_key, and at least one."""
+    step = max(1, CHUNK_BYTES // max(1, bytes_per_key))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def check_base(b: int) -> None:
+    if b > MAX_BASE:
+        raise ValueError(f"digit base must be at most {MAX_BASE} (digits are uint8), got {b}")
 
 
 def float_digit_cap(b: int) -> int:
@@ -221,6 +236,7 @@ class ScrambledRule:
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
+        check_base(b)
         self.b = b
         self.m = m
         self.alpha = alpha
@@ -239,8 +255,9 @@ class ScrambledRule:
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
     def _chunks(self, R: int):
-        step = max(1, _CHUNK_DIGITS // (self._stream_salt.size * self.n * self.prec))
-        return [slice(i, i + step) for i in range(0, R, step)]
+        # a chunk holds its scrambled digits and their interlaced copy: two
+        # uint8 digits per stream, point and output digit
+        return key_chunks(R, 2 * self._stream_salt.size * self.n * self.prec)
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""

@@ -108,6 +108,12 @@ class TestPresets:
         with pytest.raises(KeyError):
             weight_preset("nope")
 
+    @pytest.mark.parametrize("resolve,kind,first", [(weight_preset, "weight", "product-poly"),
+                                                    (bank_preset, "bank", "constant")])
+    def test_mapping_without_preset_names_the_key(self, resolve, kind, first):
+        with pytest.raises(ValueError, match=f"a {kind} mapping needs a 'preset' key, one of {first}, "):
+            resolve({"a": 3})
+
     def test_explicit_presets(self):
         w = weight_preset({"preset": "explicit",
                            "table": {"1": 0.5, "2": 0.5, "1,2": 0.25}})
@@ -148,6 +154,12 @@ class TestDumpPoints:
             for j, digits in enumerate(cols):
                 val = sum(int(c) * 2.0 ** -(p + 1) for p, c in enumerate(digits))
                 assert val == float(pts.values()[h][j])
+
+    def test_bases_past_uint8_digits_rejected(self):
+        # digits are uint8: base 257 would print digit 256 as 0
+        assert dump_points(251, 1, 1)[-1] == "250"
+        with pytest.raises(ValueError, match="digit base must be at most 256"):
+            dump_points(257, 1, 1)
 
     def test_byte_identical_reruns(self):
         a = dump_points(2, 4, 2, alpha=2, seed=11)
@@ -303,6 +315,13 @@ class TestSelftestAndCLI:
         (["plan", "--cost", "exp,sigma=x", "--eps-grid", "0.5"], "cost preset 'exp': bad value 'x' for option sigma"),
         (["plan", "--weights", "explicit", "--eps-grid", "0.5"], "weight preset 'explicit' needs option table"),
         (["plan", "--weights", "product-poly,a=nan", "--eps-grid", "0.5"], "need a > 0 and c >= 0, got a = nan"),
+        (["points", "--base", "257", "--m", "1", "--s", "1"], "digit base must be at most 256"),
+        (["plan", "--weights", '{"a":3}', "--eps-grid", "0.5"],
+         "a weight mapping needs a 'preset' key, one of product-poly, finite-product-poly, "
+         "disjoint-pairs, explicit"),
+        (["estimate", "--bank", '{"a":3}', "--eps-grid", "0.5"],
+         "a bank mapping needs a 'preset' key, one of constant, single, orthogonal2, pair, "
+         "weights, explicit"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

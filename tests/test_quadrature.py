@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdquad.gfpoly import FieldBase
 from cdquad.kernels import bernoulli
-from cdquad import quadrature
+from cdquad import quadrature, scramble
 from cdquad.lattice import plr_points, search_generating_vector
 from cdquad.quadrature import (
     INTERLACED_PLR,
@@ -50,6 +50,10 @@ class TestRuleSpecValidation:
 
     def test_m_property(self):
         assert RuleSpec(INTERLACED_PLR, (1,), 16, 0).m == 4
+
+    def test_plr_base_past_uint8_digits_rejected(self):
+        with pytest.raises(ValueError, match="digit base must be at most 256"):
+            RuleSpec(INTERLACED_PLR, (1,), 257, 0, b=257)
 
     @pytest.mark.parametrize("b,m", [(2, 3), (3, 2)])
     def test_gv_must_match_base_and_size(self, b, m):
@@ -277,3 +281,94 @@ class TestGroupDraw:
         specs = [RuleSpec(MONTE_CARLO, (1,), 4, 0), RuleSpec(MONTE_CARLO, (2,), 4, 0)]
         with pytest.raises(ValueError, match="one integrand per rule"):
             run_rule_seeds(specs, [smooth_pair], [0])
+
+
+def whole_means(spec, g, pts):
+    """The definition of the estimates: g on all R*n points of an (R, n, |u|)
+    draw at once, then the mean of each row."""
+    R = len(pts)
+    vals = np.asarray(g(pts.reshape(R * spec.n, len(spec.u))), dtype=np.float64)
+    return np.broadcast_to(vals, (R * spec.n,)).reshape(R, spec.n).mean(axis=1)
+
+
+def counted(fn, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
+STREAMED = [
+    RuleSpec(INTERLACED_PLR, (1, 2), 8, 3, alpha=2),
+    RuleSpec(INTERLACED_PLR, (2, 5), 9, 3, alpha=2, b=3),
+    RuleSpec(MONTE_CARLO, (1, 2), 8, 3),
+    RuleSpec(INTERLACED_PLR, (1, 2), 1, 3, alpha=2),  # n = 1
+    RuleSpec(INTERLACED_PLR, (), 4, 3),  # |u| = 0
+]
+INTEGRANDS = {
+    "pointwise": lambda p: np.exp(p).prod(axis=1) + np.sin(7.0 * p).sum(axis=1),
+    "scalar": lambda p: 2.5,
+}
+
+
+class TestStreaming:
+    """The estimators draw, integrate and reduce one chunk at a time; their
+    values equal the whole draw's bit for bit, whatever the chunk budget."""
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("spec", STREAMED, ids=lambda s: f"{s.kind}-b{s.b}-n{s.n}-d{len(s.u)}")
+    def test_one_key_per_chunk_equals_whole_draw(self, monkeypatch, spec, name):
+        g = INTEGRANDS[name]
+        reps, seeds = np.arange(7), np.array([11, 2**63 + 5, 3], dtype=np.uint64)
+        specs = [spec] + [RuleSpec(spec.kind, tuple(j + 10 * k for j in spec.u), spec.n, k,
+                                   alpha=spec.alpha, b=spec.b) for k in (1, 2)]
+        batch = whole_means(spec, g, rule_points(spec, reps))
+        pts = rule_points_seeds(specs, seeds)
+        group = np.stack([whole_means(s, g, pts[3 * k:3 * k + 3]) for k, s in enumerate(specs)])
+        ev = empirical_variance(spec, g, 7)
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", 1)
+        assert np.array_equal(run_rule_batch(spec, g, reps), batch)
+        assert np.array_equal(run_rule_seeds(specs, [g] * 3, seeds), group)
+        assert empirical_variance(spec, g, 7) == ev
+
+    @pytest.mark.parametrize("sets_per_chunk,sizes", [(3, [3]), (2, [2, 1]), (1, [1, 1, 1])])
+    def test_sets_chunked_first(self, monkeypatch, sets_per_chunk, sizes):
+        # K = 3 sets of R = 4 point sets of 8 two-dimensional points, 512
+        # bytes each: sets share a chunk while they fit, and a set that fits
+        # is drawn with all its seeds and integrated once
+        R, row_bytes = 4, 8 * 8 * 2
+        specs = [RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2) for k in (1, 3, 5)]
+        seeds = np.arange(R, dtype=np.uint64)
+        expect = run_rule_seeds(specs, [smooth_pair] * 3, seeds)
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", sets_per_chunk * R * row_bytes)
+        draws, evals = [], []
+        monkeypatch.setattr(quadrature, "rule_points_seeds",
+                            counted(quadrature.rule_points_seeds, draws))
+        got = run_rule_seeds(specs, [counted(smooth_pair, evals)] * 3, seeds)
+        assert np.array_equal(got, expect)
+        assert [(len(s), list(i)) for s, i in draws] == [(size, [0, 1, 2, 3]) for size in sizes]
+        assert len(evals) == 3
+
+    def test_overflowing_set_splits_its_seeds(self, monkeypatch):
+        R, row_bytes = 4, 8 * 8 * 2
+        specs = [RuleSpec(MONTE_CARLO, (k, k + 1), 8, 0) for k in (1, 3)]
+        seeds = np.arange(R, dtype=np.uint64)
+        expect = run_rule_seeds(specs, [smooth_pair] * 2, seeds)
+        # three point sets fit the budget, so each set draws seeds 0-2 then 3
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", 3 * row_bytes + 1)
+        draws, evals = [], []
+        monkeypatch.setattr(quadrature, "rule_points_seeds",
+                            counted(quadrature.rule_points_seeds, draws))
+        got = run_rule_seeds(specs, [counted(smooth_pair, evals)] * 2, seeds)
+        assert np.array_equal(got, expect)
+        assert [(len(s), list(i)) for s, i in draws] == [(1, [0, 1, 2]), (1, [3])] * 2
+        assert len(evals) == 4
+
+    def test_batch_draws_once_per_chunk(self, monkeypatch):
+        spec = RuleSpec(INTERLACED_PLR, (1, 2), 16, 0, alpha=2)
+        expect = run_rule_batch(spec, smooth_pair, np.arange(10))
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", 4 * 8 * 16 * 2)
+        draws = []
+        monkeypatch.setattr(quadrature, "rule_points", counted(quadrature.rule_points, draws))
+        assert np.array_equal(run_rule_batch(spec, smooth_pair, np.arange(10)), expect)
+        assert [list(index) for _, index in draws] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]

@@ -272,13 +272,13 @@ class TestBase2TreeScramble:
         rule = ScrambledRule(2, m, nums, alpha)
         keys_ = key_array(seed ^ 7, R)
         whole_digits, whole_points = rule.digits(keys_), rule.points(keys_)
-        old = scramble._CHUNK_DIGITS
+        old = scramble.CHUNK_BYTES
         try:
-            scramble._CHUNK_DIGITS = 1  # one key per chunk
+            scramble.CHUNK_BYTES = 1  # one key per chunk
             assert np.array_equal(rule.digits(keys_), whole_digits)
             assert np.array_equal(rule.points(keys_), whole_points)
         finally:
-            scramble._CHUNK_DIGITS = old
+            scramble.CHUNK_BYTES = old
         for i in range(R):
             assert np.array_equal(rule.digits(keys_[i:i + 1])[0], whole_digits[i])
 
@@ -313,6 +313,10 @@ def keys(*values):
 
 
 class TestScrambledRule:
+    def test_base_past_uint8_digits_rejected(self):
+        with pytest.raises(ValueError, match="digit base must be at most 256"):
+            ScrambledRule(257, 1, np.arange(257, dtype=np.uint64)[:, None], 1)
+
     def test_replicate_shapes(self):
         rule = ScrambledRule(2, 3, small_net(), alpha=1)
         assert rule.points(keys(1)).shape == (1, 8, 2)
@@ -360,6 +364,29 @@ class TestScrambledRule:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=600, check=True)
         assert float(done.stdout.strip()) < 512
+
+    def test_criterion4_shape_estimator_memory(self):
+        # the same shape through empirical_variance, in a fresh interpreter:
+        # the estimator draws, integrates and reduces one chunk of keys at a
+        # time, so its peak RSS stays far below the 62.5 MB of all R*n points.
+        # The peak is the child's VmHWM: a spawned child's ru_maxrss starts
+        # at the peak RSS of the process that spawned it (here the test run)
+        code = (
+            "from cdquad.harness import bank_preset\n"
+            "from cdquad.quadrature import RuleSpec, empirical_variance\n"
+            "bank = bank_preset('pair')\n"
+            "spec = RuleSpec('plr', bank.active, 2**13, 7, alpha=3)\n"
+            "est = empirical_variance(spec, bank.on_points(bank.active), 500)\n"
+            "assert est.replications == 500 and est.variance > 0\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(status.split('VmHWM:')[1].split()[0]) / 1024)\n"
+        )
+        src = str(Path(cdquad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        assert float(done.stdout.strip()) < 128
 
     def test_unbiased_on_linear(self):
         # d=1, alpha=2 interlaced scrambled rule integrates f(y)=y unbiasedly
