@@ -28,6 +28,7 @@ from .cdalg import (
 )
 from .harness import (
     ExperimentConfig,
+    _preset_name,
     dump_points,
     run_convergence_study,
     run_variance_study,
@@ -98,7 +99,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         overrides["bank"] = _parse_spec(args.bank) if "," in args.bank or args.bank.startswith("{") else args.bank
     if args.cost:
         spec = _parse_spec(args.cost)
-        overrides["cost"] = spec.pop("preset")
+        overrides["cost"] = _preset_name("cost", spec, ("linear", "power", "exp"))
         overrides["cost_params"] = spec
     if args.eps_grid:
         overrides["eps_grid"] = _parse_grid(args.eps_grid, float)

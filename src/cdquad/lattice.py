@@ -4,10 +4,11 @@ Polynomials over F_b live here as their base-b integer encodings
 sum_i c_i b^i; `gfpoly.PolyGF` is used only for field arithmetic
 (irreducibility, Laurent division and the field power table).  The points of
 a polynomial lattice rule form a digital net whose generating matrix is the
-Hankel matrix of the Laurent digits of q_j/p, so every column, in every
-base, is built from one Laurent expansion.  Points are stored as exact
-fixed-point numerators over b^m, so everything downstream (scrambling, digit
-dumps) stays bit-exact.
+Hankel matrix of the Laurent digits of q_j/p.  Those digits are F_b-linear
+in q_j, so every column, in every base, comes from one Laurent basis per
+modulus: the digits of x^i/p for i < m, read off one expansion of 1/p.
+Points are stored as exact fixed-point numerators over b^m, so everything
+downstream (scrambling, digit dumps) stays bit-exact.
 """
 
 from __future__ import annotations
@@ -110,22 +111,36 @@ class PointSet:
         return self.coords.astype(np.float64) / float(self.b**self.m)
 
 
+@lru_cache(maxsize=64)
+def _laurent_basis(b: int, m: int, p: int) -> np.ndarray:
+    """Row i holds the first 2m - 1 Laurent digits of x^i / p, i < m, as
+    read-only uint64.  x^i / p is 1/p shifted up by i places, so one
+    expansion of 1/p to 3m - 2 digits gives every row."""
+    base = FieldBase(b)
+    t = laurent_digits(poly_from_int(1, base), poly_from_int(p, base), 3 * m - 2).digits
+    basis = np.array(t, dtype=np.uint64)[np.add.outer(np.arange(m), np.arange(2 * m - 1))]
+    basis.flags.writeable = False
+    return basis
+
+
 def _columns(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
     """Base-b digits of the lattice columns q in qs under modulus p, most
     significant first: entry [h, j] holds the first m Laurent digits of
     h(x) q_j(x) / p(x), shape (b^m, len(qs), m).
 
-    With u = (u_1, ..., u_{2m-1}) the Laurent digits of q/p, digit i of
-    point h = sum_k h_k b^k is sum_k h_k u_{i+k} mod b (a Hankel matrix), so
-    the rows double over the digits of h: the rows with h_k = a are the rows
-    so far plus a (u_{k+1}, ..., u_{k+m}).  All columns double together.
+    The Laurent digits u = (u_1, ..., u_{2m-1}) of q/p are the base-b digits
+    of q times the Laurent basis, mod b.  Digit i of point h = sum_k h_k b^k
+    is then sum_k h_k u_{i+k} mod b (a Hankel matrix), so the rows double
+    over the digits of h: the rows with h_k = a are the rows so far plus
+    a (u_{k+1}, ..., u_{k+m}).  All columns double together.  The products
+    stay in uint64, where (b - 1)^2 m fits for every b^m <= 2^32.
     """
-    base = FieldBase(b)
-    den = poly_from_int(p, base)
-    u = np.array([laurent_digits(poly_from_int(q, base), den, 2 * m - 1).digits for q in qs])
+    ub = np.uint64(b)
+    qd = np.asarray(qs, dtype=np.uint64)[:, None] // ub ** np.arange(m, dtype=np.uint64) % ub
+    u = qd @ _laurent_basis(b, m, p) % ub
     hankel = u[:, np.add.outer(np.arange(m), np.arange(m))]  # [j, k]: u_{k+1..k+m} of q_j
     dtype = np.min_scalar_type(2 * b - 2)  # a digit sum before reduction
-    shifts = (np.arange(b)[:, None, None, None] * hankel % b).astype(dtype)
+    shifts = (np.arange(b, dtype=np.uint64)[:, None, None, None] * hankel % ub).astype(dtype)
     rows = np.zeros((1, len(qs), m), dtype=dtype)
     for k in range(m):
         rows = (rows + shifts[:, None, :, k, :]).reshape(-1, len(qs), m)
@@ -191,69 +206,113 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     of its digits a < t_r minus that of digit t_r to C, and the 16^-p of its
     digits a <= t_r to K; for t_r = m it adds its whole geometric series.
     The deep-match entries are tiny residues of near-total cancellation, so
-    the sums run in exact rationals and only the final value is rounded to
-    a float.
+    the sums run exactly, as integers over the common denominators
+    4^{alpha m} (4^alpha - 1) for C and 16^{alpha m} (16^alpha - 1) for K,
+    and each entry is rounded once, by one correctly rounded int / int.
     """
-    from fractions import Fraction as Fr
-
+    g4, g16 = 4**alpha - 1, 16**alpha - 1
+    top = alpha * m  # the deepest digit position of a finite stream prefix
     C = K = 0
     for r in range(1, alpha + 1):
         c, k = [], []
-        shared4 = shared16 = Fr(0)
+        shared4 = shared16 = 0
         for a in range(m):
-            w = Fr(1, 4 ** (alpha * a + r))
-            c.append(shared4 - w)
-            shared4 += w
-            shared16 += w * w
+            w4 = 4 ** (top - alpha * a - r) * g4  # 4^-p with p = alpha a + r
+            w16 = 16 ** (top - alpha * a - r) * g16
+            c.append(shared4 - w4)
+            shared4 += w4
+            shared16 += w16
             k.append(shared16)
-        c.append(Fr(1, 4**r) / (1 - Fr(1, 4**alpha)))
-        k.append(Fr(1, 16**r) / (1 - Fr(1, 16**alpha)))
+        c.append(4 ** (top + alpha - r))  # 4^-r / (1 - 4^-alpha)
+        k.append(16 ** (top + alpha - r))
         axis = (1,) * (r - 1) + (m + 1,) + (1,) * (alpha - r)
         C = C + np.array(c, dtype=object).reshape(axis)
         K = K + np.array(k, dtype=object).reshape(axis)
-    return ((C * C - K) / 8).astype(float)
+    # over 16^{alpha m} g4^2 (4^alpha + 1), as 16^alpha - 1 = g4 (4^alpha + 1)
+    num = C * C * (4**alpha + 1) - K * g4
+    return (num / (8 * 16**top * g4 * g4 * (4**alpha + 1))).astype(float)
 
 
-@lru_cache(maxsize=4096)
-def _column_depths(b: int, m: int, p: int, q: int) -> np.ndarray:
-    """Leading zero digits of each point of column q (m for point 0), as
-    read-only uint8.  A column depends only on (b, m, modulus, q), so every
-    vector search shares these."""
-    depths = (_columns(b, m, p, (q,))[:, 0] != 0).argmax(axis=1).astype(np.uint8)
-    depths[0] = m  # h q mod p is nonzero for h != 0, so only point 0 has no nonzero digit
-    depths.flags.writeable = False
-    return depths
+#: the vector searches build columns and score candidates in chunks whose
+#: temporaries total about this many bytes
+_SEARCH_BYTES = 1 << 18
 
 
-def scramble_variance(gv: GeneratingVector, alpha: int,
-                      coord_weights: Sequence[float] | None = None) -> float:
-    """Exact variance of the stream-scrambled interlaced rule on the product
+def _depths(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
+    """Leading zero digits of every point of each column q in qs (m for
+    point 0), shape (len(qs), b^m) uint8.  The columns are built a few at a
+    time, so their digits and the temporaries over them stay within
+    _SEARCH_BYTES."""
+    n = b**m
+    out = np.empty((len(qs), n), dtype=np.uint8)
+    # per point and column: the digits and their mod-b and nonzero
+    # temporaries (m bytes each), and the argmax index
+    step = max(1, _SEARCH_BYTES // (n * (3 * m + 8)))
+    for i in range(0, len(qs), step):
+        out[i:i + step] = (_columns(b, m, p, qs[i:i + step]) != 0).argmax(axis=2).T
+    out[:, 0] = m  # h q mod p is nonzero for h != 0, so only point 0 has no nonzero digit
+    return out
+
+
+def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
+                      coord_weights: Sequence[float] | None = None) -> np.ndarray:
+    """Exact variances of stream-scrambled interlaced rules on the product
     test integrand prod_j (1 + sqrt(g_j) B2(x_j)), base 2 only.
+
+    The arguments are those of a GeneratingVector, with q a (T, d * alpha)
+    array whose rows are the component encodings of T vectors on the same
+    irreducible modulus; the result has shape (T,).  One vector gv is the
+    case T = 1, scramble_variance(gv.base, gv.m, gv.modulus, [gv.q], alpha).
 
     The points form a group under digitwise XOR, so pair covariances reduce
     to a sum over the point set itself: each point's per-stream leading-zero
     depths index the rho table, covariances multiply across independently
     scrambled output coordinates, and the zero point supplies the diagonal
-    Var(f)/n term.
+    Var(f)/n term.  The depths of each distinct column are built once, as
+    one uint8 per point; the (vectors, points) float arrays go a chunk of
+    vectors at a time.
     """
-    if gv.base.b != 2:
+    if base.b != 2:
         raise ValueError("exact scramble variance is implemented for base 2")
-    if gv.s % alpha:
+    p = poly_from_int(modulus, base)
+    if p.degree != m or not is_irreducible(p):
+        raise ValueError(f"modulus must be irreducible of degree m = {m}")
+    n = 2**m
+    q = np.asarray(q, dtype=np.int64)
+    if q.ndim != 2:
+        raise ValueError("q must be a (T, d * alpha) array of component encodings")
+    if q.shape[1] % alpha:
         raise ValueError("vector length must be a multiple of alpha")
-    d = gv.s // alpha
+    if not ((0 < q) & (q < n)).all():
+        raise ValueError(f"generating vector components must lie in (0, b^m = {n})")
+    d = q.shape[1] // alpha
     w = list(coord_weights) if coord_weights is not None else [1.0] * d
     if len(w) != d:
         raise ValueError("need one weight per output coordinate")
-    tab = _scramble_rho_table(gv.m, alpha)
-    t = [_column_depths(2, gv.m, gv.modulus, q) for q in gv.q]
-    # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
-    # residues near 1e-18 that a final mean(prod) - 1 would round away
-    excess = np.zeros(gv.n)
-    for j in range(d):
-        idx = tuple(t[j * alpha + r] for r in range(alpha))
-        f = w[j] * tab[idx]
-        excess += f + excess * f
-    return float(np.mean(excess))
+    qs, cols = np.unique(q, return_inverse=True)
+    cols = cols.reshape(q.shape)
+    depths = _depths(2, m, modulus, qs.tolist())
+    # the rho table flattened, times the weight of each output coordinate
+    tab = _scramble_rho_table(m, alpha).ravel()
+    wtabs = [wj * tab for wj in w]
+    strides = (m + 1) ** np.arange(alpha - 1, -1, -1, dtype=np.intp)
+    out = np.empty(len(q))
+    # per vector and point: the running excess, the flat index, the gathered
+    # factor and three temporaries, 8 bytes each, and a gathered depth
+    step = max(1, _SEARCH_BYTES // (n * 49))
+    for i in range(0, len(q), step):
+        chunk = cols[i:i + step]
+        # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
+        # residues near 1e-18 that a final mean(prod) - 1 would round away
+        excess = np.zeros((len(chunk), n))
+        for j, wtab in enumerate(wtabs):
+            flat = np.zeros((len(chunk), n), dtype=np.intp)
+            for r in range(alpha):
+                flat += depths[chunk[:, j * alpha + r]] * strides[r]
+            f = wtab[flat]
+            excess += f + excess * f
+        out[i:i + step] = excess.mean(axis=1)
+    return out
 
 
 _VARIANCE_TRIALS = 128
@@ -265,21 +324,18 @@ def _search_variance(d: int, m: int, base: FieldBase, weights,
 
     The variance criterion does not factor per stream, so instead of a CBC
     sweep we draw whole candidate vectors from a generator seeded by the rule
-    parameters (deterministic and platform independent) and keep the best.
+    parameters (deterministic and platform independent), score them all in
+    one batched pass and keep the best.
     """
     n = base.b**m
     modulus = irreducible_modulus(base.b, m)
     cw = [max(weights.singleton(j + 1), 1e-12) if weights is not None else 1.0
           for j in range(d)]
     rng = np.random.default_rng([0x5CA1E, base.b, m, d, alpha])
-    best: tuple[float, GeneratingVector] | None = None
-    for _ in range(_VARIANCE_TRIALS):
-        qs = tuple(int(rng.integers(1, n)) for _ in range(d * alpha))
-        gv = GeneratingVector(base, m, modulus, qs)
-        v = scramble_variance(gv, alpha, cw)
-        if best is None or v < best[0]:
-            best = (v, gv)
-    return best[1]
+    cands = rng.integers(1, n, size=(_VARIANCE_TRIALS, d * alpha))
+    # argmin keeps the first of equal variances
+    best = cands[int(np.argmin(scramble_variance(base, m, modulus, cands, alpha, cw)))]
+    return GeneratingVector(base, m, modulus, tuple(int(q) for q in best))
 
 
 @lru_cache(maxsize=64)
@@ -325,7 +381,7 @@ def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
     exp_ = _field_exp_table(b, m)
     # 1-based position of the first nonzero digit of each point h of the
     # q = 1 column, 0 for point 0
-    pos = _column_depths(b, m, modulus, 1) + 1
+    pos = _depths(b, m, modulus, [1])[0] + 1
     pos[0] = 0
 
     running = np.ones(n)

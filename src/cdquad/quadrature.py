@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +81,19 @@ class RuleSpec:
     def m(self) -> int:
         return round(math.log(self.n, self.b))
 
+    @cached_property
+    def key(self) -> int:
+        """The blake2b key of (seed, u), derived once per spec however many
+        chunks draw from it."""
+        return derive_seed(self.seed, "rule", self.u)
+
+    @cached_property
+    def vector(self) -> GeneratingVector:
+        """gv, or the default vector of the rule's shape, looked up once per
+        spec."""
+        return self.gv or default_generating_vector(self.b, self.m, self.alpha * len(self.u),
+                                                    self.alpha)
+
 
 @lru_cache(maxsize=512)
 def default_generating_vector(b: int, m: int, s: int, alpha: int) -> GeneratingVector:
@@ -95,11 +108,11 @@ def _scrambled_rule(gv: GeneratingVector, alpha: int) -> ScrambledRule:
     return ScrambledRule(gv.base.b, gv.m, plr_points(gv).coords, alpha)
 
 
-def _keys(sets, index) -> np.ndarray:
-    """The key schedule for K (seed, u) pairs: shape (K, R), entry [k, r]
-    the counter-based PRF of the blake2b key of sets[k] at counter index[r].
-    One PRF call spreads the keys of all K sets."""
-    base = np.array([derive_seed(seed, "rule", u) for seed, u in sets], dtype=np.uint64)
+def _keys(base, index) -> np.ndarray:
+    """The key schedule for K sets with blake2b keys base: shape (K, R),
+    entry [k, r] the counter-based PRF of base[k] at counter index[r].  One
+    PRF call spreads the keys of all K sets."""
+    base = np.asarray(base, dtype=np.uint64)
     return mix64_array(np.asarray(index, dtype=np.uint64)[None, :] ^ base[:, None])
 
 
@@ -107,7 +120,7 @@ def rule_keys(seed: int, u, index) -> np.ndarray:
     """One uint64 key per entry of the index array: (seed, u) gets a single
     blake2b key, and entry i is the PRF of that key at counter index[i].
     Distinct indices give distinct keys."""
-    return _keys([(seed, u)], np.atleast_1d(index))[0]
+    return _keys([derive_seed(seed, "rule", u)], np.atleast_1d(index))[0]
 
 
 def _shape(spec: RuleSpec) -> tuple:
@@ -128,13 +141,12 @@ def _draw(specs, index) -> np.ndarray:
     d = len(spec.u)
     if d == 0:
         return np.empty((len(specs) * len(index), spec.n, 0))
-    keys = _keys([(other.seed, other.u) for other in specs], index).reshape(-1)
+    keys = _keys([other.key for other in specs], index).reshape(-1)
     if spec.kind == MONTE_CARLO or spec.n == 1:
         # an n = 1 scrambled rule is the Owen scramble of one point, which is
         # a uniform draw: take its 53 bits per coordinate in one PRF call
         return counters_uniform(keys, spec.n * d).reshape(len(keys), spec.n, d)
-    gv = spec.gv or default_generating_vector(spec.b, spec.m, d * spec.alpha, spec.alpha)
-    return _scrambled_rule(gv, spec.alpha).points(keys)
+    return _scrambled_rule(spec.vector, spec.alpha).points(keys)
 
 
 def _means(spec: RuleSpec, g, pts: np.ndarray) -> np.ndarray:
@@ -162,7 +174,8 @@ def _run(specs, gs, index, draw) -> np.ndarray:
     chunk is drawn by draw(specs, index), integrated and reduced before the
     next.  A chunk holds as many whole sets as fit CHUNK_BYTES of points, and
     a set that alone overflows it is split along its indices, so a set that
-    fits calls its integrand once."""
+    fits calls its integrand once.  Each spec derives its key and looks up its
+    vector once (RuleSpec.key, RuleSpec.vector), whatever its chunks."""
     index = np.atleast_1d(index)
     R = len(index)
     row_bytes = 8 * specs[0].n * len(specs[0].u)  # one float64 point set

@@ -322,6 +322,8 @@ class TestSelftestAndCLI:
         (["estimate", "--bank", '{"a":3}', "--eps-grid", "0.5"],
          "a bank mapping needs a 'preset' key, one of constant, single, orthogonal2, pair, "
          "weights, explicit"),
+        (["plan", "--weights", "product-poly,a=3", "--cost", '{"s":2}', "--eps-grid", "0.5"],
+         "a cost mapping needs a 'preset' key, one of linear, power, exp"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

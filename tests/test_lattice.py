@@ -1,11 +1,18 @@
 """Polynomial lattice point sets, the search criteria, and vector search."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdquad
+from cdquad import lattice
 from cdquad.gfpoly import FieldBase, PolyGF, is_irreducible, laurent_digits, poly_from_int
 from cdquad.lattice import (
     GeneratingVector,
@@ -13,7 +20,9 @@ from cdquad.lattice import (
     plr_points,
     scramble_variance,
     search_generating_vector,
-    _column_depths,
+    _VARIANCE_TRIALS,
+    _columns,
+    _depths,
     _phi_table,
     _scramble_rho_table,
 )
@@ -25,6 +34,11 @@ F2 = FieldBase(2)
 
 def gv_for(b, m, q_encs):
     return GeneratingVector(FieldBase(b), m, irreducible_modulus(b, m), tuple(q_encs))
+
+
+def variance_of(gv, alpha, coord_weights=None):
+    """scramble_variance of one vector, the case T = 1."""
+    return float(scramble_variance(gv.base, gv.m, gv.modulus, [gv.q], alpha, coord_weights)[0])
 
 
 def column_oracle(b, m, p, q):
@@ -39,6 +53,21 @@ def column_oracle(b, m, p, q):
         for t in laurent_digits((poly_from_int(h, base) * qq) % pp, pp, m).digits:
             num = num * b + t
         out.append(num)
+    return out
+
+
+def columns_reference(b, m, p, qs):
+    """_columns by one Laurent division per column: the 2m - 1 Laurent
+    digits u of q/p, and digit i of point h = sum_k h_k b^k equal to
+    sum_k h_k u_{i+k} mod b."""
+    base = FieldBase(b)
+    out = np.zeros((b**m, len(qs), m), dtype=np.int64)
+    for j, q in enumerate(qs):
+        u = laurent_digits(poly_from_int(q, base), poly_from_int(p, base), 2 * m - 1).digits
+        for h in range(b**m):
+            hk = [(h // b**k) % b for k in range(m)]
+            for i in range(m):
+                out[h, j, i] = sum(hk[k] * u[i + k] for k in range(m)) % b
     return out
 
 
@@ -124,6 +153,17 @@ class TestPlrPoints:
     def test_values_match_numerators(self):
         ps = plr_points(gv_for(2, 3, [5]))
         assert np.allclose(ps.values(), ps.coords.astype(float) / 8)
+
+    @pytest.mark.parametrize("b,m", [(2, 1), (2, 2), (2, 3), (2, 6), (2, 9), (3, 1), (3, 2),
+                                     (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
+    def test_columns_match_laurent_reference(self, b, m):
+        # the Laurent basis gives every column the digits of its own division
+        n = b**m
+        qs = range(1, n) if n <= 64 else sorted({1, 2, b - 1, n // 3, n // 2 + 1, n - 2, n - 1})
+        p = irreducible_modulus(b, m)
+        got = _columns(b, m, p, list(qs))
+        assert got.shape == (n, len(qs), m)
+        assert np.array_equal(got, columns_reference(b, m, p, list(qs)))
 
     @pytest.mark.parametrize("b,m", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 3), (3, 4),
                                      (5, 1), (5, 2), (5, 3), (131, 1)])
@@ -384,14 +424,14 @@ class TestScrambleVariance:
         w = 1.0 / n
         cells = sum(w * w * (4 / 45 * w * w + (2 * i * w - 1) ** 2 / 12
                              + w * (2 * i * w - 1) / 6) for i in range(n))
-        assert scramble_variance(gv_for(2, m, [1]), 1) == pytest.approx(cells / n**2, rel=1e-10)
+        assert variance_of(gv_for(2, m, [1]), 1) == pytest.approx(cells / n**2, rel=1e-10)
 
     def test_model_matches_empirical(self):
         # the exact covariance model must predict the measured scrambled-rule
         # variance of B2 on the same net
         m, alpha = 8, 2
         gv = search_generating_vector(alpha, m, F2, alpha=alpha)
-        model = scramble_variance(gv, alpha)
+        model = variance_of(gv, alpha)
         spec = RuleSpec(kind="plr", u=(1,), n=2**m, seed=5, alpha=alpha, gv=gv)
         est = empirical_variance(
             spec, lambda x: x[..., 0] ** 2 - x[..., 0] + 1 / 6, 800
@@ -402,38 +442,166 @@ class TestScrambleVariance:
         m, alpha = 6, 2
         chosen = search_generating_vector(alpha, m, F2, alpha=alpha)
         ones = gv_for(2, m, [1] * alpha)
-        assert scramble_variance(chosen, alpha) <= scramble_variance(ones, alpha)
+        assert variance_of(chosen, alpha) <= variance_of(ones, alpha)
 
-    def test_column_depths_are_shared_across_vectors(self):
-        # vectors that share components share cached columns, and the cached
-        # depths are those of the lattice columns themselves
-        _column_depths.cache_clear()
-        for encs in ([3, 9], [9, 3], [3, 5], [5, 9]):
-            gv = gv_for(2, 5, encs)
-            scramble_variance(gv, 2, [2.0])
-            for q, col in zip(gv.q, plr_points(gv).coords.T):
-                pos = first_nonzero_digit_pos(col, 2, 5)
-                depths = _column_depths(2, 5, gv.modulus, q)
-                assert np.array_equal(depths, np.where(pos == 0, 5, pos - 1))
-        assert _column_depths.cache_info().currsize == 3
+    def test_column_depths_are_shared_across_vectors(self, monkeypatch):
+        # vectors scored together build one depth row per distinct column,
+        # and each vector's variance is that of its own lattice columns
+        built = []
+
+        def recording(b, m, p, qs):
+            built.append(list(qs))
+            return _depths(b, m, p, qs)
+
+        monkeypatch.setattr(lattice, "_depths", recording)
+        encs = [[3, 9], [9, 3], [3, 5], [5, 9]]
+        batch = scramble_variance(F2, 5, irreducible_modulus(2, 5), encs, 2, [2.0])
+        assert built == [[3, 5, 9]]
+        for row, v in zip(encs, batch):
+            assert v == variance_oracle(gv_for(2, 5, row), 2, [2.0])
+
+    @pytest.mark.parametrize("b,m", [(2, 1), (2, 5), (2, 10), (3, 3), (5, 2)])
+    def test_depths_are_leading_zero_digits(self, b, m):
+        # the depths of each column are those of the lattice column itself,
+        # also when the columns are built over several chunks (m = 10), and
+        # a repeated column gets the same row
+        n = b**m
+        qs = sorted({1, n // 3 + 1, n // 2, n - 1} - {0, n}) * 2 + list(range(1, min(n, 24)))
+        p = irreducible_modulus(b, m)
+        depths = _depths(b, m, p, qs)
+        assert depths.shape == (len(qs), n) and depths.dtype == np.uint8
+        coords = plr_points(GeneratingVector(FieldBase(b), m, p, tuple(qs))).coords
+        for j in range(len(qs)):
+            pos = first_nonzero_digit_pos(coords[:, j], b, m)
+            assert np.array_equal(depths[j], np.where(pos == 0, m, pos - 1))
 
     def test_nonnegative(self):
         # the merit is an exact variance, so it can never go negative
         for enc in (1, 3, 7, 11):
             gv = gv_for(2, 4, [enc, (enc * 5) % 15 + 1])
-            assert scramble_variance(gv, 2) >= -1e-18
+            assert variance_of(gv, 2) >= -1e-18
 
     def test_weights_scale_single_coordinate(self):
         gv = gv_for(2, 5, [3, 9])
-        v1 = scramble_variance(gv, 2, [1.0])
-        v4 = scramble_variance(gv, 2, [4.0])
+        v1 = variance_of(gv, 2, [1.0])
+        v4 = variance_of(gv, 2, [4.0])
         # one output coordinate: variance of sqrt(g) * B2-rule is linear in g
         assert v4 == pytest.approx(4 * v1, rel=1e-9)
 
     def test_base3_rejected(self):
         gv = gv_for(3, 2, [1, 2])
         with pytest.raises(ValueError):
-            scramble_variance(gv, 2)
+            variance_of(gv, 2)
+
+
+def variance_oracle(gv, alpha, coord_weights):
+    """scramble_variance one vector at a time, from the lattice points: the
+    leading-zero depths of each coordinate index the rho table, and the
+    per-coordinate factors multiply as the running excess prod - 1."""
+    m = gv.m
+    coords = plr_points(gv).coords
+    depths = [np.where((pos := first_nonzero_digit_pos(coords[:, j], 2, m)) == 0, m, pos - 1)
+              for j in range(gv.s)]
+    tab = _scramble_rho_table(m, alpha)
+    excess = np.zeros(gv.n)
+    for j, w in enumerate(coord_weights):
+        f = w * tab[tuple(depths[j * alpha + r] for r in range(alpha))]
+        excess += f + excess * f
+    return float(np.mean(excess))
+
+
+def variance_search_oracle(s, m, alpha, weights=None):
+    """The variance search as a loop: one candidate drawn and scored at a
+    time, a later candidate kept only when strictly better."""
+    d = s // alpha
+    modulus = irreducible_modulus(2, m)
+    cw = [max(weights.singleton(j + 1), 1e-12) if weights is not None else 1.0
+          for j in range(d)]
+    rng = np.random.default_rng([0x5CA1E, 2, m, d, alpha])
+    best = None
+    for _ in range(_VARIANCE_TRIALS):
+        qs = tuple(int(rng.integers(1, 2**m)) for _ in range(s))
+        v = variance_oracle(GeneratingVector(F2, m, modulus, qs), alpha, cw)
+        if best is None or v < best[0]:
+            best = (v, qs)
+    return best[1]
+
+
+def _workload_shapes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+    spec = json.loads(path.read_text())
+    return sorted({tuple(shape) for w in spec.values() for shape in w["rule_shapes"]})
+
+
+class TestBatchedVarianceSearch:
+    @pytest.mark.parametrize("m,s,alpha", [*_workload_shapes(), (13, 6, 3)])
+    def test_matches_one_at_a_time(self, m, s, alpha):
+        # the criterion-4 and 5 benchmark shapes and the full criterion-4 size
+        gv = search_generating_vector(s, m, F2, alpha=alpha)
+        assert gv.q == variance_search_oracle(s, m, alpha)
+
+    @pytest.mark.parametrize("m,s,alpha", [(4, 4, 2), (9, 6, 3), (5, 8, 4)])
+    def test_weighted_matches_one_at_a_time(self, m, s, alpha):
+        w = ProductWeights.polynomial(2.0)
+        gv = search_generating_vector(s, m, F2, weights=w, alpha=alpha)
+        assert gv.q == variance_search_oracle(s, m, alpha, w)
+
+    def test_scramble_variance_matches_oracle(self):
+        for m, encs, alpha, w in [(5, [3, 9], 2, [2.0]), (7, [5, 11, 90, 7, 3, 64], 3, [1.0, 0.25]),
+                                  (4, [1, 2, 3, 4, 5, 6, 7, 8], 4, [0.5, 3.0])]:
+            gv = gv_for(2, m, encs)
+            assert variance_of(gv, alpha, w) == variance_oracle(gv, alpha, w)
+
+    def test_batch_rows_are_single_vectors(self):
+        # row t of a batch is the variance of vector t alone, bit for bit,
+        # also when the batch is scored over several chunks (m = 10)
+        m, alpha, w = 10, 2, [1.0, 0.5]
+        q = np.random.default_rng(4).integers(1, 2**m, size=(12, 4))
+        q[5] = q[2]
+        batch = scramble_variance(F2, m, irreducible_modulus(2, m), q, alpha, w)
+        assert batch.shape == (12,)
+        for row, v in zip(q, batch):
+            assert v == variance_of(gv_for(2, m, row), alpha, w)
+
+    @pytest.mark.parametrize("q,w,match", [
+        ([[1, 2, 3]], None, "multiple of alpha"),
+        ([1, 2], None, r"q must be a \(T, d \* alpha\) array"),
+        ([[0, 3]], None, "must lie in"),
+        ([[1, 8]], None, "must lie in"),
+        ([[1, 2]], [1.0, 1.0], "one weight per output coordinate"),
+    ])
+    def test_rejects_bad_batches(self, q, w, match):
+        with pytest.raises(ValueError, match=match):
+            scramble_variance(F2, 3, irreducible_modulus(2, 3), q, 2, w)
+
+    @pytest.mark.parametrize("modulus", [9, 7, 19])
+    def test_rejects_a_bad_modulus(self, modulus):
+        # x^3 + 1 is reducible, x^2 + x + 1 and x^4 + x + 1 have the wrong degree
+        with pytest.raises(ValueError, match="modulus must be irreducible of degree m = 3"):
+            scramble_variance(F2, 3, modulus, [[1, 2]], 2)
+
+    def test_search_memory(self):
+        # the criterion-4 search (m = 13, s = 6, alpha 3) in a fresh
+        # interpreter: past the 6.3 MB uint8 depth table of its 768 candidate
+        # columns, every temporary is chunked, so its peak RSS (VmHWM; a
+        # spawned child's ru_maxrss starts at its parent's peak) rises by
+        # less than 24 MB over the import
+        code = (
+            "def hwm():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    return int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
+            "from cdquad.gfpoly import FieldBase\n"
+            "from cdquad.lattice import search_generating_vector\n"
+            "before = hwm()\n"
+            "search_generating_vector(6, 13, FieldBase(2), alpha=3)\n"
+            "print(hwm() - before)\n"
+        )
+        src = str(Path(cdquad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        assert float(done.stdout.strip()) < 24
 
 
 class TestIrreducibleModulus:

@@ -364,6 +364,23 @@ class TestStreaming:
         assert [(len(s), list(i)) for s, i in draws] == [(1, [0, 1, 2]), (1, [3])] * 2
         assert len(evals) == 4
 
+    def test_key_and_vector_once_per_set(self, monkeypatch):
+        # one point set per chunk: each set still derives its blake2b key and
+        # looks up its default vector once, not once per chunk
+        seeds = np.arange(3, dtype=np.uint64)
+        expect = run_rule_seeds([RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2)
+                                 for k in (1, 3, 5)], [smooth_pair] * 3, seeds)
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", 1)
+        derived, looked_up = [], []
+        monkeypatch.setattr(quadrature, "derive_seed", counted(quadrature.derive_seed, derived))
+        monkeypatch.setattr(quadrature, "default_generating_vector",
+                            counted(quadrature.default_generating_vector, looked_up))
+        specs = [RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2) for k in (1, 3, 5)]
+        assert np.array_equal(run_rule_seeds(specs, [smooth_pair] * 3, seeds), expect)
+        assert (len(derived), len(looked_up)) == (3, 3)
+        run_rule_batch(RuleSpec(INTERLACED_PLR, (1, 2), 8, 4, alpha=2), smooth_pair, seeds)
+        assert (len(derived), len(looked_up)) == (4, 4)
+
     def test_batch_draws_once_per_chunk(self, monkeypatch):
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 16, 0, alpha=2)
         expect = run_rule_batch(spec, smooth_pair, np.arange(10))

@@ -349,14 +349,17 @@ class TestScrambledRule:
 
     def test_criterion4_shape_memory(self):
         # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),
-        # in a fresh interpreter: chunked scrambling keeps the peak RSS near
-        # the 62.5 MB of points instead of a multiple of the digit depth
+        # vector search included, in a fresh interpreter: chunked scrambling
+        # keeps the peak RSS near the 62.5 MB of points instead of a multiple
+        # of the digit depth.  The peak is the child's VmHWM: a spawned
+        # child's ru_maxrss starts at the peak RSS of the test run
         code = (
-            "import resource, numpy as np\n"
+            "import numpy as np\n"
             "from cdquad.quadrature import RuleSpec, rule_points\n"
             "pts = rule_points(RuleSpec('plr', (1, 2), 2**13, 7, alpha=3), np.arange(500))\n"
             "assert pts.shape == (500, 2**13, 2)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(status.split('VmHWM:')[1].split()[0]) / 1024)\n"
         )
         src = str(Path(cdquad.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
