@@ -330,9 +330,9 @@ def cd_estimate_many(
     """Run the plan under R master seeds: for each, the sum over active u of
     an independent randomized rule applied to the anchored component
     f_{u,a}.  The active sets are grouped by rule shape (|u|, n); each group
-    draws the R randomizations of its sets, indexed by the master seeds, in
-    one call per chunk of sets (see quadrature.run_rule_seeds), and each set
-    whose draws fit a chunk calls the integrand once."""
+    draws the R randomizations of its sets, indexed by the master seeds, and
+    integrates them with one decomp.anchored_component call per chunk of
+    sets (see quadrature.run_rule_seeds)."""
     import numpy as np
 
     dollar = dollar or cost_model("linear")
@@ -344,6 +344,10 @@ def cd_estimate_many(
     for u, n in sorted(plan.allocations.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         ledger.charge(u, n)
         groups.setdefault((len(u), n), []).append(u)
+
+    def components(sets, pts):
+        return anchored_component(f, sets, anchor, pts)
+
     terms = []
     for (size, n), us in groups.items():
         if not size:
@@ -353,22 +357,7 @@ def cd_estimate_many(
         # seeds index that key's stream
         specs = [RuleSpec(tpl.kind, tuple(sorted(u)), n, seed=0, alpha=tpl.alpha, b=tpl.b)
                  for u in us]
-        gs = [_component(f, u, anchor) for u in us]
-        terms.append(run_rule_seeds(specs, gs, seeds))
+        terms.append(run_rule_seeds(specs, components, seeds))
     # fsum is exact, so the sum does not depend on the order of the sets
     cols = np.concatenate(terms, axis=0)
     return np.array([math.fsum(col) for col in cols.T]), ledger
-
-
-def _component(f: BlackBoxIntegrand, u: CoordSet, anchor: Anchor):
-    """The anchored component f_{u,a} as a function of (N, |u|) points."""
-    coords = tuple(sorted(u))
-
-    def g(pts):
-        x = {j: pts[:, i] for i, j in enumerate(coords)}
-        try:
-            return anchored_component(f, u, anchor, x)
-        except Exception as exc:
-            raise RuntimeError(f"integrand failed on subset {sorted(u)}") from exc
-
-    return g

@@ -12,9 +12,11 @@ singleton sequence and order factors (weights._ProductFamily).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping
+
+import numpy as np
 
 from .weights import (
     ProductWeights,
@@ -54,9 +56,12 @@ class BlackBoxIntegrand:
 
     evaluator: Callable[[Mapping[int, object], float], object]
     declared_active: CoordSet | None = None
-    # optional analytic anchored components, (u, assignment, anchor_value) ->
-    # value; bypasses the 2^|u| inclusion-exclusion when the integrand's
-    # structure admits a closed form
+    # optional analytic anchored components of a group of sets,
+    # (sets, x, anchor_value) -> values: sets holds K sorted coordinate tuples
+    # of one size d, x their points of shape (K, N, d) with column i at
+    # coordinate sets[k][i], and the result the (K, N) values of f_{u,a};
+    # bypasses the 2^|u| inclusion-exclusion when the integrand's structure
+    # admits a closed form
     anchored: Callable | None = None
 
     def __call__(self, assignment: Mapping[int, object], anchor: Anchor):
@@ -72,26 +77,60 @@ def psi_project(f: BlackBoxIntegrand, v, a: Anchor, x: Mapping[int, object]):
     return f({j: x[j] for j in v}, a)
 
 
+def _check_order(u) -> tuple[int, ...]:
+    u = tuple(sorted(frozenset(u)))
+    if len(u) > ORDER_CAP:
+        raise ValueError(f"|u| = {len(u)} exceeds the inclusion-exclusion cap {ORDER_CAP}")
+    return u
+
+
 def anchored_component(
     f: BlackBoxIntegrand,
     u,
     a: Anchor,
-    x: Mapping[int, object],
+    x,
     _memo: dict | None = None,
 ):
     """The u-component of the anchored decomposition at x:
     sum over v subseteq u of (-1)^{|u minus v|} f(x_v; a).
 
-    Coordinates of u missing from x are taken at the anchor.  Evaluations are
-    memoized within the call (pass a shared dict to memoize across calls).
+    One set: u is a coordinate set and x a mapping {coordinate: value}
+    (scalars or aligned arrays); coordinates of u missing from x are taken
+    at the anchor, and the value is returned.  A group: u is a sequence of K
+    coordinate sets of one size d and x an array of shape (K, N, d) whose
+    column i holds coordinate sorted(u[k])[i] of set k; the (K, N) values are
+    returned, row k those of f_{u[k],a}.  The one-set form of an integrand
+    with the analytic hook (BlackBoxIntegrand.anchored) is the group of K = 1;
+    without it, each set runs the inclusion-exclusion on its own, and in the
+    group form a failure names the set.  Evaluations are memoized within a
+    one-set call (pass a shared dict to memoize across calls).
     """
-    u = sorted(frozenset(u))
-    if len(u) > ORDER_CAP:
-        raise ValueError(f"|u| = {len(u)} exceeds the inclusion-exclusion cap {ORDER_CAP}")
-    x = {j: x.get(j, a.value) for j in u}
+    if isinstance(x, Mapping):
+        u = _check_order(u)
+        x = {j: x.get(j, a.value) for j in u}
+        if f.anchored is None:
+            return _inclusion_exclusion(f, u, a, x, {} if _memo is None else _memo)
+        cols = np.broadcast_arrays(*(np.asarray(x[j], dtype=np.float64) for j in u))
+        shape = cols[0].shape if cols else ()
+        pts = np.stack([c.reshape(-1) for c in cols], axis=-1) if cols else np.empty((1, 0))
+        return anchored_component(f, [u], a, pts[None])[0].reshape(shape)[()]
+    sets = [_check_order(s) for s in u]
+    pts = np.asarray(x, dtype=np.float64)
+    if pts.ndim != 3 or len(pts) != len(sets) or any(len(s) != pts.shape[2] for s in sets):
+        raise ValueError(f"a group of {len(sets)} sets needs points of shape "
+                         f"(K, N, |u|) with K = {len(sets)} and one size |u|, got {pts.shape}")
     if f.anchored is not None:
-        return f.anchored(frozenset(u), x, a.value)
-    memo = {} if _memo is None else _memo
+        return f.anchored(sets, pts, a.value)
+    out = np.empty(pts.shape[:2])
+    for k, s in enumerate(sets):
+        try:
+            out[k] = _inclusion_exclusion(f, s, a, {j: pts[k, :, i] for i, j in enumerate(s)}, {})
+        except Exception as exc:
+            raise RuntimeError(f"integrand failed on subset {list(s)}") from exc
+    return out
+
+
+def _inclusion_exclusion(f: BlackBoxIntegrand, u: tuple[int, ...], a: Anchor, x, memo: dict):
     total = None
     for k in range(len(u) + 1):
         sign = (-1) ** (len(u) - k)

@@ -119,20 +119,32 @@ class BankFunction:
 
     def integrand(self) -> BlackBoxIntegrand:
         coeffs = self.coeffs
+        tables: dict = {}  # anchor value -> {sorted u: kappa_u}
 
-        def anchored(u, assignment, av):
-            # for a sum of products the u-anchored component collapses to
-            # (sum over v containing u of c_v eta(a)^{|v|-|u|}) times
-            # prod_{j in u} (eta(x_j) - eta(a))
+        def kappa_table(av) -> dict:
+            # kappa_u = sum over v containing u of c_v eta(a)^{|v|-|u|}, one
+            # exact fsum per u in the closure of the coefficient sets; every
+            # other u has no terms, so kappa_u = 0
             eta_a = float(_eta(av))
-            coef = math.fsum(
-                c * eta_a ** (len(v) - len(u))
-                for v, c in coeffs.items() if u <= v
-            )
-            term = coef
-            for j in sorted(u):
-                term = term * (_eta(assignment[j]) - eta_a)
-            return term
+            terms: dict = {}
+            for v, c in coeffs.items():
+                for r in range(len(v) + 1):
+                    for u in itertools.combinations(sorted(v), r):
+                        terms.setdefault(u, []).append(c * eta_a ** (len(v) - r))
+            return {u: math.fsum(ts) for u, ts in terms.items()}
+
+        def anchored(sets, x, av):
+            # for a sum of products the u-anchored component collapses to
+            # kappa_u times prod_{j in u} (eta(x_j) - eta(a)), multiplied left
+            # to right in sorted coordinate order
+            if av not in tables:
+                tables[av] = kappa_table(av)
+            table = tables[av]
+            term = np.array([table.get(u, 0.0) for u in sets])[:, None]
+            factors = _eta(x) - float(_eta(av))
+            for i in range(x.shape[2]):
+                term = term * factors[:, :, i]
+            return np.broadcast_to(term, x.shape[:2])
 
         return BlackBoxIntegrand(
             evaluator=lambda assignment, av: _bank_eval(coeffs, assignment, av),
@@ -370,6 +382,15 @@ def ols_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return slope, se
 
 
+def _log_slope(points) -> tuple[float, float]:
+    """ols_slope of log y on log x over the (x, y) pairs with y > 0; NaN and
+    NaN when those pairs hold fewer than two distinct x."""
+    usable = [(x, y) for x, y in points if y > 0]
+    if len({x for x, _ in usable}) < 2:
+        return float("nan"), float("nan")
+    return ols_slope([math.log(x) for x, _ in usable], [math.log(y) for _, y in usable])
+
+
 @dataclass
 class StudyResult:
     kind: str
@@ -444,13 +465,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyResult:
             "bias2": b2,
             "bias2_bound": bound,
         })
-    usable = [(r["plan_cost"], r["rmse2"]) for r in rows if r["rmse2"] > 0]
-    if len(usable) >= 2:
-        slope, se = ols_slope(
-            [math.log(c) for c, _ in usable], [math.log(v) for _, v in usable]
-        )
-    else:
-        slope, se = float("nan"), float("nan")
+    slope, se = _log_slope((r["plan_cost"], r["rmse2"]) for r in rows)
     result = StudyResult("convergence", rows, slope, se, cfg)
     if cfg.out:
         result.write(cfg.out)
@@ -459,7 +474,9 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyResult:
 
 def run_variance_study(cfg: ExperimentConfig) -> StudyResult:
     """Variance of a single randomized rule vs n on the bank function's
-    active coordinates; the Monte Carlo kind gives the slope -1 baseline."""
+    active coordinates; the Monte Carlo kind gives the slope -1 baseline.
+    The slope is fitted over the rows of positive variance, and is NaN when
+    they hold fewer than two distinct n (a one-point n grid, say)."""
     if not cfg.n_grid:
         raise ValueError("variance study needs an n grid")
     bank = cfg.resolve_bank()
@@ -480,10 +497,7 @@ def run_variance_study(cfg: ExperimentConfig) -> StudyResult:
             "stderr_mean": est.stderr_mean,
             "stderr_variance": est.stderr_variance,
         })
-    slope, se = ols_slope(
-        [math.log(r["n"]) for r in rows],
-        [math.log(r["variance"]) for r in rows],
-    )
+    slope, se = _log_slope((r["n"], r["variance"]) for r in rows)
     result = StudyResult("variance", rows, slope, se, cfg)
     if cfg.out:
         result.write(cfg.out)

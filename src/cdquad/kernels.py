@@ -58,8 +58,10 @@ def bernoulli(tau: int, x):
             acc = acc * x + c
         return acc
     xf = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-    acc = 0.0
-    for c in _float_coeffs_high_first(tau):
+    acc, *rest = _float_coeffs_high_first(tau)
+    if not rest:  # B_0 = 1, shaped like x
+        return acc + 0.0 * xf
+    for c in rest:
         acc = acc * xf + c
     return acc
 

@@ -21,7 +21,7 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer applied to every word of a uint64 array
     (wraparound arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)).astype(np.uint64)
+        z = np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
         return z ^ (z >> np.uint64(31))
@@ -37,19 +37,20 @@ def derive_seed(master: int, *tokens) -> int:
     master = int(master)
     if not 0 <= master < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {master}")
-    h = hashlib.blake2b(digest_size=8)
-    h.update(master.to_bytes(8, "little"))
+    # the message is hashed in one call: the same bytes as one update per
+    # token, so the same key
+    msg = master.to_bytes(8, "little")
     for t in tokens:
         if isinstance(t, str):
-            h.update(b"s" + t.encode())
+            msg += b"s" + t.encode()
         elif isinstance(t, (int, np.integer)):
-            h.update(b"i" + int(t).to_bytes(16, "little", signed=True))
+            msg += b"i" + int(t).to_bytes(16, "little", signed=True)
         else:
-            items = sorted(int(v) for v in t)
-            h.update(b"f" + len(items).to_bytes(4, "little"))
+            items = sorted(map(int, t))
+            msg += b"f" + len(items).to_bytes(4, "little")
             for v in items:
-                h.update(int(v).to_bytes(8, "little", signed=True))
-    return int.from_bytes(h.digest(), "little")
+                msg += v.to_bytes(8, "little", signed=True)
+    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
 
 
 def counters_uniform(key, n: int) -> np.ndarray:

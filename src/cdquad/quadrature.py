@@ -17,10 +17,11 @@ group of active sets of equal (|u|, n) at once.
 Memory contract: the estimators (run_rule_batch, run_rule_seeds and so
 empirical_variance) stream.  They draw, integrate and reduce one chunk of
 the (set, index) grid at a time, about scramble.CHUNK_BYTES of points, so
-they hold one chunk and the (K, R) means, never all R*n points.  A set whose
-R point sets fit one chunk calls its integrand once.  Rows do not depend on
-the chunking, as every draw is a function of its key and every mean of its
-row.  rule_points and rule_points_seeds return the full point array.
+they hold one chunk and the (K, R) means, never all R*n points.  Each chunk
+of a group calls its integrand once, on the points of all its sets.  Rows do
+not depend on the chunking, as every draw is a function of its key and every
+mean of its row.  rule_points and rule_points_seeds return the full point
+array.
 """
 
 from __future__ import annotations
@@ -149,33 +150,31 @@ def _draw(specs, index) -> np.ndarray:
     return _scrambled_rule(spec.vector, spec.alpha).points(keys)
 
 
-def _means(spec: RuleSpec, g, pts: np.ndarray) -> np.ndarray:
-    """(1/n) sum of g over each of the R point sets; g is called once on all
-    R*n points stacked, so pointwise integrands pay Python call overhead per
-    rule rather than per randomization.  Each row is reduced on its own, so
-    a row's mean does not depend on the rows drawn with it."""
-    R = len(pts)
-    vals = np.asarray(g(pts.reshape(R * spec.n, len(spec.u))), dtype=np.float64)
-    return np.broadcast_to(vals, (R * spec.n,)).reshape(R, spec.n).mean(axis=1)
-
-
-def _block_means(specs, gs, pts: np.ndarray) -> np.ndarray:
+def _block_means(specs, g, pts: np.ndarray) -> np.ndarray:
     """Means of shape (K, r) of K rules whose r point sets each fill
-    consecutive blocks of pts."""
-    r = len(pts) // len(specs)
-    return np.stack([_means(spec, g, pts[k * r:(k + 1) * r])
-                     for k, (spec, g) in enumerate(zip(specs, gs))])
+    consecutive blocks of pts.  g(sets, x) is called once, with the K
+    coordinate sets and their points x of shape (K, r*n, |u|), and must
+    return the (K, r*n) values.  Each row of r*n values is reduced per point
+    set, so a mean does not depend on the sets or point sets drawn with it."""
+    K, n, d = len(specs), specs[0].n, len(specs[0].u)
+    r = len(pts) // K
+    vals = np.asarray(g([spec.u for spec in specs], pts.reshape(K, r * n, d)), dtype=np.float64)
+    if vals.shape != (K, r * n):
+        raise ValueError(f"group integrand returned shape {vals.shape} for {K} sets of "
+                         f"{r * n} points; expected {(K, r * n)}")
+    return vals.reshape(K, r, n).mean(axis=2)
 
 
-def _run(specs, gs, index, draw) -> np.ndarray:
-    """Means of shape (K, R): rule specs[k] on gs[k] under index[r].
+def _run(specs, g, index, draw) -> np.ndarray:
+    """Means of shape (K, R): rule specs[k] on the group integrand g under
+    index[r].
 
     The work streams over chunks of the (set, index) grid, sets first: each
-    chunk is drawn by draw(specs, index), integrated and reduced before the
-    next.  A chunk holds as many whole sets as fit CHUNK_BYTES of points, and
-    a set that alone overflows it is split along its indices, so a set that
-    fits calls its integrand once.  Each spec derives its key and looks up its
-    vector once (RuleSpec.key, RuleSpec.vector), whatever its chunks."""
+    chunk is drawn by draw(specs, index), integrated by one call of g and
+    reduced before the next.  A chunk holds as many whole sets as fit
+    CHUNK_BYTES of points, and a set that alone overflows it is split along
+    its indices.  Each spec derives its key and looks up its vector once
+    (RuleSpec.key, RuleSpec.vector), whatever its chunks."""
     index = np.atleast_1d(index)
     R = len(index)
     row_bytes = 8 * specs[0].n * len(specs[0].u)  # one float64 point set
@@ -184,7 +183,7 @@ def _run(specs, gs, index, draw) -> np.ndarray:
         # only a chunk of one set can overflow, and only it splits its index;
         # a chunk's points are a temporary, freed before the next is drawn
         for rows in key_chunks(R, row_bytes):
-            out[sets, rows] = _block_means(specs[sets], gs[sets], draw(specs[sets], index[rows]))
+            out[sets, rows] = _block_means(specs[sets], g, draw(specs[sets], index[rows]))
     return out
 
 
@@ -206,21 +205,30 @@ def rule_points_seeds(specs, seeds) -> np.ndarray:
 
 
 def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
-    """Estimates for the randomizations `reps` of one rule, drawn by
-    rule_points one chunk of reps at a time."""
-    return _run([spec], [g], reps, lambda _, index: rule_points(spec, index))[0]
+    """Estimates for the randomizations `reps` of one rule on the pointwise
+    integrand g, which maps (N, |u|) points to N values (or a scalar), drawn
+    by rule_points one chunk of reps at a time: the one-set case of
+    run_rule_seeds."""
+    def group(_, x):
+        return np.broadcast_to(np.asarray(g(x[0]), dtype=np.float64), x.shape[1:2])[None]
+
+    return _run([spec], group, reps, lambda _, index: rule_points(spec, index))[0]
 
 
-def run_rule_seeds(specs, gs, seeds) -> np.ndarray:
-    """Estimates of K rules of one shape, rule k on its own integrand gs[k],
-    under R master seeds: shape (K, R), row k equal to
-    run_rule_batch(specs[k], gs[k], seeds).  Each chunk of rules is drawn by
-    one rule_points_seeds call."""
+def run_rule_seeds(specs, g, seeds) -> np.ndarray:
+    """Estimates of K rules of one shape under R master seeds: shape (K, R),
+    entry [k, r] the mean of rule specs[k], randomized by seeds[r], on its
+    integrand.
+
+    g is one integrand for the whole group.  It is called as g(sets, x) on
+    each chunk: sets holds the chunk's K' coordinate tuples (RuleSpec.u) and
+    x their points, shape (K', r*n, |u|), the r point sets of set k filling
+    x[k] in seed order.  It returns the (K', r*n) values, row k those of set
+    k; any other shape is a ValueError.  Each chunk of rules is drawn by one
+    rule_points_seeds call and integrated by one call of g."""
     specs = list(specs)
-    if len(gs) != len(specs):
-        raise ValueError(f"need one integrand per rule, got {len(gs)} for {len(specs)}")
     _check_shapes(specs)
-    return _run(specs, gs, seeds, rule_points_seeds)
+    return _run(specs, g, seeds, rule_points_seeds)
 
 
 @dataclass(frozen=True)

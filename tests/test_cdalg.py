@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdquad import cdalg, quadrature, scramble
 from cdquad.cdalg import (
     CostLedger,
     Plan,
@@ -31,7 +32,7 @@ from cdquad.decomp import (
 )
 from cdquad.harness import bank_from_weights, bank_preset
 from cdquad.kernels import bernoulli
-from cdquad.quadrature import RuleSpec, run_rule_batch
+from cdquad.quadrature import RuleSpec, rule_points_seeds, run_rule_batch
 from cdquad.weights import (
     FiniteProductWeights,
     ProductWeights,
@@ -359,3 +360,77 @@ class TestGroupedEstimator:
         seeds = [0, 3, 2**64 - 1]
         many, _ = cd_estimate_many(f, plan, seeds)
         assert np.array_equal(many, cd_estimate_per_set(f, plan, seeds))
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 200], ids=["whole-groups", "split-groups"])
+    @pytest.mark.parametrize("hook", [True, False], ids=["bank", "hookless"])
+    def test_group_chunks_match_per_set_oracle(self, monkeypatch, hook, chunk_bytes):
+        # |u| up to 5 and several n = 1 groups; at 200 bytes a chunk holds a
+        # few small sets, so groups split across chunks and the sets with
+        # many points split their seeds
+        w = ProductWeights.polynomial(3.0)
+        plan = plan_build(w, PlannerConstants.for_weights(w, 0.15, 2.5), RuleTemplate(alpha=2))
+        shapes = [(len(u), n) for u, n in plan.allocations.items()]
+        assert max(size for size, _ in shapes) == 5 and shapes.count((5, 1)) > 1
+        assert sum(n == 1 for _, n in set(shapes)) == 6
+        if hook:
+            f = bank_from_weights(w, max_index=6, max_order=5).integrand()
+        else:
+            # prod over j <= 8 of (1 + B2(x_j)/j^2): components of every order
+            def ev(assignment, av):
+                total = 1.0
+                for j in range(1, 9):
+                    total = total * (1.0 + bernoulli(2, assignment.get(j, av)) / j**2)
+                return total
+
+            f = BlackBoxIntegrand(ev)
+        seeds = [0, 7, 2**64 - 1]
+        expect = cd_estimate_per_set(f, plan, seeds)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(scramble, "CHUNK_BYTES", chunk_bytes)
+        many, _ = cd_estimate_many(f, plan, seeds)
+        assert np.array_equal(many, expect)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 200], ids=["whole-groups", "split-groups"])
+    def test_one_anchored_call_per_group_chunk(self, monkeypatch, chunk_bytes):
+        # each chunk is drawn by one rule_points_seeds call and integrated by
+        # one anchored_component call on the chunk's sets and points
+        w = ProductWeights.polynomial(3.0)
+        plan = plan_build(w, PlannerConstants.for_weights(w, 0.3, 2.5), RuleTemplate(alpha=2))
+        f = bank_from_weights(w).integrand()
+        seeds = [1, 2, 3]
+        if chunk_bytes is not None:
+            monkeypatch.setattr(scramble, "CHUNK_BYTES", chunk_bytes)
+        draws, calls = [], []
+
+        def draw(specs, index):
+            draws.append(([s.u for s in specs], list(index), specs[0].n))
+            return rule_points_seeds(specs, index)
+
+        def component(g, sets, a, pts):
+            calls.append((list(sets), pts.shape))
+            return anchored_component(g, sets, a, pts)
+
+        monkeypatch.setattr(quadrature, "rule_points_seeds", draw)
+        monkeypatch.setattr(cdalg, "anchored_component", component)
+        cd_estimate_many(f, plan, seeds)
+        assert [(sets, (len(sets), len(index) * n, len(sets[0]))) for sets, index, n in draws] \
+            == calls
+        covered = [u for sets, _ in calls for u in sets]
+        assert set(covered) == {tuple(sorted(u)) for u in plan.allocations if u}
+        groups = {(len(u), n) for u, n in plan.allocations.items() if u}
+        if chunk_bytes is None:
+            # every group fits one chunk
+            assert len(calls) == len(groups) and len(covered) == len(plan.allocations) - 1
+        else:
+            assert len(calls) > len(groups)
+
+    @pytest.mark.parametrize("values", [
+        lambda sets, x, av: np.zeros(x.shape[1:2]),  # one row for the group
+        lambda sets, x, av: np.zeros((len(sets), x.shape[1] - 1)),  # a point short
+        lambda sets, x, av: 0.0,  # a scalar
+    ], ids=["row", "points", "scalar"])
+    def test_hook_of_wrong_shape_fails(self, values):
+        plan = plan_build(ProductWeights.polynomial(3.0), consts(0.1))
+        f = BlackBoxIntegrand(pair_integrand().evaluator, anchored=values)
+        with pytest.raises(ValueError, match="group integrand returned shape"):
+            cd_estimate(f, plan, 0)

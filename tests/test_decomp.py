@@ -146,6 +146,77 @@ class TestAnchoredComponent:
             )
 
 
+class TestGroupForm:
+    """A group of K sets of one size with (K, N, |u|) points gives the (K, N)
+    values of the one-set mapping form, row by row."""
+
+    @staticmethod
+    def integrands():
+        from cdquad.harness import bank_from_weights
+
+        fast = bank_from_weights(ProductWeights.polynomial(2.0), max_index=6,
+                                 max_order=4).integrand()
+        return {"bank": fast, "hookless": BlackBoxIntegrand(fast.evaluator)}
+
+    @pytest.mark.parametrize("name", ["bank", "hookless"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_rows_equal_one_set_calls(self, name, size):
+        f = self.integrands()[name]
+        sets = [u for u in combinations(range(1, 8), size)][:6]
+        pts = np.random.default_rng(size).random((len(sets), 9, size))
+        got = anchored_component(f, sets, A, pts)
+        assert got.shape == (len(sets), 9)
+        for k, u in enumerate(sets):
+            row = anchored_component(f, u, A, {j: pts[k, :, i] for i, j in enumerate(u)})
+            assert np.array_equal(got[k], row)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_bank_hook_equals_inclusion_exclusion(self, size):
+        fs_ = self.integrands()
+        sets = [u for u in combinations(range(1, 9), size)][::3]
+        pts = np.random.default_rng(10 + size).random((len(sets), 5, size))
+        assert np.allclose(anchored_component(fs_["bank"], sets, A, pts),
+                           anchored_component(fs_["hookless"], sets, A, pts),
+                           rtol=0, atol=1e-13)
+
+    def test_one_set_form_keeps_scalars_and_shapes(self):
+        f = self.integrands()["bank"]
+        x = {1: 0.3, 2: np.array([[0.1, 0.2], [0.9, 0.4]])}
+        got = anchored_component(f, (1, 2), A, x)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got[1], anchored_component(
+            f, [(1, 2)], A, np.stack([np.full(2, 0.3), x[2][1]], axis=-1)[None])[0])
+        assert np.ndim(anchored_component(f, (1, 3), A, {1: 0.3, 3: 0.7})) == 0
+        # a coordinate missing from x sits at the anchor, where f_{u,a} is 0
+        assert anchored_component(f, (1, 3), A, {1: 0.3}) == 0.0
+
+    @pytest.mark.parametrize("sets,shape", [
+        ([(1, 2), (3,)], (2, 4, 2)),  # mixed sizes
+        ([(1, 2)], (2, 4, 2)),  # more point rows than sets
+        ([(1, 2), (3, 4)], (2, 4, 3)),  # points of the wrong width
+        ([(1, 2), (3, 4)], (2, 4)),  # no set axis
+    ])
+    def test_bad_groups_rejected(self, sets, shape):
+        for f in self.integrands().values():
+            with pytest.raises(ValueError, match="group of"):
+                anchored_component(f, sets, A, np.zeros(shape))
+
+    def test_cap_applies_to_groups(self):
+        with pytest.raises(ValueError, match="cap"):
+            anchored_component(F_PAIR, [tuple(range(1, 25))], A, np.zeros((1, 2, 24)))
+
+    def test_hookless_failure_names_the_set(self):
+        def bad(x, a):
+            if 5 in x:
+                raise ArithmeticError("boom")
+            return 1.0
+
+        f = BlackBoxIntegrand(bad)
+        with pytest.raises(RuntimeError, match=r"subset \[4, 5\]") as info:
+            anchored_component(f, [(1, 2), (4, 5)], A, np.zeros((2, 3, 2)))
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+
 def all_downward_closed_families(ground):
     # enumerate every downward-closed family of subsets of `ground` that
     # contains the empty set

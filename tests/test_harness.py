@@ -1,11 +1,14 @@
 """Bank functions, presets, studies, point dumps, and the CLI."""
 
+import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from cdquad import harness
 from cdquad.cli import main
 from cdquad.decomp import Anchor, downward_closure
 from cdquad.harness import (
@@ -69,6 +72,24 @@ class TestBankFunction:
         # only the {1,2} anchored component is dropped; its integral is
         # c_{12} * eta(a)^2
         assert f.plan_bias(Q) == pytest.approx(0.5 * eta_a**2, abs=1e-15)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("av", [0.5, 0.2])
+    def test_anchored_hook_is_the_per_set_formula(self, size, av):
+        # the set-batched hook gives, bit for bit, kappa_u (one fsum over the
+        # coefficients containing u) times prod (eta(x_j) - eta(a)) multiplied
+        # left to right, evaluated one set at a time
+        bank = bank_from_weights(ProductWeights.polynomial(2.0), max_index=6, max_order=3)
+        sets = list(itertools.combinations(range(1, 8), size))
+        x = np.random.default_rng(size).random((len(sets), 11, size))
+        got = bank.integrand().anchored(sets, x, av)
+        eta_a = float(bernoulli(2, av) / 2.0)
+        for k, u in enumerate(sets):
+            term = math.fsum(c * eta_a ** (len(v) - size)
+                             for v, c in bank.coeffs.items() if fs(u) <= v)
+            for i in range(size):
+                term = term * (bernoulli(2, x[k, :, i]) / 2.0 - eta_a)
+            assert np.array_equal(got[k], np.broadcast_to(term, (11,)))
 
     def test_on_points_matches_evaluate(self):
         f = bank_preset("pair")
@@ -196,6 +217,39 @@ class TestStudies:
         res = run_variance_study(cfg)
         assert res.kind == "variance"
         assert abs(res.slope + 1.0) < 0.2
+
+    def test_variance_slope_needs_two_positive_rows(self, monkeypatch):
+        # a one-point grid reports its row and a NaN slope instead of failing
+        # after the draws; rows of zero variance are left out of the fit
+        res = run_variance_study(ExperimentConfig(bank="pair", rule="mc", n_grid=(8,), reps=3))
+        assert len(res.rows) == 1 and res.rows[0]["variance"] > 0
+        assert math.isnan(res.slope) and math.isnan(res.slope_stderr)
+        cfg = ExperimentConfig(bank="single", rule="mc", n_grid=(16, 64, 256), reps=50, seed=2)
+        full = run_variance_study(cfg)
+        real = harness.empirical_variance
+
+        def zero_at_64(spec, g, reps):
+            est = real(spec, g, reps)
+            return dataclasses.replace(est, variance=0.0) if spec.n == 64 else est
+
+        monkeypatch.setattr(harness, "empirical_variance", zero_at_64)
+        res = run_variance_study(cfg)
+        assert [r["variance"] for r in res.rows] == [full.rows[0]["variance"], 0.0,
+                                                    full.rows[2]["variance"]]
+        expect = ols_slope([math.log(16), math.log(256)],
+                           [math.log(full.rows[0]["variance"]), math.log(full.rows[2]["variance"])])
+        assert res.slope == expect[0] and math.isnan(res.slope_stderr)
+        monkeypatch.setattr(harness, "empirical_variance",
+                            lambda spec, g, reps: dataclasses.replace(real(spec, g, reps),
+                                                                      variance=0.0))
+        assert math.isnan(run_variance_study(cfg).slope)
+
+    @pytest.mark.parametrize("grid", [["--n-grid", "8"], ["--n-grid", "8,8"],
+                                      ["--eps-grid", "0.5,0.5", "--weights", "product-poly,a=3"]])
+    def test_cli_one_point_study(self, capsys, grid):
+        # one n, or one cost repeated, leaves no slope to fit
+        assert main(["study", "--bank", "pair", *grid, "--reps", "3", "--rule", "mc"]) == 0
+        assert "# slope = nan +/- nan" in capsys.readouterr().out
 
     def test_convergence_study_runs(self, tmp_path):
         out = tmp_path / "study.csv"

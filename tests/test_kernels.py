@@ -36,6 +36,25 @@ class TestBernoulli:
         assert bernoulli(2, 0.5) == pytest.approx(-1 / 12, abs=1e-15)
         assert bernoulli(4, 0.0) == pytest.approx(-1 / 30, abs=1e-15)
 
+    @pytest.mark.parametrize("tau", range(0, 13))
+    def test_float_path_matches_fraction_path(self, tau):
+        # at random points, in and outside [0, 1]: the float Horner agrees
+        # with the exact evaluation, and equals bit for bit the Horner that
+        # starts from 0.0 * x + c, whose first pass only rebuilds the leading
+        # coefficient for finite x
+        rng = np.random.default_rng(tau)
+        x = np.concatenate([rng.random(200), rng.uniform(-3.0, 4.0, 50), [0.0, -0.0, 1.0]])
+        got = bernoulli(tau, x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        exact = np.array([float(bernoulli(tau, Fraction(v))) for v in x])
+        scale = np.maximum(1.0, np.abs(x)) ** tau * 2.0**tau
+        assert np.all(np.abs(got - exact) <= 1e-13 * scale)
+        from_zero = 0.0
+        for c in reversed(bernoulli_coeffs(tau)):
+            from_zero = from_zero * x + float(c)
+        assert np.array_equal(got, from_zero)
+        assert [bernoulli(tau, float(v)) for v in x[:5]] == from_zero[:5].tolist()
+
     def test_coefficients_exact(self):
         assert bernoulli_coeffs(2) == (Fraction(1, 6), Fraction(-1), Fraction(1))
 

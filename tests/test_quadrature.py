@@ -26,6 +26,20 @@ def smooth_pair(pts):
     return bernoulli(2, pts[:, 0]) * (1.0 + bernoulli(2, pts[:, 1]))
 
 
+def per_set(integrand_of):
+    """The group integrand that applies integrand_of(u), a pointwise
+    integrand, to the points of each set u of a chunk."""
+    def group(sets, x):
+        return np.stack([np.broadcast_to(np.asarray(integrand_of(u)(p), dtype=np.float64),
+                                         p.shape[:1]) for u, p in zip(sets, x)])
+    return group
+
+
+def pointwise(g):
+    """The group integrand that applies one pointwise integrand g to every set."""
+    return per_set(lambda u: g)
+
+
 class TestRuleSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -85,7 +99,7 @@ class TestDeterminism:
     def test_seeds_batch_matches_individual(self):
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 32, seed=0, alpha=2)
         seeds = [5, 9, 13]
-        batch = run_rule_seeds([spec], [smooth_pair], seeds)
+        batch = run_rule_seeds([spec], pointwise(smooth_pair), seeds)
         single = [run_rule_batch(spec, smooth_pair, [s])[0] for s in seeds]
         assert np.array_equal(batch, np.array([single]))
 
@@ -212,7 +226,8 @@ class TestKeyedPath:
         spec, index = case
         assert np.array_equal(rule_points_seeds([spec], index), rule_points(spec, index))
         g = lambda p: 1.0 + p.sum(axis=1)
-        assert np.array_equal(run_rule_seeds([spec], [g], index)[0], run_rule_batch(spec, g, index))
+        assert np.array_equal(run_rule_seeds([spec], pointwise(g), index)[0],
+                              run_rule_batch(spec, g, index))
 
     @settings(max_examples=40, deadline=None)
     @given(keyed_specs())
@@ -256,7 +271,8 @@ class TestGroupDraw:
             for r, seed in enumerate(seeds):
                 assert np.array_equal(pts[k * R + r], rule_points(spec, seed))
         gs = [lambda p, w=k: w + p.sum(axis=1) * (1.0 + p[:, 0]) for k in range(len(specs))]
-        ests = run_rule_seeds(specs, gs, seeds)
+        by_set = {spec.u: g for spec, g in zip(specs, gs)}
+        ests = run_rule_seeds(specs, per_set(by_set.get), seeds)
         assert ests.shape == (len(specs), R)
         for k, spec in enumerate(specs):
             assert np.array_equal(ests[k], run_rule_batch(spec, gs[k], seeds))
@@ -275,12 +291,40 @@ class TestGroupDraw:
         with pytest.raises(ValueError, match="share"):
             rule_points_seeds([spec, other], [0, 1])
         with pytest.raises(ValueError, match="share"):
-            run_rule_seeds([spec, other], [smooth_pair, smooth_pair], [0, 1])
+            run_rule_seeds([spec, other], pointwise(smooth_pair), [0, 1])
 
-    def test_one_integrand_per_rule(self):
+    @pytest.mark.parametrize("values", [
+        lambda sets, x: x[:-1, :, 0],  # a row short
+        lambda sets, x: x[:, :-1, 0],  # a point short
+        lambda sets, x: x[..., 0].reshape(-1),  # flat
+        lambda sets, x: x[..., 0].T,  # transposed
+        lambda sets, x: 2.5,  # a scalar
+    ], ids=["rows", "points", "flat", "transposed", "scalar"])
+    def test_one_row_per_rule(self, values):
+        # the group integrand returns (K, r*n) values, one row per rule; any
+        # other shape is an error, not a broadcast
         specs = [RuleSpec(MONTE_CARLO, (1,), 4, 0), RuleSpec(MONTE_CARLO, (2,), 4, 0)]
-        with pytest.raises(ValueError, match="one integrand per rule"):
-            run_rule_seeds(specs, [smooth_pair], [0])
+        expected = r"group integrand returned shape .* expected \(2, 12\)"
+        with pytest.raises(ValueError, match=expected):
+            run_rule_seeds(specs, values, [0, 1, 2])
+
+    def test_group_integrand_sees_sets_and_points(self):
+        # one call per chunk: the chunk's coordinate tuples, and set k's point
+        # sets stacked in seed order in row k
+        specs = [RuleSpec(INTERLACED_PLR, u, 4, 0, alpha=2) for u in [(1, 3), (2, 5), (4, 6)]]
+        seeds = [7, 1]
+        calls = []
+
+        def g(sets, x):
+            calls.append((list(sets), x.copy()))
+            return x.sum(axis=2)
+
+        ests = run_rule_seeds(specs, g, seeds)
+        [(sets, x)] = calls
+        assert sets == [(1, 3), (2, 5), (4, 6)]
+        pts = rule_points_seeds(specs, seeds)
+        assert np.array_equal(x, pts.reshape(3, 2 * 4, 2))
+        assert np.array_equal(ests, pts.sum(axis=2).mean(axis=1).reshape(3, 2))
 
 
 def whole_means(spec, g, pts):
@@ -328,55 +372,55 @@ class TestStreaming:
         ev = empirical_variance(spec, g, 7)
         monkeypatch.setattr(scramble, "CHUNK_BYTES", 1)
         assert np.array_equal(run_rule_batch(spec, g, reps), batch)
-        assert np.array_equal(run_rule_seeds(specs, [g] * 3, seeds), group)
+        assert np.array_equal(run_rule_seeds(specs, pointwise(g), seeds), group)
         assert empirical_variance(spec, g, 7) == ev
 
     @pytest.mark.parametrize("sets_per_chunk,sizes", [(3, [3]), (2, [2, 1]), (1, [1, 1, 1])])
     def test_sets_chunked_first(self, monkeypatch, sets_per_chunk, sizes):
         # K = 3 sets of R = 4 point sets of 8 two-dimensional points, 512
-        # bytes each: sets share a chunk while they fit, and a set that fits
-        # is drawn with all its seeds and integrated once
+        # bytes each: sets share a chunk while they fit, a set that fits is
+        # drawn with all its seeds, and each chunk is integrated once
         R, row_bytes = 4, 8 * 8 * 2
         specs = [RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2) for k in (1, 3, 5)]
         seeds = np.arange(R, dtype=np.uint64)
-        expect = run_rule_seeds(specs, [smooth_pair] * 3, seeds)
+        expect = run_rule_seeds(specs, pointwise(smooth_pair), seeds)
         monkeypatch.setattr(scramble, "CHUNK_BYTES", sets_per_chunk * R * row_bytes)
         draws, evals = [], []
         monkeypatch.setattr(quadrature, "rule_points_seeds",
                             counted(quadrature.rule_points_seeds, draws))
-        got = run_rule_seeds(specs, [counted(smooth_pair, evals)] * 3, seeds)
+        got = run_rule_seeds(specs, counted(pointwise(smooth_pair), evals), seeds)
         assert np.array_equal(got, expect)
         assert [(len(s), list(i)) for s, i in draws] == [(size, [0, 1, 2, 3]) for size in sizes]
-        assert len(evals) == 3
+        assert [x.shape for _, x in evals] == [(size, R * 8, 2) for size in sizes]
 
     def test_overflowing_set_splits_its_seeds(self, monkeypatch):
         R, row_bytes = 4, 8 * 8 * 2
         specs = [RuleSpec(MONTE_CARLO, (k, k + 1), 8, 0) for k in (1, 3)]
         seeds = np.arange(R, dtype=np.uint64)
-        expect = run_rule_seeds(specs, [smooth_pair] * 2, seeds)
+        expect = run_rule_seeds(specs, pointwise(smooth_pair), seeds)
         # three point sets fit the budget, so each set draws seeds 0-2 then 3
         monkeypatch.setattr(scramble, "CHUNK_BYTES", 3 * row_bytes + 1)
         draws, evals = [], []
         monkeypatch.setattr(quadrature, "rule_points_seeds",
                             counted(quadrature.rule_points_seeds, draws))
-        got = run_rule_seeds(specs, [counted(smooth_pair, evals)] * 2, seeds)
+        got = run_rule_seeds(specs, counted(pointwise(smooth_pair), evals), seeds)
         assert np.array_equal(got, expect)
         assert [(len(s), list(i)) for s, i in draws] == [(1, [0, 1, 2]), (1, [3])] * 2
-        assert len(evals) == 4
+        assert [x.shape for _, x in evals] == [(1, 3 * 8, 2), (1, 8, 2)] * 2
 
     def test_key_and_vector_once_per_set(self, monkeypatch):
         # one point set per chunk: each set still derives its blake2b key and
         # looks up its default vector once, not once per chunk
         seeds = np.arange(3, dtype=np.uint64)
         expect = run_rule_seeds([RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2)
-                                 for k in (1, 3, 5)], [smooth_pair] * 3, seeds)
+                                 for k in (1, 3, 5)], pointwise(smooth_pair), seeds)
         monkeypatch.setattr(scramble, "CHUNK_BYTES", 1)
         derived, looked_up = [], []
         monkeypatch.setattr(quadrature, "derive_seed", counted(quadrature.derive_seed, derived))
         monkeypatch.setattr(quadrature, "default_generating_vector",
                             counted(quadrature.default_generating_vector, looked_up))
         specs = [RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2) for k in (1, 3, 5)]
-        assert np.array_equal(run_rule_seeds(specs, [smooth_pair] * 3, seeds), expect)
+        assert np.array_equal(run_rule_seeds(specs, pointwise(smooth_pair), seeds), expect)
         assert (len(derived), len(looked_up)) == (3, 3)
         run_rule_batch(RuleSpec(INTERLACED_PLR, (1, 2), 8, 4, alpha=2), smooth_pair, seeds)
         assert (len(derived), len(looked_up)) == (4, 4)

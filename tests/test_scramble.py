@@ -1,5 +1,6 @@
 """Owen scrambling, digit interlacing, and the randomized rule generator."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -420,6 +421,38 @@ class TestPrf:
         got = mix64_array(np.array(words, dtype=np.uint64))
         assert got.shape == (len(words),)
         assert [int(v) for v in got] == [mix64(x) for x in words]
+
+    def test_mix64_array_zero_d(self):
+        # a 0-d word gives a scalar word, equal to its entry in an array
+        got = mix64_array(np.uint64(2**64 - 1))
+        assert np.ndim(got) == 0 and got.dtype == np.uint64
+        assert int(got) == mix64(2**64 - 1) == int(mix64_array(np.array([2**64 - 1],
+                                                                          dtype=np.uint64))[0])
+        assert int(mix64_array(np.array(7, dtype=np.uint64))) == mix64(7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(
+        st.text(max_size=6),
+        st.integers(-2**100, 2**100),
+        st.frozensets(st.integers(-2**63, 2**63 - 1), max_size=5),
+        st.lists(st.integers(0, 50), max_size=4),
+    ), max_size=5))
+    def test_derive_seed_matches_incremental_hash(self, master, tokens):
+        # the reference feeds blake2b one update per token, as the message
+        # is defined; the key must not depend on how the bytes are fed
+        h = hashlib.blake2b(digest_size=8)
+        h.update(master.to_bytes(8, "little"))
+        for t in tokens:
+            if isinstance(t, str):
+                h.update(b"s" + t.encode())
+            elif isinstance(t, int):
+                h.update(b"i" + t.to_bytes(16, "little", signed=True))
+            else:
+                items = sorted(t)
+                h.update(b"f" + len(items).to_bytes(4, "little"))
+                for v in items:
+                    h.update(v.to_bytes(8, "little", signed=True))
+        assert derive_seed(master, *tokens) == int.from_bytes(h.digest(), "little")
 
     def test_derive_seed_order_sensitive(self):
         assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
