@@ -128,16 +128,31 @@ def _shape(spec: RuleSpec) -> tuple:
     return (spec.kind, spec.n, len(spec.u), spec.alpha, spec.b, spec.gv)
 
 
-def _check_shapes(specs) -> None:
-    if any(_shape(other) != _shape(specs[0]) for other in specs[1:]):
+class _Group(tuple):
+    """Rule specs checked to share one shape; a slice of a group is a group."""
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        return _Group(out) if isinstance(key, slice) else out
+
+
+def _group(specs) -> _Group:
+    """specs as a group of one shape, or a ValueError.  A group passes as it
+    is, so the shapes are checked once, where the specs enter the keyed path,
+    and not again for each chunk drawn from them."""
+    if isinstance(specs, _Group):
+        return specs
+    specs = _Group(specs)
+    first = _shape(specs[0])
+    if any(_shape(other) != first for other in specs[1:]):
         raise ValueError("rules drawn together must share kind, n, |u|, alpha, b and vector")
+    return specs
 
 
 def _draw(specs, index) -> np.ndarray:
     """Point arrays of shape (K*R, n, |u|) for K specs of one shape; row
     k*R + r is randomization index[r] of specs[k]."""
     index = np.atleast_1d(index)
-    _check_shapes(specs)
     spec = specs[0]
     d = len(spec.u)
     if d == 0:
@@ -201,7 +216,7 @@ def rule_points_seeds(specs, seeds) -> np.ndarray:
     """The point sets of K rules of one shape under R master seeds, drawn
     together, in full: shape (K*R, n, |u|), row k*R + r equal to
     rule_points(specs[k], seeds[r])."""
-    return _draw(list(specs), seeds)
+    return _draw(_group(specs), seeds)
 
 
 def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
@@ -226,9 +241,7 @@ def run_rule_seeds(specs, g, seeds) -> np.ndarray:
     x[k] in seed order.  It returns the (K', r*n) values, row k those of set
     k; any other shape is a ValueError.  Each chunk of rules is drawn by one
     rule_points_seeds call and integrated by one call of g."""
-    specs = list(specs)
-    _check_shapes(specs)
-    return _run(specs, g, seeds, rule_points_seeds)
+    return _run(_group(specs), g, seeds, rule_points_seeds)
 
 
 @dataclass(frozen=True)

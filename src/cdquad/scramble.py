@@ -4,10 +4,18 @@ The scramble is realized with a counter-based PRF: the permutation applied
 to digit t of a coordinate is a deterministic function of (key, t, digits
 1..t-1 of the original point), so replications and per-coordinate streams
 are reproducible and mutually independent by key separation.  Keys come
-from the caller (see quadrature.rule_keys); nothing here derives them.  Digits are
-handled as (..., prec) uint8 matrices, most significant first, which keeps
-the whole pipeline vectorized and allows interlaced outputs with more
-digits than fit in a machine word.
+from the caller (see quadrature.rule_keys); nothing here derives them.
+
+Base-2 digit strings travel between the layers (scramble_digit_matrix,
+interlace_digit_matrices, digits_to_floats) as PackedDigits: 64 digits to
+a uint64 word, digit 0 in the top bit.  Digits as (..., prec) uint8
+matrices, most significant first, remain for other bases, for the exact
+digits of ScrambledRule.digits (which dump_points prints) and for callers
+that pass them; a base-2 layer given uint8 digits packs them, runs the same
+word code and unpacks its result.  Interlacing alone has two forms: packed
+streams are bit-interleaved into the leading 64 output digits, enough for a
+double (in base 2 Dick's digit interlacing is bit interleaving), and uint8
+streams are interlaced digit by digit to any depth, in any base.
 
 Base 2 hashes each node of the scramble tree once (after Friedel and Keller,
 "Fast generation of randomized low-discrepancy point sets", and the exact
@@ -30,6 +38,7 @@ Other bases draw a permutation of F_b per digit and prefix, level by level.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,13 +95,49 @@ def numerators_to_digits(coords: np.ndarray, b: int, m: int) -> np.ndarray:
     return out
 
 
-def _pack_word(digits: np.ndarray) -> np.ndarray:
-    """The first 64 base-2 digits of each row as one uint64, digit 0 in the
-    top bit and missing digits zero."""
-    packed = np.packbits(digits[..., :64], axis=-1)
-    word = np.zeros(digits.shape[:-1] + (8,), dtype=np.uint8)
-    word[..., :packed.shape[-1]] = packed
-    return word.view(">u8")[..., 0].astype(np.uint64)
+class PackedDigits:
+    """Base-2 digit strings packed into uint64 words.
+
+    words has shape (..., k), k >= 1: digit t of a string is bit 63 - t % 64
+    of its word t // 64, count digits are held and the bits past them are
+    zero.  shape and size are those of the (..., count) uint8 digit matrix
+    the strings stand for, so size is the number of digits held.
+    """
+
+    __slots__ = ("words", "count")
+
+    def __init__(self, words: np.ndarray, count: int):
+        self.words = words
+        self.count = count
+
+    @classmethod
+    def from_digits(cls, digits: np.ndarray) -> "PackedDigits":
+        """Pack a (..., count) uint8 matrix of base-2 digits."""
+        digits = np.asarray(digits, dtype=np.uint8)
+        count = digits.shape[-1]
+        packed = np.packbits(digits, axis=-1)
+        raw = np.zeros(digits.shape[:-1] + (8 * max(1, -(-count // 64)),), dtype=np.uint8)
+        raw[..., :packed.shape[-1]] = packed
+        return cls(raw.view(">u8").astype(np.uint64), count)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, count: int) -> "PackedDigits":
+        """The count-digit strings of integers below 2^count, count <= 64."""
+        values = np.asarray(values, dtype=np.uint64)
+        # numpy shifts by 64 or more give zero, so count 0 packs to zero words
+        return cls((values << np.uint64(64 - count))[..., None], count)
+
+    @property
+    def shape(self) -> tuple:
+        return self.words.shape[:-1] + (self.count,)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def digits(self) -> np.ndarray:
+        """The (..., count) uint8 digit matrix."""
+        return _word_digits(self.words, self.count)
 
 
 def _word_digits(words: np.ndarray, count: int) -> np.ndarray:
@@ -102,11 +147,15 @@ def _word_digits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(raw[..., :-(-count // 8)], axis=-1, count=count)
 
 
-def digits_to_floats(digits: np.ndarray, b: int) -> np.ndarray:
+def digits_to_floats(digits: np.ndarray | PackedDigits, b: int) -> np.ndarray:
+    """The points in [0, 1) of (..., prec) digit matrices, or of base-2
+    PackedDigits, rounded down to MAX_FLOAT_DIGITS_B2 bits."""
     if b == 2:
-        # 53 digits packed into a word are exactly the double's significand
-        word = _pack_word(digits[..., :MAX_FLOAT_DIGITS_B2])
-        return (word >> np.uint64(11)).astype(np.float64) * 2.0**-MAX_FLOAT_DIGITS_B2
+        if not isinstance(digits, PackedDigits):
+            digits = PackedDigits.from_digits(np.asarray(digits)[..., :MAX_FLOAT_DIGITS_B2])
+        # the first 53 digits of a word are exactly the double's significand
+        word = digits.words[..., 0] >> np.uint64(64 - MAX_FLOAT_DIGITS_B2)
+        return word.astype(np.float64) * 2.0**-MAX_FLOAT_DIGITS_B2
     prec = min(digits.shape[-1], float_digit_cap(b))
     scale = float(b) ** -np.arange(1, prec + 1)
     return digits[..., :prec].astype(np.float64) @ scale
@@ -135,53 +184,61 @@ def _node_flips(node_key: np.ndarray, prefix: np.ndarray, depth: int) -> np.ndar
     return flips
 
 
-def _scramble_base2(digits: np.ndarray, key: np.ndarray, out_prec: int) -> np.ndarray:
+def _scramble_words(digits: PackedDigits, key: np.ndarray, out_prec: int) -> PackedDigits:
     """Base-2 Owen scramble from one hash per tree node and one per value
     (see the module docstring)."""
-    in_prec = digits.shape[-1]
+    in_prec = digits.count
     if in_prec > MAX_BASE2_DIGITS:
         raise ValueError(
             f"base-2 scrambling supports at most {MAX_BASE2_DIGITS} input digits, got {in_prec}")
     shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
     key = key.reshape((1,) * (len(shape) - key.ndim) + key.shape)
-    value = np.zeros(digits.shape[:-1], dtype=np.uint64)
-    if in_prec:
-        value = _pack_word(digits) >> np.uint64(64 - in_prec)
+    value = digits.words[..., 0] >> np.uint64(64 - in_prec)
     value = value.reshape((1,) * (len(shape) - value.ndim) + value.shape)
     head = min(in_prec, out_prec)
     words = []  # the out_prec scrambled digits as a string of 64-bit words
     if head:
         prefix = value >> np.uint64(in_prec - head)
         scrambled = prefix ^ _node_flips(mix64_array(key ^ _NODE), prefix, head)
-        words.append(scrambled << np.uint64(64 - head))
+        scrambled <<= np.uint64(64 - head)
+        words.append(scrambled)
     for k in range(-(-(out_prec - head) // 64)):
         tail = mix64_array(mix64_array(key ^ _const(_TAIL, k + 1)) ^ value)
         if head:
             # the tail digits follow the head digits in the word string
-            words[-1] = words[-1] | (tail >> np.uint64(head))
-            tail = tail << np.uint64(64 - head)
+            words[-1] |= tail >> np.uint64(head)
+            tail <<= np.uint64(64 - head)
         if len(words) < -(-out_prec // 64):
             words.append(tail)
     if not words:
-        return np.zeros(shape + (0,), dtype=np.uint8)
-    return _word_digits(np.stack(words, axis=-1), out_prec)
+        return PackedDigits(np.zeros(shape + (1,), dtype=np.uint64), 0)
+    if out_prec % 64:
+        # the digits past out_prec are zero
+        words[-1] &= np.uint64(_MASK << (64 - out_prec % 64) & _MASK)
+    return PackedDigits(np.stack(words, axis=-1) if len(words) > 1 else words[0][..., None],
+                        out_prec)
 
 
 def scramble_digit_matrix(
-    digits: np.ndarray, b: int, key: np.ndarray | int, out_prec: int
-) -> np.ndarray:
+    digits: np.ndarray | PackedDigits, b: int, key: np.ndarray | int, out_prec: int
+) -> np.ndarray | PackedDigits:
     """Owen-scramble one coordinate given its original digit matrix.
 
-    digits: (..., in_prec) uint8.  key: uint64, broadcastable against the
-    leading axes (an array key scrambles each slice with an independent
-    stream).  Digits past in_prec are treated as zero, so out_prec > in_prec
-    extends the points to full precision as the scrambling of ...000.
-    Base 2 takes at most MAX_BASE2_DIGITS input digits.
+    digits: (..., in_prec) uint8, or in base 2 PackedDigits, which give
+    PackedDigits back.  key: uint64, broadcastable against the leading axes
+    (an array key scrambles each slice with an independent stream).  Digits
+    past in_prec are treated as zero, so out_prec > in_prec extends the
+    points to full precision as the scrambling of ...000.  Base 2 takes at
+    most MAX_BASE2_DIGITS input digits.
     """
-    digits = np.asarray(digits, dtype=np.uint8)
     key = np.asarray(key, dtype=np.uint64)
+    if isinstance(digits, PackedDigits):
+        if b != 2:
+            raise ValueError(f"packed digits are base 2, not base {b}")
+        return _scramble_words(digits, key, out_prec)
+    digits = np.asarray(digits, dtype=np.uint8)
     if b == 2:
-        return _scramble_base2(digits, key, out_prec)
+        return _scramble_words(PackedDigits.from_digits(digits), key, out_prec).digits()
     in_prec = digits.shape[-1]
     shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
     prefix = np.broadcast_to(mix64_array(key), shape).copy()
@@ -208,12 +265,50 @@ def scramble_digit_matrix(
     return out
 
 
-def interlace_digit_matrices(streams: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _spread_steps(alpha: int, keep: int) -> tuple:
+    """(shift, mask) steps that move bit i of a keep-bit integer to bit
+    i*alpha: step j moves the bits whose index has bit j set, highest j
+    first, and the mask keeps each bit at its place after that step."""
+    steps = []
+    for j in range((keep - 1).bit_length() - 1 if alpha > 1 else -1, -1, -1):
+        low = (1 << j) - 1
+        mask = sum(1 << ((i & ~low) * alpha + (i & low)) for i in range(keep))
+        steps.append((np.uint64((1 << j) * (alpha - 1)), np.uint64(mask)))
+    return tuple(steps)
+
+
+def _interlace_words(streams: PackedDigits) -> PackedDigits:
+    """Bit interleaving of alpha packed streams, (alpha, ...) strings: the
+    leading min(64, alpha*prec) output digits, from each stream's first
+    ceil(64 / alpha) digits."""
+    alpha, prec = streams.shape[0], streams.count
+    keep = min(-(-64 // alpha), prec)
+    # digit t of a stream at bit keep-1-t, spread to bit (keep-1-t)*alpha,
+    # then lifted so that digit t of stream 0 is output digit t*alpha
+    x = streams.words[..., 0] >> np.uint64(64 - keep)
+    for shift, mask in _spread_steps(alpha, keep):
+        x |= x << shift
+        x &= mask
+    x <<= np.uint64(63 - max(keep - 1, 0) * alpha)
+    # stream r lands one digit further down per r; digits pushed past the
+    # 64th fall off the word
+    word = x[0]
+    for r in range(1, alpha):
+        word |= x[r] >> np.uint64(r)
+    return PackedDigits(word[..., None], min(64, alpha * prec))
+
+
+def interlace_digit_matrices(streams: np.ndarray | PackedDigits) -> np.ndarray | PackedDigits:
     """Digit interlacing of alpha equally deep digit streams.
 
     streams: (alpha, ..., prec).  Output digit at position r + (d-1)*alpha
-    is digit d of stream r, giving shape (..., alpha*prec).
+    is digit d of stream r, giving shape (..., alpha*prec).  Base-2
+    PackedDigits streams give PackedDigits of the leading min(64,
+    alpha*prec) output digits.
     """
+    if isinstance(streams, PackedDigits):
+        return _interlace_words(streams)
     alpha = streams.shape[0]
     prec = streams.shape[-1]
     out = np.empty(streams.shape[1:-1] + (prec, alpha), dtype=streams.dtype)
@@ -224,15 +319,22 @@ def interlace_digit_matrices(streams: np.ndarray) -> np.ndarray:
     return out.reshape(streams.shape[1:-1] + (prec * alpha,))
 
 
+#: uint64 temporaries per stream and point that a packed base-2 chunk holds
+#: at its peak: the scrambled words, and the hashing or bit-spreading
+#: working set beside them
+_WORD_TEMPS = 5
+
+
 class ScrambledRule:
     """Randomized interlaced point generator over a fixed lattice point set.
 
     Each replication key is split into one key per input stream (output
     coordinate j, interlacing depth r), so distinct output coordinates are
     scrambled independently (the property that lets the rule commute with
-    projections onto coordinate subsets).  The streams' digit matrix is
-    built once per rule; keys are scrambled in chunks, and row i of every
-    output depends on key i alone.
+    projections onto coordinate subsets).  The streams' digits are built
+    once per rule; keys are scrambled in chunks, and row i of every output
+    depends on key i alone.  Base-2 points run on packed words from the
+    scramble to the floats; the exact digits of digits() are uint8.
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
@@ -251,19 +353,29 @@ class ScrambledRule:
         # read-only, as one rule serves many draws
         self.stream_digits = numerators_to_digits(num, b, m).reshape(self.n, self.d, alpha, m)
         self.stream_digits.flags.writeable = False
+        if b == 2:
+            # the numerators as packed strings (r, 1, point, j): scrambled
+            # against stream keys (r, rep, 1, j), the alpha streams of an
+            # output coordinate come out first, as interlacing takes them
+            self._stream_words = PackedDigits.from_values(
+                num.reshape(self.n, self.d, alpha).transpose(2, 0, 1)[:, None], m)
         # stream u = j * alpha + r of each key gets its own key
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
-    def _chunks(self, R: int):
-        # a chunk holds its scrambled digits and their interlaced copy: two
-        # uint8 digits per stream, point and output digit
-        return key_chunks(R, 2 * self._stream_salt.size * self.n * self.prec)
+    def _chunks(self, R: int, packed: bool):
+        # per stream and point a chunk holds its packed words, or its
+        # scrambled uint8 digits and their interlaced copy
+        per_point = 8 * _WORD_TEMPS if packed else 2 * self.prec
+        return key_chunks(R, per_point * self._stream_salt.size * self.n)
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d))
-        for rows in self._chunks(len(keys)):
+        for rows in self._chunks(len(keys), packed=self.b == 2):
+            if self.b == 2:
+                out[rows] = digits_to_floats(self._words(keys[rows]), 2)
+                continue
             digs = self._digits(keys[rows])
             # one output coordinate at a time: the base-b matmul rounds by
             # the layout it is given, and this layout keeps its rounding
@@ -276,15 +388,24 @@ class ScrambledRule:
         """Exact interlaced output digits, shape (R, n, d, alpha*prec)."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
-        for rows in self._chunks(len(keys)):
+        for rows in self._chunks(len(keys), packed=False):
             out[rows] = self._digits(keys[rows])
         return out
 
+    def _stream_keys(self, keys: np.ndarray) -> np.ndarray:
+        # one key per replication and stream, axes (rep, j, r)
+        return mix64_array(keys[:, None] ^ self._stream_salt).reshape(len(keys), self.d,
+                                                                      self.alpha)
+
+    def _words(self, keys: np.ndarray) -> PackedDigits:
+        # the leading 64 interlaced digits, axes (rep, point, j)
+        stream_keys = self._stream_keys(keys).transpose(2, 0, 1)[:, :, None]
+        scrambled = scramble_digit_matrix(self._stream_words, 2, stream_keys, self.prec)
+        return interlace_digit_matrices(scrambled)
+
     def _digits(self, keys: np.ndarray) -> np.ndarray:
         # one scramble pass over all streams, axes (rep, point, j, r)
-        stream_keys = mix64_array(keys[:, None] ^ self._stream_salt)
         scrambled = scramble_digit_matrix(
-            self.stream_digits[None], self.b,
-            stream_keys.reshape(len(keys), 1, self.d, self.alpha), self.prec,
+            self.stream_digits[None], self.b, self._stream_keys(keys)[:, None], self.prec,
         )  # (R, n, d, alpha, prec)
         return interlace_digit_matrices(np.moveaxis(scrambled, 3, 0))

@@ -293,6 +293,22 @@ class TestGroupDraw:
         with pytest.raises(ValueError, match="share"):
             run_rule_seeds([spec, other], pointwise(smooth_pair), [0, 1])
 
+    def test_group_shapes_checked_once(self, monkeypatch):
+        # a group's shapes are checked where it enters, once per set, and
+        # not again for each of its chunks
+        specs = [RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2) for k in (1, 3, 5)]
+        seeds = np.arange(3, dtype=np.uint64)
+        expect = run_rule_seeds(specs, pointwise(smooth_pair), seeds)
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", 1)  # one point set per chunk
+        shaped, draws = [], []
+        monkeypatch.setattr(quadrature, "_shape", counted(quadrature._shape, shaped))
+        monkeypatch.setattr(quadrature, "rule_points_seeds",
+                            counted(quadrature.rule_points_seeds, draws))
+        assert np.array_equal(run_rule_seeds(specs, pointwise(smooth_pair), seeds), expect)
+        assert (len(shaped), len(draws)) == (3, 9)
+        rule_points_seeds(specs, seeds)
+        assert len(shaped) == 6
+
     @pytest.mark.parametrize("values", [
         lambda sets, x: x[:-1, :, 0],  # a row short
         lambda sets, x: x[:, :-1, 0],  # a point short

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cdquad
@@ -18,6 +18,7 @@ from cdquad.gfpoly import FieldBase
 from cdquad.lattice import GeneratingVector, irreducible_modulus, plr_points
 from cdquad.prf import counters_uniform, derive_seed, mix64_array
 from cdquad.scramble import (
+    PackedDigits,
     ScrambledRule,
     digits_to_floats,
     float_digit_cap,
@@ -195,6 +196,65 @@ class TestScrambleDigitMatrix:
             assert sorted(ids) == list(range(16))
 
 
+def random_digits(seed, shape):
+    return np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8)
+
+
+class TestPackedDigits:
+    """The packed base-2 form against the uint8 digit matrices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=3), st.integers(0, 200), st.integers(0, 2**32 - 1))
+    def test_round_trip(self, lead, count, seed):
+        digs = random_digits(seed, tuple(lead) + (count,))
+        packed = PackedDigits.from_digits(digs)
+        assert packed.shape == digs.shape and packed.size == digs.size
+        assert packed.words.shape == digs.shape[:-1] + (max(1, -(-count // 64)),)
+        assert np.array_equal(packed.digits(), digs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 64), st.integers(0, 2**64 - 1))
+    def test_values_pack_their_digits(self, m, seed):
+        values = key_array(seed, 9) >> np.uint64(64 - m) if m else np.zeros(9, np.uint64)
+        packed = PackedDigits.from_values(values, m)
+        assert np.array_equal(packed.digits(), numerators_to_digits(values, 2, m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 140), st.integers(1, 5), st.integers(0, 2**64 - 1))
+    def test_scramble_equals_uint8_scramble(self, m, prec, R, seed):
+        digs = random_digits(seed % 2**32, (7, m))
+        key = key_array(seed, R)[:, None]
+        packed = scramble_digit_matrix(PackedDigits.from_digits(digs), 2, key, prec)
+        assert isinstance(packed, PackedDigits)
+        assert packed.size == R * 7 * prec
+        assert np.array_equal(packed.digits(), scramble_digit_matrix(digs, 2, key, prec))
+        # the words hold nothing past their digits
+        assert np.array_equal(digits_to_floats(packed, 2),
+                              digits_to_floats(packed.digits(), 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 80), st.integers(0, 2**32 - 1))
+    @example(3, 22, 0)  # the 64th output digit is digit 21 of stream 0
+    @example(5, 13, 1)  # stream 4's 13th digit falls past the 64th
+    def test_interlace_equals_uint8_interlace_on_64_digits(self, alpha, prec, seed):
+        streams = random_digits(seed, (alpha, 2, 3, prec))
+        packed = interlace_digit_matrices(PackedDigits.from_digits(streams))
+        assert isinstance(packed, PackedDigits)
+        assert packed.shape == (2, 3, min(64, alpha * prec))
+        assert np.array_equal(packed.digits(), interlace_digit_matrices(streams)[..., :64])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 130), st.integers(0, 2**32 - 1))
+    def test_floats_equal_uint8_floats(self, width, seed):
+        digs = random_digits(seed, (4, width))
+        got = digits_to_floats(PackedDigits.from_digits(digs), 2)
+        assert np.array_equal(got, digits_to_floats(digs, 2))
+
+    def test_packed_digits_are_base2(self):
+        with pytest.raises(ValueError, match="base 2"):
+            scramble_digit_matrix(PackedDigits.from_digits(np.zeros((2, 3), np.uint8)), 3, 1, 4)
+
+
 def value_digits(values, m, b=2):
     return numerators_to_digits(np.asarray(values, dtype=np.uint64), b, m)
 
@@ -338,15 +398,34 @@ class TestScrambledRule:
         first = ScrambledRule(2, 4, net[:, :1], alpha=1).points(keys(42))[0]
         assert (full[:, 0] == first[:, 0]).all()
 
-    def test_interlaced_digits_match_floats(self):
-        net = small_net(2, 3, 2)
-        rule = ScrambledRule(2, 3, net, alpha=2)
-        pts = rule.points(keys(9, 2))
-        digs = rule.digits(keys(9, 2))
-        from_digits = np.stack(
-            [digits_to_floats(digs[:, :, j, :], 2) for j in range(rule.d)], axis=2
-        )
-        assert np.allclose(pts, from_digits)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 20), st.integers(1, 3), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2**64 - 1))
+    @example(20, 2, 4, 3, 5)  # alpha * prec = 80 interlaced digits, past one word
+    @example(13, 1, 5, 2, 6)  # alpha * prec = 65
+    def test_interlaced_digits_match_floats(self, m, d, alpha, n, seed):
+        # the packed base-2 points are exactly the first 53 of the uint8
+        # digits, weighted by 2^-t (exact in float64)
+        nums = key_array(seed, n * d * alpha).reshape(n, d * alpha) >> np.uint64(64 - m)
+        rule = ScrambledRule(2, m, nums, alpha)
+        keys_ = key_array(seed ^ 3, 3)
+        digs = rule.digits(keys_)
+        assert digs.shape[-1] == alpha * rule.prec
+        weights = 2.0 ** -np.arange(1, 54)
+        assert np.array_equal(rule.points(keys_), digs[..., :53].astype(np.float64) @ weights)
+
+    def test_base2_points_never_unpack_words(self, monkeypatch):
+        # base-2 points go from the scrambled words to floats without uint8
+        # digits; the exact digits are the ones that unpack
+        rule = ScrambledRule(2, 4, key_array(5, 16 * 6).reshape(16, 6) >> np.uint64(60), alpha=3)
+
+        def unpack(words, count):
+            raise AssertionError("base-2 points unpacked words into digits")
+
+        monkeypatch.setattr(scramble, "_word_digits", unpack)
+        assert rule.points(keys(1, 2)).shape == (2, 16, 2)
+        with pytest.raises(AssertionError, match="unpacked"):
+            rule.digits(keys(1, 2))
 
     def test_criterion4_shape_memory(self):
         # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),
