@@ -24,9 +24,7 @@ from .decomp import (
     bias_squared,
     downward_closure,
     psi_Q_project,
-    psi_operator_norm,
     psi_project,
-    r_squared,
 )
 from .harness import (
     BankFunction,
@@ -40,7 +38,7 @@ from .harness import (
     run_variance_study,
     weight_preset,
 )
-from .kernels import bernoulli, k_chi, k_u, kernel_diag, kernel_mean_M
+from .kernels import bernoulli, k_chi, kernel_diag
 from .lattice import (
     GeneratingVector,
     PointSet,

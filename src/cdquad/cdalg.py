@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
@@ -105,7 +105,8 @@ class PlannerConstants:
     c: float = 1.0
     C: float = 1.0
     anchor: Anchor = field(default_factory=Anchor)
-    delta: float = 0.01
+    #: margin below decay - 1 that for_weights caps tau at
+    delta: ClassVar[float] = 0.01
 
     def __post_init__(self):
         if not self.eps > 0:  # written so that NaN fails too
@@ -133,7 +134,7 @@ class PlannerConstants:
             raise PlanningError("effective tau is nonpositive; delta too large")
         k_aa = float(kernel_diag(chi, Anchor().value))
         alpha0 = 0.5 * (tau / decay + 1 - 1 / decay)
-        L = w.weighted_power_sum(1 - alpha0, Truncation()).value
+        L = w.weighted_power_sum(1 - alpha0, Truncation())
         return cls(eps, tau, decay, k_aa, alpha0, L)
 
 
@@ -273,15 +274,7 @@ def plan_build(
         if u and template.kind == INTERLACED_PLR:
             n = _round_up_power(n, template.b)
         alloc[u] = 1 if not u else n
-    return Plan(consts, alloc, template, w.descriptor() if _has_descriptor(w) else {})
-
-
-def _has_descriptor(w: WeightModel) -> bool:
-    try:
-        w.descriptor()
-        return True
-    except Exception:
-        return False
+    return Plan(consts, alloc, template, w.descriptor())
 
 
 # --- execution -------------------------------------------------------------

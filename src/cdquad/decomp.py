@@ -2,11 +2,9 @@
 
 Projections onto finitely many coordinates, anchored components via
 inclusion-exclusion, alternating sums over active-set families, and the
-worst-case scalars of the analysis.  Of these, the squared bias bound of an
-active-set family is what the convergence study reports next to each plan;
-r^2 and the projection operator norm are the paper's constants, checked
-against closed forms.  Product-type weights enter only through their
-singleton sequence and order factors (weights._ProductFamily).
+worst-case squared bias bound of an active-set family, which the convergence
+study reports next to each plan.  Product-type weights enter only through
+their singleton sequence and order factors (weights._ProductFamily).
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class BlackBoxIntegrand:
     """
 
     evaluator: Callable[[Mapping[int, object], float], object]
-    declared_active: CoordSet | None = None
     # optional analytic anchored components of a group of sets,
     # (sets, x, anchor_value) -> values: sets holds K sorted coordinate tuples
     # of one size d, x their points of shape (K, N, d) with column i at
@@ -158,7 +155,6 @@ def psi_Q_project(f: BlackBoxIntegrand, Q, a: Anchor) -> BlackBoxIntegrand:
     such points receives bit-identical values from f and its projection.
     """
     closure = downward_closure(Q)
-    active = frozenset().union(*closure) if closure else frozenset()
 
     def ev(assignment, anchor_value):
         support = frozenset(assignment)
@@ -172,40 +168,19 @@ def psi_Q_project(f: BlackBoxIntegrand, Q, a: Anchor) -> BlackBoxIntegrand:
             total = term if total is None else total + term
         return total
 
-    return BlackBoxIntegrand(ev, declared_active=active)
+    return BlackBoxIntegrand(ev)
 
 
-# --- worst-case scalars ----------------------------------------------------
+# --- worst-case squared bias ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSum:
-    value: float
-    tail_bound: float | None = None
-
-    def __float__(self):
-        return self.value
-
-
-def _poly_singleton_tail(w: WeightModel, scale: float, T: Truncation) -> float | None:
-    """Bound on sum_{j > max_index} scale * gamma_j, when analytic."""
-    params = getattr(w, "_poly_params", None)
-    if params is None:
-        return None
-    a, c = params
-    if a <= 1:
-        return math.inf
-    return scale * c * T.max_index ** (1 - a) / (a - 1)
-
-
-def bias_squared(Q, w: WeightModel, k_aa: float, T: Truncation = Truncation()) -> TruncatedSum:
+def bias_squared(Q, w: WeightModel, k_aa: float, T: Truncation = Truncation()) -> float:
     """Worst-case squared bias of a changing dimension rule with active set Q:
     sum over nonempty u of S_{Q,u}^2 gamma_u k_aa^{|u|}.
 
     Exact over the support for finite-support weights.  For product-type
-    weights the sum is folded onto traces t = u intersect V (V the union of
-    Q) since S depends on u only through t; the remainder past the truncation
-    box is reported via the 4^{|u|} cap on S^2.
+    weights the sum runs over the truncation box T, folded onto traces
+    t = u intersect V (V the union of Q) since S depends on u only through t.
     """
     Q = [frozenset(q) for q in Q]
     if w.has_finite_support():
@@ -214,18 +189,12 @@ def bias_squared(Q, w: WeightModel, k_aa: float, T: Truncation = Truncation()) -
             if not u:
                 continue
             total += alt_sum_S(Q, u) ** 2 * w.gamma(u) * k_aa ** len(u)
-        return TruncatedSum(total, 0.0)
+        return total
     if not isinstance(w, _ProductFamily):
         raise TypeError(f"no bias evaluation path for {type(w).__name__}")
     if isinstance(w, ProductWeights):
-        total = _bias_product(Q, w, k_aa, T)
-    else:
-        total = _bias_trace_fold(Q, w, k_aa, T)
-    tail = _poly_singleton_tail(w, 4.0 * k_aa, T)
-    if tail is not None and math.isfinite(tail):
-        head4 = math.prod(1.0 + 4.0 * w.gamma_seq(j) * k_aa for j in range(1, T.max_index + 1))
-        tail = head4 * math.expm1(tail)
-    return TruncatedSum(total, tail)
+        return _bias_product(Q, w, k_aa, T)
+    return _bias_trace_fold(Q, w, k_aa, T)
 
 
 def _bias_product(Q, w, k_aa: float, T: Truncation) -> float:
@@ -277,52 +246,3 @@ def _bias_trace_fold(Q, w, k_aa: float, T: Truncation) -> float:
                     continue  # u must be nonempty
                 total += S2 * w.order_factor(r + k) * gt * es[k]
     return total
-
-
-def r_squared(v, u, a_diag: float, w: WeightModel, T: Truncation = Truncation()) -> TruncatedSum:
-    """r^2_{v,u,a} = sum over u' disjoint from v of gamma_{u union u'} k_aa^{|u'|};
-    a_diag is the anchor diagonal k(a, a).  Requires u subseteq v."""
-    v, u = frozenset(v), frozenset(u)
-    if not u <= v:
-        raise ValueError("u must be a subset of v")
-    if w.has_finite_support():
-        total = 0.0
-        for s in sorted(w.support_closure() | {frozenset()}, key=lambda t: (len(t), sorted(t))):
-            if s >= u and not (s - u) & v:
-                g = w.gamma(s)
-                if g > 0:
-                    total += g * a_diag ** len(s - u)
-        return TruncatedSum(total, 0.0)
-    if not isinstance(w, _ProductFamily):
-        raise TypeError(f"no r^2 evaluation path for {type(w).__name__}")
-    pool = [w.gamma_seq(j) * a_diag for j in range(1, T.max_index + 1) if j not in v]
-    gu = 1.0
-    for j in u:
-        gu *= w.gamma_seq(j)
-    if isinstance(w, ProductWeights):
-        # closed form: gamma_u * prod over the pool of (1 + gamma_j k_aa)
-        value = gu * math.prod(1.0 + g for g in pool)
-        tail = _poly_singleton_tail(w, a_diag, T)
-        if tail is not None and math.isfinite(tail):
-            tail = value * math.expm1(tail)
-        return TruncatedSum(value, tail)
-    es = esym(pool, T.max_order)
-    value = sum(w.order_factor(len(u) + k) * gu * es[k] for k in range(T.max_order + 1))
-    return TruncatedSum(value, None)
-
-
-def psi_operator_norm(v, a_diag: float, w: WeightModel, T: Truncation = Truncation()) -> float:
-    """Operator norm of the anchored projection onto coordinates v:
-    max over u subseteq v with gamma_u > 0 of gamma_u^{-1/2} r_{v,u,a}."""
-    v = sorted(frozenset(v))
-    if len(v) > ORDER_CAP:
-        raise ValueError(f"|v| = {len(v)} exceeds the enumeration cap {ORDER_CAP}")
-    best = 0.0
-    for k in range(len(v) + 1):
-        for u in combinations(v, k):
-            g = w.gamma(frozenset(u))
-            if g <= 0:
-                continue
-            r2 = r_squared(v, u, a_diag, w, T).value
-            best = max(best, math.sqrt(r2 / g))
-    return best

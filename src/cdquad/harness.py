@@ -148,7 +148,6 @@ class BankFunction:
 
         return BlackBoxIntegrand(
             evaluator=lambda assignment, av: _bank_eval(coeffs, assignment, av),
-            declared_active=frozenset(self.active),
             anchored=anchored,
         )
 
@@ -452,7 +451,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyResult:
         err2 = (ests - bank.integral) ** 2
         rmse2 = float(err2.mean())
         stderr = float(err2.std(ddof=1)) / math.sqrt(cfg.reps)
-        bound = float(bias_squared(plan.Q, w, k_aa, Truncation()))
+        bound = bias_squared(plan.Q, w, k_aa, Truncation())
         b2 = bank.plan_bias(plan.Q, anchor.value) ** 2
         rows.append({
             "eps": eps,

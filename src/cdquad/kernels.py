@@ -1,8 +1,8 @@
 """Unanchored Sobolev kernel of integer smoothness, built from Bernoulli polynomials.
 
 Bernoulli coefficients are precomputed as exact rationals up to degree 12
-(smoothness up to 6), so scalar diagnostics like the kernel mean come out as
-exact fractions and floating evaluation carries no recurrence round-off.
+(smoothness up to 6), so evaluation at Fractions is exact and floating
+evaluation carries no recurrence round-off.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -89,42 +88,6 @@ def k_chi(chi: int, x, y):
         acc = acc + sign * bernoulli(2 * chi, np.abs(np.asarray(x) - np.asarray(y))) / float(factorial(2 * chi))
         if np.ndim(acc) == 0:
             acc = float(acc)
-    return acc
-
-
-def k_u(chi: int, u: Iterable[int], x: Mapping[int, float], y: Mapping[int, float]):
-    """Product kernel over the coordinate set u; the empty product is 1."""
-    u = tuple(u)
-    acc = 1.0 if not any(isinstance(x.get(j), Fraction) for j in u) else Fraction(1)
-    for j in u:
-        if j not in x or j not in y:
-            raise KeyError(f"coordinate {j} missing from the evaluation point")
-        acc = acc * k_chi(chi, x[j], y[j])
-    return acc
-
-
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _poly_integral_01(a: tuple[Fraction, ...]) -> Fraction:
-    return sum((c / (i + 1) for i, c in enumerate(a)), Fraction(0))
-
-
-def kernel_mean_M(chi: int) -> Fraction:
-    """Exact value of the diagonal integral int_0^1 k_chi(x, x) dx."""
-    if chi < 1:
-        raise ValueError("smoothness must be >= 1")
-    acc = Fraction(0)
-    for t in range(1, chi + 1):
-        sq = _poly_mul(bernoulli_coeffs(t), bernoulli_coeffs(t))
-        acc += _poly_integral_01(sq) / (factorial(t) ** 2)
-    sign = 1 if chi % 2 == 1 else -1
-    acc += sign * Fraction(bernoulli_coeffs(2 * chi)[0]) / factorial(2 * chi)
     return acc
 
 

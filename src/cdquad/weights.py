@@ -28,16 +28,6 @@ class Truncation:
     max_order: int = 6
 
 
-@dataclass(frozen=True)
-class PowerSumResult:
-    value: float
-    tail_bound: float | None = None
-    diverged: bool = False
-
-    def __float__(self):
-        return self.value
-
-
 def esym(vals: Sequence[float], kmax: int) -> list[float]:
     """Elementary symmetric sums e_0..e_kmax of a float sequence."""
     es = [0.0] * (kmax + 1)
@@ -82,7 +72,7 @@ class WeightModel:
             f"{type(self).__name__} has no analytic decay; declare one at construction"
         )
 
-    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
+    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> float:
         """sum over nonempty u of gamma_u^exponent, within the truncation box."""
         raise NotImplementedError
 
@@ -94,7 +84,7 @@ class WeightModel:
 
     def descriptor(self) -> dict:
         """JSON-serializable summary for plan files and study sidecars."""
-        raise NotImplementedError
+        return {"variant": type(self).__name__}
 
 
 def _check_decreasing(seq: Callable[[int], float], upto: int = 50):
@@ -136,9 +126,9 @@ class _ProductFamily(WeightModel):
         es = esym([g**exponent if g > 0 else 0.0 for g in gs], kmax)
         return sum(self.order_factor(k) ** exponent * es[k] for k in range(1, kmax + 1))
 
-    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
+    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> float:
         _check_exponent(exponent)
-        return PowerSumResult(self._power_sum(exponent, truncation))
+        return self._power_sum(exponent, truncation)
 
     def descriptor(self) -> dict:
         d = {"variant": self._variant}
@@ -169,32 +159,22 @@ class ProductWeights(_ProductFamily):
         object.__setattr__(w, "_poly_params", (a, c))
         return w
 
-    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
-        """The shared sum, plus a tail bound for polynomial weights and a
-        divergence flag."""
+    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> float:
+        """The shared sum; warns when the full sum looks divergent at this
+        exponent: for polynomial weights c j^-a when a * exponent <= 1, for
+        other sequences when the partial sums have not settled between the
+        first max_index // 2 and the first max_index singletons."""
         _check_exponent(exponent)
         value = self._power_sum(exponent, truncation)
-        tail = None
-        diverged = False
         params = getattr(self, "_poly_params", None)
         if params is not None:
-            a, c = params
-            ae = a * exponent
-            if ae <= 1:
-                diverged = True
-            else:
-                # sum_{j>T} (c j^-a)^e <= c^e * T^{1-ae}/(ae-1); the full-product
-                # remainder is bounded by (1+value_head) * (exp(tail_singletons)-1)
-                t_single = (c**exponent) * truncation.max_index ** (1 - ae) / (ae - 1)
-                tail = (1.0 + value) * math.expm1(t_single)
+            diverged = params[0] * exponent <= 1
         else:
-            # generic Cauchy check on the singleton partial sums
             half = self._power_sum(exponent, Truncation(truncation.max_index // 2, truncation.max_order))
-            if value - half > max(1e-9, 1e-6 * abs(value)):
-                diverged = True
+            diverged = value - half > max(1e-9, 1e-6 * abs(value))
         if diverged:
             warnings.warn("weighted power sum looks divergent at this exponent", RuntimeWarning)
-        return PowerSumResult(value, tail, diverged)
+        return value
 
 
 @dataclass(frozen=True)
@@ -267,7 +247,7 @@ class _FiniteSupportMixin:
     def support_closure(self) -> set[CoordSet]:
         return downward_closure(u for u, g in self.table.items() if g > 0)
 
-    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> PowerSumResult:
+    def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> float:
         _check_exponent(exponent)
         total = 0.0
         for u, g in sorted(self.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
@@ -276,7 +256,7 @@ class _FiniteSupportMixin:
             if len(u) > truncation.max_order or max(u) > truncation.max_index:
                 continue
             total += g**exponent
-        return PowerSumResult(total, 0.0, False)
+        return total
 
     def _normalize_table(self):
         """Freeze the keys, drop the empty set (its weight is 1 by

@@ -1,5 +1,6 @@
 """Planner arithmetic, plan structure, and the changing-dimension estimator."""
 
+import dataclasses
 import json
 import math
 import re
@@ -37,11 +38,31 @@ from cdquad.weights import (
     FiniteProductWeights,
     ProductWeights,
     Truncation,
+    WeightModel,
     disjoint_pair_weights,
 )
 
 fs = frozenset
 MC = RuleTemplate(kind="mc")
+
+
+class TwoCoordinates(WeightModel):
+    """gamma = 1/2 on {1} and {2}, 1/4 on {1, 2}; no descriptor of its own."""
+
+    declared_decay = 3.0
+    table = {fs({1}): 0.5, fs({2}): 0.5, fs({1, 2}): 0.25}
+
+    def gamma(self, u):
+        return self.table.get(fs(u), 1.0 if not u else 0.0)
+
+    def has_finite_support(self):
+        return True
+
+    def support_closure(self):
+        return downward_closure(self.table)
+
+    def weighted_power_sum(self, exponent, truncation=Truncation()):
+        return sum(g**exponent for g in self.table.values())
 
 
 def consts(eps, tau=1.0, decay=3.0, k_aa=1 / 12, alpha0=None, L=2.0, c=1.0, C=1.0):
@@ -73,7 +94,12 @@ class TestSampleCountFormula:
     def test_for_weights_caps_tau(self):
         w = ProductWeights.polynomial(3.0)
         cs = PlannerConstants.for_weights(w, eps=0.1, tau=5.0)
-        assert cs.tau == pytest.approx(3.0 - 1 - cs.delta)
+        assert cs.tau == 3.0 - 1 - 0.01
+
+    def test_delta_is_not_a_field(self):
+        # for_weights is a classmethod and reads the class constant, so a
+        # delta passed to the constructor would be stored and never used
+        assert "delta" not in {f.name for f in dataclasses.fields(PlannerConstants)}
 
     def test_eps_positive(self):
         with pytest.raises(ValueError):
@@ -171,6 +197,21 @@ class TestPlanStructure:
         with pytest.raises(ValueError, match="alpha"):
             RuleTemplate(alpha=alpha)
 
+    def test_descriptor_default_names_the_class(self):
+        w = TwoCoordinates()
+        plan = plan_build(w, PlannerConstants.for_weights(w, 0.1, 1.0))
+        assert plan.weights_descriptor == {"variant": "TwoCoordinates"}
+        assert json.loads(plan.to_json())["weights"] == {"variant": "TwoCoordinates"}
+
+    def test_descriptor_error_propagates(self):
+        class Broken(TwoCoordinates):
+            def descriptor(self):
+                raise ValueError("descriptor is broken")
+
+        w = Broken()
+        with pytest.raises(ValueError, match="descriptor is broken"):
+            plan_build(w, PlannerConstants.for_weights(w, 0.1, 1.0))
+
     def test_json_round_trip_stable(self):
         plan = plan_build(ProductWeights.polynomial(3.0), consts(0.05))
         blob = plan.to_json()
@@ -254,7 +295,7 @@ def pair_integrand():
     def ev(x, a):
         return 1.0 + bernoulli(2, x.get(1, a)) + 0.5 * bernoulli(2, x.get(1, a)) * bernoulli(2, x.get(2, a))
 
-    return BlackBoxIntegrand(ev, declared_active=fs({1, 2}))
+    return BlackBoxIntegrand(ev)
 
 
 class TestEstimator:

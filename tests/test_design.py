@@ -1,10 +1,12 @@
-"""Design guard: every function in the library has a caller in the library.
+"""Design guard: every function in the library has a caller in the library,
+and every class field a reader.
 
 A top-level or class-level function counts as called when its name appears
 as a name or an attribute anywhere in src/cdquad outside its own
-definition.  Re-exports in __init__.py do not count, and dunder methods are
-exempt.  The allowlist names the few functions kept for users and tests
-alone, each with its reason.
+definition.  An annotated class field counts as read when it is loaded as an
+attribute anywhere in src/cdquad.  Re-exports in __init__.py do not count,
+and dunder methods are exempt.  The allowlists name the few functions and
+fields kept for users and tests alone, each with its reason.
 """
 
 import ast
@@ -15,12 +17,16 @@ import cdquad
 SRC = Path(cdquad.__file__).resolve().parent
 
 ALLOWED_UNCALLED = {
-    "decomp.psi_operator_norm": "the paper's projection operator norm; tests check it against closed forms",
-    "kernels.kernel_mean_M": "the paper's kernel mean M; tests check it against quadrature",
-    "kernels.k_u": "the paper's product kernel; tests check its factorization",
     "decomp.psi_Q_project": "the projection Psi_Q f that acceptance criterion 3 compares against",
     "harness.eps_grid_for_costs": "the eps grid of the acceptance criterion 5 studies",
 }
+
+ALLOWED_UNREAD = {
+    "quadrature.VarianceEstimate.replications": "a public result field: the R behind the estimate",
+}
+
+#: classes written out whole through dataclasses.asdict, so every field has a reader
+SERIALIZED = {"harness.ExperimentConfig"}
 
 
 def _definitions():
@@ -53,6 +59,28 @@ def _references():
     return refs
 
 
+def _fields():
+    """(module.Class.field) for every annotated field in a class body."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                out.extend(f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+    return out
+
+
+def _unread() -> list[str]:
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return [q for q in _fields()
+            if q.rsplit(".", 1)[0] not in SERIALIZED and q.rsplit(".", 1)[1] not in read]
+
+
 def _uncalled() -> list[str]:
     refs = _references()
     out = []
@@ -72,6 +100,14 @@ def test_every_function_has_a_caller():
 
 
 def test_allowlist_is_current():
-    # an allowlisted function that gained a caller, or is gone, leaves the list
+    # an allowlisted function that gained a caller, or a field that gained a
+    # reader, or either that is gone, leaves its list
     uncalled = set(_uncalled())
     assert set(ALLOWED_UNCALLED) <= uncalled, sorted(set(ALLOWED_UNCALLED) - uncalled)
+    unread = set(_unread())
+    assert set(ALLOWED_UNREAD) <= unread, sorted(set(ALLOWED_UNREAD) - unread)
+
+
+def test_every_field_is_read():
+    unread = [q for q in _unread() if q not in ALLOWED_UNREAD]
+    assert not unread, f"class fields that nothing in src/cdquad reads: {unread}"

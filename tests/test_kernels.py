@@ -1,4 +1,5 @@
-"""Bernoulli polynomials and the unanchored Sobolev kernel."""
+"""Bernoulli polynomials, the unanchored Sobolev kernel, and the product
+kernel and kernel mean of the analysis (test-local oracles)."""
 
 import math
 from fractions import Fraction
@@ -10,10 +11,44 @@ from cdquad.kernels import (
     bernoulli,
     bernoulli_coeffs,
     k_chi,
-    k_u,
     kernel_diag,
-    kernel_mean_M,
 )
+
+
+def k_u(chi: int, u, x, y):
+    """Product kernel over the coordinate set u; the empty product is 1."""
+    u = tuple(u)
+    acc = 1.0 if not any(isinstance(x.get(j), Fraction) for j in u) else Fraction(1)
+    for j in u:
+        if j not in x or j not in y:
+            raise KeyError(f"coordinate {j} missing from the evaluation point")
+        acc = acc * k_chi(chi, x[j], y[j])
+    return acc
+
+
+def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _poly_integral_01(a: tuple[Fraction, ...]) -> Fraction:
+    return sum((c / (i + 1) for i, c in enumerate(a)), Fraction(0))
+
+
+def kernel_mean_M(chi: int) -> Fraction:
+    """Exact value of the diagonal integral int_0^1 k_chi(x, x) dx."""
+    if chi < 1:
+        raise ValueError("smoothness must be >= 1")
+    acc = Fraction(0)
+    for t in range(1, chi + 1):
+        sq = _poly_mul(bernoulli_coeffs(t), bernoulli_coeffs(t))
+        acc += _poly_integral_01(sq) / (math.factorial(t) ** 2)
+    sign = 1 if chi % 2 == 1 else -1
+    acc += sign * Fraction(bernoulli_coeffs(2 * chi)[0]) / math.factorial(2 * chi)
+    return acc
 
 
 def gauss_legendre_integral(f, nodes=48, split=None):

@@ -1,6 +1,7 @@
 """Weight families, derived scalars, and structural predicates."""
 
 import math
+import warnings
 from itertools import combinations
 
 import pytest
@@ -62,13 +63,13 @@ class TestDecay:
 class TestWeightedPowerSum:
     def test_explicit_single(self):
         w = ExplicitWeights({fs({1}): 0.5})
-        assert w.weighted_power_sum(1.0).value == pytest.approx(0.5, abs=1e-15)
+        assert w.weighted_power_sum(1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_euler_product_identity(self):
         # sum over u of prod j^-2 = prod(1 + j^-2) - 1 = sinh(pi)/pi - 1
         w = ProductWeights.polynomial(2.0)
         got = w.weighted_power_sum(1.0, Truncation(max_index=100_000))
-        assert got.value == pytest.approx(math.sinh(math.pi) / math.pi - 1, rel=1e-4)
+        assert got == pytest.approx(math.sinh(math.pi) / math.pi - 1, rel=1e-4)
 
     def test_matches_bruteforce_enumeration(self):
         w = ProductWeights.polynomial(4.0)
@@ -78,7 +79,7 @@ class TestWeightedPowerSum:
             for u in combinations(range(1, 13), k):
                 brute += w.gamma(fs(u)) ** e
         got = w.weighted_power_sum(e, Truncation(max_index=12, max_order=4))
-        assert got.value == pytest.approx(brute, rel=1e-9)
+        assert got == pytest.approx(brute, rel=1e-9)
 
     def test_finite_product_sum(self):
         w = FiniteProductWeights.polynomial(2, 3.0)
@@ -86,7 +87,30 @@ class TestWeightedPowerSum:
             w.gamma(fs(u)) for k in (1, 2) for u in combinations(range(1, 31), k)
         )
         got = w.weighted_power_sum(1.0, Truncation(max_index=30, max_order=2))
-        assert got.value == pytest.approx(brute, rel=1e-9)
+        assert got == pytest.approx(brute, rel=1e-9)
+
+
+class TestDivergenceWarning:
+    def test_polynomial_at_or_below_one(self):
+        # sum_j (j^-2)^0.5 is the harmonic series
+        with pytest.warns(RuntimeWarning, match="divergent"):
+            ProductWeights.polynomial(2.0).weighted_power_sum(0.5)
+
+    def test_unsettled_partial_sums(self):
+        # no polynomial parameters, so the Cauchy check on the partial sums
+        # decides; they grow like log(max_index)
+        w = ProductWeights(lambda j: 1.0 / j)
+        with pytest.warns(RuntimeWarning, match="divergent"):
+            w.weighted_power_sum(1.0)
+
+    def test_planner_weights_do_not_warn(self):
+        # product-poly,a=3 at tau 2.5: for_weights sums at exponent
+        # 1 - alpha0 = 0.335, just above 1/a
+        from cdquad.cdalg import PlannerConstants
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PlannerConstants.for_weights(ProductWeights.polynomial(3.0), 0.1, 2.5)
 
 
 @st.composite
@@ -131,7 +155,7 @@ class TestProductFamily:
             for k in range(1, max_order + 1)
             for u in combinations(range(1, max_index + 1), k)
         )
-        got = w.weighted_power_sum(e, Truncation(max_index, max_order)).value
+        got = w.weighted_power_sum(e, Truncation(max_index, max_order))
         assert got == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
