@@ -44,7 +44,7 @@ from .quadrature import (
     empirical_variance,
     rule_keys,
 )
-from .scramble import check_base, interlace_digit_matrices
+from .scramble import check_base
 from .weights import (
     ExplicitWeights,
     FiniteProductWeights,
@@ -564,14 +564,9 @@ def dump_points(
         raise ValueError(f"generating vector is for b={gv.base.b}, m={gv.m}, not b={b}, m={m}")
     if gv.s != s * alpha:
         raise ValueError(f"generating vector has {gv.s} components, need {s * alpha}")
-    rule = _scrambled_rule(gv, alpha)
-    if seed is None:
-        # (n, s, alpha, m) stream digits interlaced per output coordinate
-        per_out = interlace_digit_matrices(np.moveaxis(rule.stream_digits, 2, 0))
-    else:
-        per_out = rule.digits(rule_keys(seed, range(1, s + 1), [0]))[0]
+    keys = None if seed is None else rule_keys(seed, range(1, s + 1), [0])
     lines = [f"# b={b} m={m} s={s} alpha={alpha} seed={seed}"]
-    for point in per_out:
+    for point in _scrambled_rule(gv, alpha).digits(keys)[0]:
         lines.append(" ".join("".join(str(int(d)) for d in coord) for coord in point))
     return lines
 

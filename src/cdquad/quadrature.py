@@ -105,7 +105,8 @@ def default_generating_vector(b: int, m: int, s: int, alpha: int) -> GeneratingV
 @lru_cache(maxsize=128)
 def _scrambled_rule(gv: GeneratingVector, alpha: int) -> ScrambledRule:
     """The point generator of a vector, so that every rule and draw on it
-    shares one point set and one stream digit matrix."""
+    shares one point set and one copy of its stream digits (PackedDigits in
+    base 2, uint8 otherwise)."""
     return ScrambledRule(gv.base.b, gv.m, plr_points(gv).coords, alpha)
 
 

@@ -6,16 +6,14 @@ to digit t of a coordinate is a deterministic function of (key, t, digits
 are reproducible and mutually independent by key separation.  Keys come
 from the caller (see quadrature.rule_keys); nothing here derives them.
 
-Base-2 digit strings travel between the layers (scramble_digit_matrix,
-interlace_digit_matrices, digits_to_floats) as PackedDigits: 64 digits to
-a uint64 word, digit 0 in the top bit.  Digits as (..., prec) uint8
-matrices, most significant first, remain for other bases, for the exact
-digits of ScrambledRule.digits (which dump_points prints) and for callers
-that pass them; a base-2 layer given uint8 digits packs them, runs the same
-word code and unpacks its result.  Interlacing alone has two forms: packed
-streams are bit-interleaved into the leading 64 output digits, enough for a
-double (in base 2 Dick's digit interlacing is bit interleaving), and uint8
-streams are interlaced digit by digit to any depth, in any base.
+Digit strings travel between the layers (numerators_to_digits,
+scramble_digit_matrix, interlace_digit_matrices, digits_to_floats) in one
+form per base: PackedDigits in base 2, 64 digits to a uint64 word with digit
+0 in the top bit, and (..., prec) uint8 matrices, most significant first, in
+every other base.  A base-2 layer given a uint8 matrix raises ValueError.
+Interlacing gives all alpha*prec output digits in both forms: packed streams
+are bit-interleaved (in base 2 Dick's digit interlacing is bit
+interleaving), and uint8 streams are interlaced digit by digit, in any base.
 
 Base 2 hashes each node of the scramble tree once (after Friedel and Keller,
 "Fast generation of randomized low-discrepancy point sets", and the exact
@@ -84,17 +82,6 @@ def float_digit_cap(b: int) -> int:
     return int(MAX_FLOAT_DIGITS_B2 / np.log2(b))
 
 
-def numerators_to_digits(coords: np.ndarray, b: int, m: int) -> np.ndarray:
-    """Base-b digits of coords / b^m, most significant first, shape (..., m)."""
-    coords = np.asarray(coords, dtype=np.uint64)
-    out = np.empty(coords.shape + (m,), dtype=np.uint8)
-    x = coords.copy()
-    for t in range(m - 1, -1, -1):
-        out[..., t] = (x % np.uint64(b)).astype(np.uint8)
-        x //= np.uint64(b)
-    return out
-
-
 class PackedDigits:
     """Base-2 digit strings packed into uint64 words.
 
@@ -109,23 +96,6 @@ class PackedDigits:
     def __init__(self, words: np.ndarray, count: int):
         self.words = words
         self.count = count
-
-    @classmethod
-    def from_digits(cls, digits: np.ndarray) -> "PackedDigits":
-        """Pack a (..., count) uint8 matrix of base-2 digits."""
-        digits = np.asarray(digits, dtype=np.uint8)
-        count = digits.shape[-1]
-        packed = np.packbits(digits, axis=-1)
-        raw = np.zeros(digits.shape[:-1] + (8 * max(1, -(-count // 64)),), dtype=np.uint8)
-        raw[..., :packed.shape[-1]] = packed
-        return cls(raw.view(">u8").astype(np.uint64), count)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, count: int) -> "PackedDigits":
-        """The count-digit strings of integers below 2^count, count <= 64."""
-        values = np.asarray(values, dtype=np.uint64)
-        # numpy shifts by 64 or more give zero, so count 0 packs to zero words
-        return cls((values << np.uint64(64 - count))[..., None], count)
 
     @property
     def shape(self) -> tuple:
@@ -147,12 +117,32 @@ def _word_digits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(raw[..., :-(-count // 8)], axis=-1, count=count)
 
 
-def digits_to_floats(digits: np.ndarray | PackedDigits, b: int) -> np.ndarray:
-    """The points in [0, 1) of (..., prec) digit matrices, or of base-2
-    PackedDigits, rounded down to MAX_FLOAT_DIGITS_B2 bits."""
+def numerators_to_digits(coords: np.ndarray, b: int, m: int) -> np.ndarray | PackedDigits:
+    """Base-b digits of coords / b^m, most significant first: m-digit
+    PackedDigits in base 2 (m <= 64), a (..., m) uint8 matrix otherwise."""
+    coords = np.asarray(coords, dtype=np.uint64)
     if b == 2:
-        if not isinstance(digits, PackedDigits):
-            digits = PackedDigits.from_digits(np.asarray(digits)[..., :MAX_FLOAT_DIGITS_B2])
+        # numpy shifts by 64 or more give zero, so m = 0 packs to zero words
+        return PackedDigits((coords << np.uint64(64 - m))[..., None], m)
+    out = np.empty(coords.shape + (m,), dtype=np.uint8)
+    x = coords.copy()
+    for t in range(m - 1, -1, -1):
+        out[..., t] = (x % np.uint64(b)).astype(np.uint8)
+        x //= np.uint64(b)
+    return out
+
+
+def _check_form(digits, b: int) -> None:
+    if isinstance(digits, PackedDigits) != (b == 2):
+        raise ValueError(f"digits are PackedDigits in base 2 and uint8 matrices in other "
+                         f"bases; got {type(digits).__name__} for base {b}")
+
+
+def digits_to_floats(digits: np.ndarray | PackedDigits, b: int) -> np.ndarray:
+    """The points in [0, 1) of digit strings, rounded down to their first
+    float_digit_cap(b) digits."""
+    _check_form(digits, b)
+    if b == 2:
         # the first 53 digits of a word are exactly the double's significand
         word = digits.words[..., 0] >> np.uint64(64 - MAX_FLOAT_DIGITS_B2)
         return word.astype(np.float64) * 2.0**-MAX_FLOAT_DIGITS_B2
@@ -224,21 +214,18 @@ def scramble_digit_matrix(
 ) -> np.ndarray | PackedDigits:
     """Owen-scramble one coordinate given its original digit matrix.
 
-    digits: (..., in_prec) uint8, or in base 2 PackedDigits, which give
-    PackedDigits back.  key: uint64, broadcastable against the leading axes
-    (an array key scrambles each slice with an independent stream).  Digits
-    past in_prec are treated as zero, so out_prec > in_prec extends the
-    points to full precision as the scrambling of ...000.  Base 2 takes at
-    most MAX_BASE2_DIGITS input digits.
+    digits: PackedDigits in base 2, (..., in_prec) uint8 otherwise; the
+    output is in the same form.  key: uint64, broadcastable against the
+    leading axes (an array key scrambles each slice with an independent
+    stream).  Digits past in_prec are treated as zero, so out_prec > in_prec
+    extends the points to full precision as the scrambling of ...000.  Base
+    2 takes at most MAX_BASE2_DIGITS input digits.
     """
     key = np.asarray(key, dtype=np.uint64)
-    if isinstance(digits, PackedDigits):
-        if b != 2:
-            raise ValueError(f"packed digits are base 2, not base {b}")
+    _check_form(digits, b)
+    if b == 2:
         return _scramble_words(digits, key, out_prec)
     digits = np.asarray(digits, dtype=np.uint8)
-    if b == 2:
-        return _scramble_words(PackedDigits.from_digits(digits), key, out_prec).digits()
     in_prec = digits.shape[-1]
     shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
     prefix = np.broadcast_to(mix64_array(key), shape).copy()
@@ -279,33 +266,48 @@ def _spread_steps(alpha: int, keep: int) -> tuple:
 
 
 def _interlace_words(streams: PackedDigits) -> PackedDigits:
-    """Bit interleaving of alpha packed streams, (alpha, ...) strings: the
-    leading min(64, alpha*prec) output digits, from each stream's first
-    ceil(64 / alpha) digits."""
+    """Bit interleaving of alpha packed streams of at most 64 digits,
+    (alpha, ...) strings, into all alpha*prec output digits."""
     alpha, prec = streams.shape[0], streams.count
-    keep = min(-(-64 // alpha), prec)
-    # digit t of a stream at bit keep-1-t, spread to bit (keep-1-t)*alpha,
-    # then lifted so that digit t of stream 0 is output digit t*alpha
-    x = streams.words[..., 0] >> np.uint64(64 - keep)
-    for shift, mask in _spread_steps(alpha, keep):
-        x |= x << shift
-        x &= mask
-    x <<= np.uint64(63 - max(keep - 1, 0) * alpha)
-    # stream r lands one digit further down per r; digits pushed past the
-    # 64th fall off the word
-    word = x[0]
-    for r in range(1, alpha):
-        word |= x[r] >> np.uint64(r)
-    return PackedDigits(word[..., None], min(64, alpha * prec))
+    if streams.words.shape[-1] > 1:
+        raise ValueError(f"packed streams hold at most 64 digits, got {prec}")
+    keep = min(-(-64 // alpha), prec)  # the most digits of a stream in one output word
+    words = []
+    for k in range(max(1, -(-alpha * prec // 64))):
+        # digit first[r] of stream r is its first one in output word k
+        first = [-((r - 64 * k) // alpha) for r in range(alpha)]
+        # digits first[r].. of stream r at bits keep-1.., spread to bits
+        # (keep-1)*alpha..
+        x = streams.words[..., 0]
+        if k:
+            x = x << np.array(first, dtype=np.uint64).reshape((alpha,) + (1,) * (x.ndim - 1))
+        x = x >> np.uint64(64 - keep)
+        for shift, mask in _spread_steps(alpha, keep):
+            x |= x << shift
+            x &= mask
+        # lifted in place so that digit first[r] + i lands at output digit
+        # (first[r] + i)*alpha + r; digits pushed past the word fall off
+        for r in range(alpha):
+            lift = 63 - max(keep - 1, 0) * alpha - (first[r] * alpha + r - 64 * k)
+            if lift >= 0:
+                x[r] <<= np.uint64(lift)
+            else:
+                x[r] >>= np.uint64(-lift)
+        word = x[0]
+        for r in range(1, alpha):
+            word |= x[r]
+        words.append(word)
+    return PackedDigits(np.stack(words, axis=-1) if len(words) > 1 else words[0][..., None],
+                        alpha * prec)
 
 
 def interlace_digit_matrices(streams: np.ndarray | PackedDigits) -> np.ndarray | PackedDigits:
     """Digit interlacing of alpha equally deep digit streams.
 
-    streams: (alpha, ..., prec).  Output digit at position r + (d-1)*alpha
-    is digit d of stream r, giving shape (..., alpha*prec).  Base-2
-    PackedDigits streams give PackedDigits of the leading min(64,
-    alpha*prec) output digits.
+    streams: (alpha, ..., prec), PackedDigits of at most 64 digits or a
+    uint8 matrix in any base; the output, in the same form, is (...,
+    alpha*prec), and its digit at position r + (d-1)*alpha is digit d of
+    stream r.
     """
     if isinstance(streams, PackedDigits):
         return _interlace_words(streams)
@@ -332,9 +334,10 @@ class ScrambledRule:
     coordinate j, interlacing depth r), so distinct output coordinates are
     scrambled independently (the property that lets the rule commute with
     projections onto coordinate subsets).  The streams' digits are built
-    once per rule; keys are scrambled in chunks, and row i of every output
-    depends on key i alone.  Base-2 points run on packed words from the
-    scramble to the floats; the exact digits of digits() are uint8.
+    once per rule, as PackedDigits in base 2 and uint8 matrices otherwise;
+    keys are scrambled in chunks, and row i of every output depends on key
+    i alone.  Base-2 digits stay packed up to the floats of points() and
+    unpack only at the end of digits().
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
@@ -348,64 +351,58 @@ class ScrambledRule:
         self.n, S = num.shape
         self.d = S // alpha
         self.prec = max(m, -(-float_digit_cap(b) // alpha))
-        # (point, output coordinate, interlacing depth, digit), so that the
-        # scrambled streams come out next to the digits they interlace with;
-        # read-only, as one rule serves many draws
-        self.stream_digits = numerators_to_digits(num, b, m).reshape(self.n, self.d, alpha, m)
-        self.stream_digits.flags.writeable = False
-        if b == 2:
-            # the numerators as packed strings (r, 1, point, j): scrambled
-            # against stream keys (r, rep, 1, j), the alpha streams of an
-            # output coordinate come out first, as interlacing takes them
-            self._stream_words = PackedDigits.from_values(
-                num.reshape(self.n, self.d, alpha).transpose(2, 0, 1)[:, None], m)
+        # the stream digits (r, 1, point, j): scrambled against stream keys
+        # (r, rep, 1, j), the alpha streams of an output coordinate come out
+        # first, as interlacing takes them
+        self._streams = numerators_to_digits(
+            num.reshape(self.n, self.d, alpha).transpose(2, 0, 1)[:, None], b, m)
         # stream u = j * alpha + r of each key gets its own key
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
-    def _chunks(self, R: int, packed: bool):
+    def _chunks(self, R: int):
         # per stream and point a chunk holds its packed words, or its
         # scrambled uint8 digits and their interlaced copy
-        per_point = 8 * _WORD_TEMPS if packed else 2 * self.prec
+        per_point = 8 * _WORD_TEMPS if self.b == 2 else 2 * self.prec
         return key_chunks(R, per_point * self._stream_salt.size * self.n)
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d))
-        for rows in self._chunks(len(keys), packed=self.b == 2):
+        for rows in self._chunks(len(keys)):
+            digs = self._interlaced(keys[rows])
             if self.b == 2:
-                out[rows] = digits_to_floats(self._words(keys[rows]), 2)
-                continue
-            digs = self._digits(keys[rows])
-            # one output coordinate at a time: the base-b matmul rounds by
-            # the layout it is given, and this layout keeps its rounding
-            for j in range(self.d):
-                out[rows, :, j] = digits_to_floats(digs[:, :, j], self.b)
+                out[rows] = digits_to_floats(digs, 2)
+            else:
+                # one output coordinate at a time: the base-b matmul rounds
+                # by the layout it is given, and this layout keeps its rounding
+                for j in range(self.d):
+                    out[rows, :, j] = digits_to_floats(digs[:, :, j], self.b)
             del digs  # free this chunk's digits before the next is scrambled
         return out
 
-    def digits(self, keys: np.ndarray) -> np.ndarray:
-        """Exact interlaced output digits, shape (R, n, d, alpha*prec)."""
+    def digits(self, keys: np.ndarray | None) -> np.ndarray:
+        """Exact interlaced output digits, shape (R, n, d, alpha*prec); keys
+        None gives the unscrambled net, shape (1, n, d, alpha*m)."""
+        if keys is None:
+            return _unpacked(self._interlaced(None))
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
-        for rows in self._chunks(len(keys), packed=False):
-            out[rows] = self._digits(keys[rows])
+        for rows in self._chunks(len(keys)):
+            out[rows] = _unpacked(self._interlaced(keys[rows]))
         return out
 
-    def _stream_keys(self, keys: np.ndarray) -> np.ndarray:
-        # one key per replication and stream, axes (rep, j, r)
-        return mix64_array(keys[:, None] ^ self._stream_salt).reshape(len(keys), self.d,
-                                                                      self.alpha)
+    def _interlaced(self, keys: np.ndarray | None) -> np.ndarray | PackedDigits:
+        # the interlaced digits of the streams scrambled by each key, or of
+        # the streams as they are, axes (rep, point, j)
+        streams = self._streams
+        if keys is not None:
+            # one key per replication and stream, axes (r, rep, 1, j)
+            stream_keys = mix64_array(keys[:, None] ^ self._stream_salt).reshape(
+                len(keys), self.d, self.alpha).transpose(2, 0, 1)[:, :, None]
+            streams = scramble_digit_matrix(streams, self.b, stream_keys, self.prec)
+        return interlace_digit_matrices(streams)
 
-    def _words(self, keys: np.ndarray) -> PackedDigits:
-        # the leading 64 interlaced digits, axes (rep, point, j)
-        stream_keys = self._stream_keys(keys).transpose(2, 0, 1)[:, :, None]
-        scrambled = scramble_digit_matrix(self._stream_words, 2, stream_keys, self.prec)
-        return interlace_digit_matrices(scrambled)
 
-    def _digits(self, keys: np.ndarray) -> np.ndarray:
-        # one scramble pass over all streams, axes (rep, point, j, r)
-        scrambled = scramble_digit_matrix(
-            self.stream_digits[None], self.b, self._stream_keys(keys)[:, None], self.prec,
-        )  # (R, n, d, alpha, prec)
-        return interlace_digit_matrices(np.moveaxis(scrambled, 3, 0))
+def _unpacked(digits: np.ndarray | PackedDigits) -> np.ndarray:
+    return digits.digits() if isinstance(digits, PackedDigits) else digits

@@ -161,20 +161,15 @@ class ProductWeights(_ProductFamily):
 
     def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> float:
         """The shared sum; warns when the full sum looks divergent at this
-        exponent: for polynomial weights c j^-a when a * exponent <= 1, for
-        other sequences when the partial sums have not settled between the
-        first max_index // 2 and the first max_index singletons."""
+        exponent e: when the local decay exponent of the singletons at J =
+        max_index >= 2, e * log2(gamma_{J//2} / gamma_J), is at most 1 (for
+        polynomial weights c j^-a it is a * e at even J)."""
         _check_exponent(exponent)
-        value = self._power_sum(exponent, truncation)
-        params = getattr(self, "_poly_params", None)
-        if params is not None:
-            diverged = params[0] * exponent <= 1
-        else:
-            half = self._power_sum(exponent, Truncation(truncation.max_index // 2, truncation.max_order))
-            diverged = value - half > max(1e-9, 1e-6 * abs(value))
-        if diverged:
+        J = truncation.max_index
+        last = self.gamma_seq(J)
+        if J > 1 and last > 0 and exponent * math.log2(self.gamma_seq(J // 2) / last) <= 1 + 1e-9:
             warnings.warn("weighted power sum looks divergent at this exponent", RuntimeWarning)
-        return value
+        return self._power_sum(exponent, truncation)
 
 
 @dataclass(frozen=True)

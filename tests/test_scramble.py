@@ -1,9 +1,11 @@
 """Owen scrambling, digit interlacing, and the randomized rule generator."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +63,16 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def uint8_digits(values, b, m):
+    """The (..., m) uint8 digit matrix of integers below b^m, in any base
+    (base 2 unpacks the packed form)."""
+    return as_uint8(numerators_to_digits(np.asarray(values, dtype=np.uint64), b, m))
+
+
 def interlace_integers(numerators, b, m):
     """Exact interlace of alpha m-digit numerators into one alpha*m-digit
     integer numerator (Python int; bit-exact oracle)."""
-    mats = np.stack([numerators_to_digits(np.asarray([v], np.uint64), b, m)[0]
-                     for v in numerators])
+    mats = np.stack([uint8_digits(v, b, m) for v in numerators])
     out = 0
     for d in interlace_digit_matrices(mats):
         out = out * b + int(d)
@@ -82,41 +89,44 @@ class TestDigitPlumbing:
     def test_numerators_to_digits_round_trip(self):
         for b, m in [(2, 5), (3, 4)]:
             coords = np.arange(b**m, dtype=np.uint64)
-            digs = numerators_to_digits(coords, b, m)
+            digs = uint8_digits(coords, b, m)
             back = np.zeros(len(coords), dtype=np.uint64)
             for t in range(m):
                 back = back * b + digs[:, t]
             assert (back == coords).all()
 
     def test_digits_to_floats(self):
-        digs = np.array([[0, 1], [1, 1]], dtype=np.uint8)
-        assert np.allclose(digits_to_floats(digs, 2), [0.25, 0.75])
+        # 0.01 and 0.11 in base 2, 0.01 and 0.21 in base 3
+        assert np.allclose(digits_to_floats(numerators_to_digits([1, 3], 2, 2), 2), [0.25, 0.75])
+        assert np.allclose(digits_to_floats(numerators_to_digits([1, 7], 3, 2), 3), [1 / 9, 7 / 9])
 
     def test_float_digit_cap(self):
         assert float_digit_cap(2) == 53
         assert float_digit_cap(3) == 33
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 70), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 140), st.integers(0, 2**32 - 1))
     def test_base2_floats_equal_matmul(self, width, seed):
         # the packed conversion is bit-equal to the float64 digit weights
-        digs = np.random.default_rng(seed).integers(0, 2, (3, 5, width), dtype=np.uint8)
+        packed = random_packed(seed, (3, 5), width)
+        digs = packed.digits()
         prec = min(width, 53)
         matmul = digs[..., :prec].astype(np.float64) @ (2.0 ** -np.arange(1, prec + 1))
-        assert np.array_equal(digits_to_floats(digs, 2), matmul)
+        assert np.array_equal(digits_to_floats(packed, 2), matmul)
 
 
 class TestInterlace:
     def test_alpha1_identity(self):
         digs = numerators_to_digits(np.arange(8, dtype=np.uint64), 2, 3)
-        assert (interlace_digit_matrices(digs[None]) == digs).all()
+        packed = interlace_digit_matrices(PackedDigits(digs.words[None], 3))
+        assert np.array_equal(packed.words, digs.words)
+        assert (interlace_digit_matrices(digs.digits()[None]) == digs.digits()).all()
 
     def test_hand_example(self):
         # alpha=2, b=2, inputs (1/4, 1/2) = (0.01, 0.10) -> 0.0110 = 3/8
         assert interlace_integers([1, 2], 2, 2) == 6  # 0110 as a 4-digit numerator
-        s1 = numerators_to_digits(np.array([1], np.uint64), 2, 2)
-        s2 = numerators_to_digits(np.array([2], np.uint64), 2, 2)
-        out = interlace_digit_matrices(np.stack([s1, s2]))
+        streams = numerators_to_digits(np.array([[1], [2]], np.uint64), 2, 2)
+        out = interlace_digit_matrices(streams)
         assert digits_to_floats(out, 2)[0] == 3 / 8
 
     def test_zero(self):
@@ -135,17 +145,18 @@ class TestInterlace:
 class TestScrambleDigitMatrix:
     def test_reproducible(self):
         digs = numerators_to_digits(np.arange(8, dtype=np.uint64), 2, 3)
-        a = scramble_digit_matrix(digs, 2, 12345, 8)
-        b = scramble_digit_matrix(digs, 2, 12345, 8)
+        a = scramble_digit_matrix(digs, 2, 12345, 8).digits()
+        b = scramble_digit_matrix(digs, 2, 12345, 8).digits()
         assert (a == b).all()
-        c = scramble_digit_matrix(digs, 2, 54321, 8)
+        c = scramble_digit_matrix(digs, 2, 54321, 8).digits()
         assert (a != c).any()
 
     def test_prefix_property(self):
         # points sharing t leading digits share t scrambled leading digits,
         # and differ at digit t+1 when the originals differ there
-        digs = numerators_to_digits(np.arange(16, dtype=np.uint64), 2, 4)
-        out = scramble_digit_matrix(digs, 2, 99, 4)
+        packed = numerators_to_digits(np.arange(16, dtype=np.uint64), 2, 4)
+        out = scramble_digit_matrix(packed, 2, 99, 4).digits()
+        digs = packed.digits()
         for i in range(16):
             for j in range(16):
                 t = 0
@@ -161,7 +172,7 @@ class TestScrambleDigitMatrix:
         digs = numerators_to_digits(np.zeros(1, np.uint64), b, 2)
         R = 4000
         keys = np.arange(1, R + 1, dtype=np.uint64)
-        out = scramble_digit_matrix(digs[0][None], b, keys[:, None], 3)
+        out = as_uint8(scramble_digit_matrix(digs, b, keys[:, None], 3))
         for t in range(3):
             counts = np.bincount(out[:, 0, t], minlength=b)
             assert abs(counts.max() - counts.min()) < 5 * np.sqrt(R / b)
@@ -171,8 +182,8 @@ class TestScrambleDigitMatrix:
         digs = numerators_to_digits(np.array([1], np.uint64), 2, 2)
         R = 100_000
         keys = np.arange(R, dtype=np.uint64)
-        out = scramble_digit_matrix(digs[0][None], 2, keys[:, None], 30)
-        vals = digits_to_floats(out[:, 0, :], 2)
+        out = scramble_digit_matrix(digs, 2, keys[:, None], 30)
+        vals = digits_to_floats(out, 2)[:, 0]
         stderr = vals.std() / np.sqrt(R)
         assert abs(vals.mean() - 0.5) < 3 * stderr
 
@@ -196,63 +207,111 @@ class TestScrambleDigitMatrix:
             assert sorted(ids) == list(range(16))
 
 
-def random_digits(seed, shape):
-    return np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8)
+def as_uint8(digits):
+    """A layer's output as a uint8 digit matrix, in any base."""
+    return digits.digits() if isinstance(digits, PackedDigits) else digits
+
+
+def random_values(seed, shape, count):
+    """Random integers below 2^count, count <= 64."""
+    if not count:
+        return np.zeros(shape, np.uint64)
+    words = np.random.default_rng(seed).integers(0, 2**64, shape, dtype=np.uint64)
+    return words >> np.uint64(64 - count)
+
+
+def clear_tail(words, count):
+    """Rows of uint64 words with every bit past the first count cleared."""
+    held = [min(64, max(0, count - 64 * i)) for i in range(words.shape[-1])]  # bits of word i
+    return words & np.array([((1 << c) - 1) << (64 - c) for c in held], dtype=np.uint64)
+
+
+def random_packed(seed, lead, count):
+    """Random count-digit PackedDigits of leading shape lead, for any count."""
+    k = max(1, -(-count // 64))
+    words = np.random.default_rng(seed).integers(0, 2**64, lead + (k,), dtype=np.uint64)
+    return PackedDigits(clear_tail(words, count), count)
+
+
+def bits(words, count):
+    """Digit t of each row of words, read off the Python ints: the
+    bit-exact oracle of PackedDigits.digits."""
+    rows = np.asarray(words).reshape(-1, np.shape(words)[-1])
+    return np.array([[(int(row[t // 64]) >> (63 - t % 64)) & 1 for t in range(count)]
+                     for row in rows], dtype=np.uint8).reshape(np.shape(words)[:-1] + (count,))
 
 
 class TestPackedDigits:
-    """The packed base-2 form against the uint8 digit matrices."""
+    """The packed base-2 form against bit-exact and uint8 oracles."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 3), max_size=3), st.integers(0, 200), st.integers(0, 2**32 - 1))
     def test_round_trip(self, lead, count, seed):
-        digs = random_digits(seed, tuple(lead) + (count,))
-        packed = PackedDigits.from_digits(digs)
-        assert packed.shape == digs.shape and packed.size == digs.size
-        assert packed.words.shape == digs.shape[:-1] + (max(1, -(-count // 64)),)
-        assert np.array_equal(packed.digits(), digs)
+        packed = random_packed(seed, tuple(lead), count)
+        assert packed.shape == tuple(lead) + (count,) and packed.size == math.prod(packed.shape)
+        assert packed.words.shape == tuple(lead) + (max(1, -(-count // 64)),)
+        assert np.array_equal(packed.digits(), bits(packed.words, count))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 64), st.integers(0, 2**64 - 1))
     def test_values_pack_their_digits(self, m, seed):
         values = key_array(seed, 9) >> np.uint64(64 - m) if m else np.zeros(9, np.uint64)
-        packed = PackedDigits.from_values(values, m)
-        assert np.array_equal(packed.digits(), numerators_to_digits(values, 2, m))
+        packed = numerators_to_digits(values, 2, m)
+        assert isinstance(packed, PackedDigits) and packed.shape == (9, m)
+        expect = [[(int(v) >> (m - 1 - t)) & 1 for t in range(m)] for v in values]
+        assert np.array_equal(packed.digits(), np.array(expect, dtype=np.uint8).reshape(9, m))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 140), st.integers(1, 5), st.integers(0, 2**64 - 1))
-    def test_scramble_equals_uint8_scramble(self, m, prec, R, seed):
-        digs = random_digits(seed % 2**32, (7, m))
-        key = key_array(seed, R)[:, None]
-        packed = scramble_digit_matrix(PackedDigits.from_digits(digs), 2, key, prec)
+    def test_scramble_words_hold_only_their_digits(self, m, prec, R, seed):
+        digs = numerators_to_digits(random_values(seed % 2**32, 7, m), 2, m)
+        packed = scramble_digit_matrix(digs, 2, key_array(seed, R)[:, None], prec)
         assert isinstance(packed, PackedDigits)
-        assert packed.size == R * 7 * prec
-        assert np.array_equal(packed.digits(), scramble_digit_matrix(digs, 2, key, prec))
+        assert packed.shape == (R, 7, prec) and packed.size == R * 7 * prec
+        assert packed.words.shape == (R, 7, max(1, -(-prec // 64)))
         # the words hold nothing past their digits
-        assert np.array_equal(digits_to_floats(packed, 2),
-                              digits_to_floats(packed.digits(), 2))
+        assert np.array_equal(packed.words, clear_tail(packed.words, packed.count))
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 9), st.integers(0, 80), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 7), st.integers(1, 53), st.integers(0, 2**32 - 1))
     @example(3, 22, 0)  # the 64th output digit is digit 21 of stream 0
     @example(5, 13, 1)  # stream 4's 13th digit falls past the 64th
-    def test_interlace_equals_uint8_interlace_on_64_digits(self, alpha, prec, seed):
-        streams = random_digits(seed, (alpha, 2, 3, prec))
-        packed = interlace_digit_matrices(PackedDigits.from_digits(streams))
+    @example(7, 53, 2)  # 371 output digits, six words
+    @example(2, 32, 3)  # exactly one full word
+    @example(3, 43, 4)  # 129 digits: one digit in the third word
+    def test_interlace_equals_uint8_interlace_on_all_digits(self, alpha, prec, seed):
+        streams = numerators_to_digits(random_values(seed, (alpha, 2, 3), prec), 2, prec)
+        packed = interlace_digit_matrices(streams)
         assert isinstance(packed, PackedDigits)
-        assert packed.shape == (2, 3, min(64, alpha * prec))
-        assert np.array_equal(packed.digits(), interlace_digit_matrices(streams)[..., :64])
+        assert packed.shape == (2, 3, alpha * prec)
+        assert np.array_equal(packed.words, clear_tail(packed.words, packed.count))
+        assert np.array_equal(packed.digits(), interlace_digit_matrices(streams.digits()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 130), st.integers(0, 2**32 - 1))
-    def test_floats_equal_uint8_floats(self, width, seed):
-        digs = random_digits(seed, (4, width))
-        got = digits_to_floats(PackedDigits.from_digits(digs), 2)
-        assert np.array_equal(got, digits_to_floats(digs, 2))
+    def test_floats_equal_exact_value(self, width, seed):
+        # the float of a string is its first 53 digits, exactly
+        packed = random_packed(seed, (4,), width)
+        head = min(width, 53)
+        exact = [float(Fraction(int("".join(map(str, row[:head])) or "0", 2), 2**head))
+                 for row in bits(packed.words, width)]
+        assert np.array_equal(digits_to_floats(packed, 2), exact)
 
     def test_packed_digits_are_base2(self):
+        packed = numerators_to_digits(np.zeros(2, np.uint64), 2, 3)
         with pytest.raises(ValueError, match="base 2"):
-            scramble_digit_matrix(PackedDigits.from_digits(np.zeros((2, 3), np.uint8)), 3, 1, 4)
+            scramble_digit_matrix(packed, 3, 1, 4)
+        with pytest.raises(ValueError, match="base 2"):
+            digits_to_floats(packed, 3)
+        # a base-2 layer takes no uint8 digits
+        with pytest.raises(ValueError, match="got ndarray for base 2"):
+            scramble_digit_matrix(packed.digits(), 2, 1, 4)
+        with pytest.raises(ValueError, match="got ndarray for base 2"):
+            digits_to_floats(packed.digits(), 2)
+
+    def test_interlace_takes_one_word_streams(self):
+        with pytest.raises(ValueError, match="at most 64 digits"):
+            interlace_digit_matrices(random_packed(0, (2, 3), 65))
 
 
 def value_digits(values, m, b=2):
@@ -274,7 +333,8 @@ class TestBase2TreeScramble:
         # over keys, each scrambled digit of each point is a fair bit
         R = 2000
         values = key_array(seed ^ 1, 4) >> np.uint64(64 - m)
-        out = scramble_digit_matrix(value_digits(values, m), 2, key_array(seed, R)[:, None], prec)
+        out = scramble_digit_matrix(value_digits(values, m), 2, key_array(seed, R)[:, None],
+                                    prec).digits()
         ones = out.sum(axis=0, dtype=np.int64)  # (points, prec)
         assert np.all(np.abs(ones - R / 2) < 6 * np.sqrt(R / 4))
 
@@ -295,7 +355,7 @@ class TestBase2TreeScramble:
             digit = (x // unit + data.draw(st.integers(1, b - 1))) % b
             y = (x // (unit * b) * b + digit) * unit + data.draw(st.integers(0, unit - 1))
         key = data.draw(st.integers(0, 2**64 - 1))
-        out = scramble_digit_matrix(value_digits([x, y], m, b), b, key, prec)
+        out = as_uint8(scramble_digit_matrix(value_digits([x, y], m, b), b, key, prec))
         assert np.array_equal(out[0, :t], out[1, :t])
         if t < m:
             assert out[0, t] != out[1, t]
@@ -307,7 +367,7 @@ class TestBase2TreeScramble:
     def test_equal_values_equal_tails(self, m, extra, seed):
         values = key_array(seed, 6) >> np.uint64(64 - m)
         values = np.concatenate([values, values[::-1]])
-        out = scramble_digit_matrix(value_digits(values, m), 2, np.uint64(seed), m + extra)
+        out = scramble_digit_matrix(value_digits(values, m), 2, np.uint64(seed), m + extra).digits()
         assert np.array_equal(out[:6], out[6:][::-1])
 
     @settings(max_examples=40, deadline=None)
@@ -319,11 +379,12 @@ class TestBase2TreeScramble:
         # the whole set (one table of node hashes per key)
         digs = value_digits(np.arange(2**m), m, b)
         keys_ = key_array(seed, R)
-        batch = scramble_digit_matrix(digs, b, keys_[:, None], prec)
+        batch = as_uint8(scramble_digit_matrix(digs, b, keys_[:, None], prec))
         for i, k in enumerate(keys_):
-            assert np.array_equal(batch[i], scramble_digit_matrix(digs, b, k, prec))
+            assert np.array_equal(batch[i], as_uint8(scramble_digit_matrix(digs, b, k, prec)))
             for p in (0, 2**m - 1, int(k) % 2**m):
-                assert np.array_equal(batch[i, p], scramble_digit_matrix(digs[p], b, k, prec))
+                alone = scramble_digit_matrix(value_digits(p, m, b), b, k, prec)
+                assert np.array_equal(batch[i, p], as_uint8(alone))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
@@ -357,8 +418,8 @@ class TestBase2TreeScramble:
             pairs = pairs.astype(np.int64)
             return np.bincount(pairs[:, 0] * 2**prec + pairs[:, 1], minlength=4**prec)
 
-        new = cells(scramble_digit_matrix(digs, 2, key_array(1, R)[:, None], prec))
-        oracle = cells(per_level_scramble_base2(digs, key_array(2, R)[:, None], prec))
+        new = cells(scramble_digit_matrix(digs, 2, key_array(1, R)[:, None], prec).digits())
+        oracle = cells(per_level_scramble_base2(digs.digits(), key_array(2, R)[:, None], prec))
         seen = (new + oracle) > 0
         assert np.array_equal(new > 0, oracle > 0)
         stat = float(np.sum((new[seen] - oracle[seen]) ** 2 / (new[seen] + oracle[seen])))
@@ -366,7 +427,7 @@ class TestBase2TreeScramble:
 
     def test_more_than_32_input_digits_rejected(self):
         with pytest.raises(ValueError, match="at most 32"):
-            scramble_digit_matrix(np.zeros((2, 33), np.uint8), 2, 1, 40)
+            scramble_digit_matrix(value_digits([0, 0], 33), 2, 1, 40)
 
 
 def keys(*values):
@@ -415,17 +476,25 @@ class TestScrambledRule:
         assert np.array_equal(rule.points(keys_), digs[..., :53].astype(np.float64) @ weights)
 
     def test_base2_points_never_unpack_words(self, monkeypatch):
-        # base-2 points go from the scrambled words to floats without uint8
-        # digits; the exact digits are the ones that unpack
+        # base-2 rules hold packed words from the numerators on: building the
+        # rule and drawing points unpack nothing, and digits() unpacks its
+        # interlaced words once, at the end
+        calls = []
+        unpack = scramble._word_digits
+
+        def counted(words, count):
+            calls.append(count)
+            return unpack(words, count)
+
+        monkeypatch.setattr(scramble, "_word_digits", counted)
         rule = ScrambledRule(2, 4, key_array(5, 16 * 6).reshape(16, 6) >> np.uint64(60), alpha=3)
-
-        def unpack(words, count):
-            raise AssertionError("base-2 points unpacked words into digits")
-
-        monkeypatch.setattr(scramble, "_word_digits", unpack)
+        assert not hasattr(rule, "stream_digits")
         assert rule.points(keys(1, 2)).shape == (2, 16, 2)
-        with pytest.raises(AssertionError, match="unpacked"):
-            rule.digits(keys(1, 2))
+        assert calls == []
+        assert rule.digits(keys(1, 2)).shape == (2, 16, 2, 3 * rule.prec)
+        assert calls == [3 * rule.prec]
+        assert rule.digits(None).shape == (1, 16, 2, 3 * 4)
+        assert calls == [3 * rule.prec, 3 * 4]
 
     def test_criterion4_shape_memory(self):
         # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),

@@ -97,11 +97,22 @@ class TestDivergenceWarning:
             ProductWeights.polynomial(2.0).weighted_power_sum(0.5)
 
     def test_unsettled_partial_sums(self):
-        # no polynomial parameters, so the Cauchy check on the partial sums
-        # decides; they grow like log(max_index)
+        # a plain sequence: 1/j decays locally like j^-1, so at exponent 1
+        # the partial sums grow like log(max_index)
         w = ProductWeights(lambda j: 1.0 / j)
         with pytest.warns(RuntimeWarning, match="divergent"):
             w.weighted_power_sum(1.0)
+
+    @pytest.mark.parametrize("seq,exponent,declared", [
+        (lambda j: j**-3.0, 1.0, None), (lambda j: j**-3.0, 0.5, 3.0), (lambda j: 0.0, 1.0, None)],
+        ids=["cubic-e1", "cubic-e0.5", "zero"])
+    def test_convergent_plain_sequence_is_silent(self, seq, exponent, declared):
+        # j^-3 given as a plain sequence decays locally like j^-3, so the sum
+        # converges at a * e = 3 and 1.5: its tail past max_index / 2 is not
+        # a sign of divergence.  A zero sequence sums to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ProductWeights(seq, declared_decay=declared).weighted_power_sum(exponent)
 
     def test_planner_weights_do_not_warn(self):
         # product-poly,a=3 at tau 2.5: for_weights sums at exponent
