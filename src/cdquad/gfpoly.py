@@ -1,8 +1,9 @@
-"""Exact polynomial arithmetic over prime fields F_b and formal Laurent division.
+"""Exact arithmetic over prime fields F_b on integer encodings.
 
-Polynomials are stored lowest-degree-first as tuples of small ints reduced
-mod b, with the zero polynomial represented by the empty tuple.  All values
-are immutable; every operation is pure.
+A polynomial c_0 + c_1 x + ... + c_d x^d over F_b is the integer
+sum_i c_i b^i: its base-b digits are its coefficients, and its degree d is
+the one with b^d <= k < b^(d+1).  Every function here takes and returns
+such integer encodings (or digit tuples); there are no polynomial objects.
 """
 
 from __future__ import annotations
@@ -33,177 +34,83 @@ class FieldBase:
             raise ValueError(f"base must be prime, got {self.b}")
 
 
-@dataclass(frozen=True)
-class PolyGF:
-    """A polynomial over F_b, coefficients lowest degree first."""
-
-    base: FieldBase
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        b = self.base.b
-        cs = tuple(int(c) % b for c in self.coeffs)
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", cs[:n])
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PolyGF") -> "PolyGF":
-        _check_base(self, other)
-        b = self.base.b
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = (a[i] + c) % b
-        return PolyGF(self.base, tuple(a))
-
-    def __sub__(self, other: "PolyGF") -> "PolyGF":
-        _check_base(self, other)
-        b = self.base.b
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = (a[i] - c) % b
-        return PolyGF(self.base, tuple(a))
-
-    def __mul__(self, other: "PolyGF") -> "PolyGF":
-        _check_base(self, other)
-        if self.is_zero() or other.is_zero():
-            return PolyGF(self.base, ())
-        b = self.base.b
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + ci * cj) % b
-        return PolyGF(self.base, tuple(out))
-
-    def __divmod__(self, other: "PolyGF") -> tuple["PolyGF", "PolyGF"]:
-        _check_base(self, other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        b = self.base.b
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead_inv = pow(other.coeffs[-1], b - 2, b) if b > 2 else 1
-        quo = [0] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] % b
-            if c == 0:
-                continue
-            q = (c * lead_inv) % b
-            quo[i - dd] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] = (rem[i - dd + j] - q * oc) % b
-        return PolyGF(self.base, tuple(quo)), PolyGF(self.base, tuple(rem))
-
-    def __mod__(self, other: "PolyGF") -> "PolyGF":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "PolyGF") -> "PolyGF":
-        return divmod(self, other)[0]
-
-    def encode(self) -> int:
-        """Integer encoding sum_i c_i * b^i (injective; used for tie-breaks)."""
-        b = self.base.b
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * b + c
-        return v
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "PolyGF(0)"
-        terms = [
-            f"{c}" if i == 0 else ("x" if c == 1 and i == 1 else f"{c if c != 1 else ''}x^{i}" if i > 1 else f"{c}x")
-            for i, c in enumerate(self.coeffs)
-            if c
-        ]
-        return f"PolyGF({' + '.join(terms)} over F_{self.base.b})"
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """Digits t_1..t_m of a truncated base-b expansion sum t_l b^-l."""
-
-    base: FieldBase
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        b = self.base.b
-        for d in self.digits:
-            if not 0 <= d < b:
-                raise ValueError(f"digit {d} out of range for base {b}")
-
-    @property
-    def m(self) -> int:
-        return len(self.digits)
-
-
-def _check_base(a: PolyGF, c: PolyGF):
-    if a.base != c.base:
-        raise ValueError("polynomials over different bases")
-
-
-def poly_from_int(k: int, base: FieldBase) -> PolyGF:
-    """Polynomial whose coefficients are the base-b digits of k."""
+def _coeffs(k: int, b: int) -> list[int]:
+    """Coefficients of the polynomial that k encodes, lowest degree first,
+    without trailing zeros (none for the zero polynomial)."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
-    b = base.b
+        raise ValueError("polynomial encodings are nonnegative")
     cs = []
     while k:
-        cs.append(k % b)
-        k //= b
-    return PolyGF(base, tuple(cs))
+        k, c = divmod(k, b)
+        cs.append(c)
+    return cs
+
+
+def _encode(cs, b: int) -> int:
+    """Encoding sum_i cs[i] b^i of coefficients lowest degree first."""
+    k = 0
+    for c in reversed(cs):
+        k = k * b + c
+    return k
+
+
+def _divmod(num: list[int], den: list[int], b: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder coefficients of num / den over F_b, den with a
+    nonzero leading coefficient."""
+    rem = list(num)
+    dd = len(den) - 1
+    lead_inv = pow(den[-1], b - 2, b)
+    quo = [0] * max(0, len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        if rem[i]:
+            c = rem[i] * lead_inv % b
+            quo[i - dd] = c
+            for j, dc in enumerate(den):
+                rem[i - dd + j] = (rem[i - dd + j] - c * dc) % b
+    return quo, rem[:dd]
 
 
 @lru_cache(maxsize=None)
-def is_irreducible(p: PolyGF) -> bool:
-    """Trial division against all monic polynomials of degree <= deg(p)/2.
+def is_irreducible(p: int, b: int) -> bool:
+    """Whether p is irreducible over F_b, by trial division against all monic
+    polynomials of degree <= deg(p)/2.
 
     Deterministic and exhaustive; intended for the desk-scale degrees used
     by the modulus table.  Cached, so validating the same modulus again (every
     GeneratingVector does) costs a lookup.
     """
-    d = p.degree
+    cs = _coeffs(p, b)
+    d = len(cs) - 1
     if d < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if d == 1:
-        return True
-    base = p.base
-    b = base.b
     for deg in range(1, d // 2 + 1):
-        # monic candidates: low coefficients run over all b^deg values
-        for low in range(b**deg):
-            cand = poly_from_int(low + b**deg, base)
-            if (p % cand).is_zero():
+        for cand in range(b**deg, 2 * b**deg):  # the monic ones of degree deg
+            if not any(_divmod(cs, _coeffs(cand, b), b)[1]):
                 return False
     return True
 
 
-def laurent_digits(num: PolyGF, den: PolyGF, m: int) -> DigitString:
-    """First m digits of the formal Laurent expansion num/den = sum t_l x^-l.
+def poly_mulmod(a: int, c: int, p: int, b: int) -> int:
+    """Encoding of a(x) c(x) mod p(x) over F_b; p nonzero."""
+    x, y = _coeffs(a, b), _coeffs(c, b)
+    prod = [0] * (len(x) + len(y) - 1) if x and y else []
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                prod[i + j] = (prod[i + j] + xi * yj) % b
+    return _encode(_divmod(prod, _coeffs(p, b), b)[1], b)
+
+
+def laurent_digits(num: int, den: int, m: int, b: int) -> tuple[int, ...]:
+    """First m digits t_1..t_m of the formal Laurent expansion
+    num/den = sum_l t_l x^-l over F_b.
 
     Terms with nonnegative powers of x are discarded.  Computed by one long
     division: num * x^m = Q*den + R gives t_l = Q_{m-l}.
     """
-    _check_base(num, den)
-    if den.is_zero():
+    if den == 0:
         raise ZeroDivisionError("zero denominator")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    shifted = PolyGF(num.base, (0,) * m + num.coeffs)
-    quo, _ = divmod(shifted, den)
-    qc = quo.coeffs
-    digits = tuple(qc[m - l] if 0 <= m - l < len(qc) else 0 for l in range(1, m + 1))
-    return DigitString(num.base, digits)
-
+    quo, _ = _divmod([0] * m + _coeffs(num, b), _coeffs(den, b), b)
+    return tuple(quo[m - l] if m - l < len(quo) else 0 for l in range(1, m + 1))

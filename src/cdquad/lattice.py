@@ -1,8 +1,9 @@
 """Polynomial lattice point sets and component-by-component vector search.
 
 Polynomials over F_b live here as their base-b integer encodings
-sum_i c_i b^i; `gfpoly.PolyGF` is used only for field arithmetic
-(irreducibility, Laurent division and the field power table).  The points of
+sum_i c_i b^i, from the modulus search to the lattice columns, and the field
+arithmetic of `gfpoly` (irreducibility, Laurent division and the field power
+table) works on those integers too: no polynomial objects.  The points of
 a polynomial lattice rule form a digital net whose generating matrix is the
 Hankel matrix of the Laurent digits of q_j/p.  Those digits are F_b-linear
 in q_j, so every column, in every base, comes from one Laurent basis per
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gfpoly import FieldBase, is_irreducible, laurent_digits, poly_from_int
+from .gfpoly import FieldBase, is_irreducible, laurent_digits, poly_mulmod
 
 
 def _check_size(b: int, m: int):
@@ -38,13 +39,26 @@ def irreducible_modulus(b: int, m: int) -> int:
     Exhaustive search; cached.  Supports the desk-scale table b in {2, 3},
     m <= 20 (larger inputs work, just slower).
     """
-    base = FieldBase(b)
+    FieldBase(b)  # a prime base, or ValueError
     if m < 1:
         raise ValueError("modulus degree must be >= 1")
     for p in range(b**m, 2 * b**m):  # monic of degree m
-        if is_irreducible(poly_from_int(p, base)):
+        if is_irreducible(p, b):
             return p
     raise AssertionError("unreachable: irreducible polynomials exist at every degree")
+
+
+def _check_modulus(b: int, m: int, p: int):
+    """Raise ValueError unless p encodes an irreducible polynomial over F_b of
+    degree m, that is b^m <= p < b^(m+1)."""
+    deg = 0
+    while b ** (deg + 1) <= p:
+        deg += 1
+    if deg != m:
+        raise ValueError(f"modulus degree {deg} does not match m = {m}; "
+                         f"modulus must be irreducible of degree m = {m}")
+    if not is_irreducible(p, b):
+        raise ValueError(f"modulus must be irreducible of degree m = {m}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +80,7 @@ class GeneratingVector:
         if m < 1:
             raise ValueError("m must be >= 1")
         _check_size(b, m)
-        p = poly_from_int(self.modulus, self.base)
-        if p.degree != m:
-            raise ValueError(f"modulus degree {p.degree} does not match m = {m}")
-        if not is_irreducible(p):
-            raise ValueError("modulus must be irreducible")
+        _check_modulus(b, m, self.modulus)
         if not self.q:
             raise ValueError("generating vector needs at least one component")
         if not all(0 < qj < b**m for qj in self.q):
@@ -116,8 +126,7 @@ def _laurent_basis(b: int, m: int, p: int) -> np.ndarray:
     """Row i holds the first 2m - 1 Laurent digits of x^i / p, i < m, as
     read-only uint64.  x^i / p is 1/p shifted up by i places, so one
     expansion of 1/p to 3m - 2 digits gives every row."""
-    base = FieldBase(b)
-    t = laurent_digits(poly_from_int(1, base), poly_from_int(p, base), 3 * m - 2).digits
+    t = laurent_digits(1, p, 3 * m - 2, b)
     basis = np.array(t, dtype=np.uint64)[np.add.outer(np.arange(m), np.arange(2 * m - 1))]
     basis.flags.writeable = False
     return basis
@@ -184,6 +193,11 @@ def _phi_table(b: int, m: int, rate: float = 2.0) -> np.ndarray:
     return tab
 
 
+#: the rho table's exact sums run over this many trailing axes at a time, so
+#: a slice holds (m+1)^4 Python ints
+_RHO_SLICE_AXES = 4
+
+
 @lru_cache(maxsize=32)
 def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     """rho[t_1, ..., t_alpha] = E[B2(X) B2(X')] for one output coordinate of a
@@ -209,10 +223,12 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     the sums run exactly, as integers over the common denominators
     4^{alpha m} (4^alpha - 1) for C and 16^{alpha m} (16^alpha - 1) for K,
     and each entry is rounded once, by one correctly rounded int / int.
+    These Python-int sums go one slice at a time: a slice fixes the leading
+    axes and spans the last _RHO_SLICE_AXES of them.
     """
     g4, g16 = 4**alpha - 1, 16**alpha - 1
     top = alpha * m  # the deepest digit position of a finite stream prefix
-    C = K = 0
+    cs, ks = [], []  # stream r's terms of C and K, by t_r
     for r in range(1, alpha + 1):
         c, k = [], []
         shared4 = shared16 = 0
@@ -225,12 +241,21 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
             k.append(shared16)
         c.append(4 ** (top + alpha - r))  # 4^-r / (1 - 4^-alpha)
         k.append(16 ** (top + alpha - r))
-        axis = (1,) * (r - 1) + (m + 1,) + (1,) * (alpha - r)
-        C = C + np.array(c, dtype=object).reshape(axis)
-        K = K + np.array(k, dtype=object).reshape(axis)
+        cs.append(np.array(c, dtype=object))
+        ks.append(np.array(k, dtype=object))
     # over 16^{alpha m} g4^2 (4^alpha + 1), as 16^alpha - 1 = g4 (4^alpha + 1)
-    num = C * C * (4**alpha + 1) - K * g4
-    return (num / (8 * 16**top * g4 * g4 * (4**alpha + 1))).astype(float)
+    den = 8 * 16**top * g4 * g4 * (4**alpha + 1)
+    lead = max(alpha - _RHO_SLICE_AXES, 0)  # the axes fixed within a slice
+    out = np.empty((m + 1,) * alpha)
+    for ts in np.ndindex(*(m + 1,) * lead):
+        C = sum(cs[r][t] for r, t in enumerate(ts))
+        K = sum(ks[r][t] for r, t in enumerate(ts))
+        for r in range(lead, alpha):
+            axis = (1,) * (r - lead) + (m + 1,) + (1,) * (alpha - 1 - r)
+            C = C + cs[r].reshape(axis)
+            K = K + ks[r].reshape(axis)
+        out[ts] = (C * C * (4**alpha + 1) - K * g4) / den
+    return out
 
 
 #: the vector searches build columns and score candidates in chunks whose
@@ -274,9 +299,7 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
     """
     if base.b != 2:
         raise ValueError("exact scramble variance is implemented for base 2")
-    p = poly_from_int(modulus, base)
-    if p.degree != m or not is_irreducible(p):
-        raise ValueError(f"modulus must be irreducible of degree m = {m}")
+    _check_modulus(2, m, modulus)
     n = 2**m
     q = np.asarray(q, dtype=np.int64)
     if q.ndim != 2:
@@ -342,24 +365,20 @@ def _search_variance(d: int, m: int, base: FieldBase, weights,
 def _field_exp_table(b: int, m: int) -> np.ndarray:
     """Encodings of g^0, g^1, ..., g^{b^m-2} for a primitive element g of the
     field F_b[x]/p, p = irreducible_modulus(b, m)."""
-    base = FieldBase(b)
-    modulus = poly_from_int(irreducible_modulus(b, m), base)
+    modulus = irreducible_modulus(b, m)
     n = b**m
     # g = 1 generates only the trivial group of F_2[x]/p with deg p = 1
-    for genc in range(1, n):
-        g = poly_from_int(genc, base)
+    for g in range(1, n):
         seq = np.empty(n - 1, dtype=np.int64)
-        cur = poly_from_int(1, base)
-        ok = True
+        cur = 1
         for i in range(n - 1):
-            e = cur.encode()
-            if e == 1 and i > 0:
-                ok = False
+            if cur == 1 and i > 0:
                 break
-            seq[i] = e
-            cur = (cur * g) % modulus
-        if ok and cur.encode() == 1:
-            return seq
+            seq[i] = cur
+            cur = poly_mulmod(cur, g, modulus, b)
+        else:
+            if cur == 1:
+                return seq
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import cdquad
 from cdquad import lattice
-from cdquad.gfpoly import FieldBase, PolyGF, is_irreducible, laurent_digits, poly_from_int
+from cdquad.gfpoly import FieldBase, is_irreducible, laurent_digits, poly_mulmod
 from cdquad.lattice import (
     GeneratingVector,
     irreducible_modulus,
@@ -45,12 +45,10 @@ def column_oracle(b, m, p, q):
     """Column q of the lattice with modulus p, one polynomial product and one
     Laurent division per point h: the m digits of (h q mod p) / p as a
     numerator over b^m."""
-    base = FieldBase(b)
-    pp, qq = poly_from_int(p, base), poly_from_int(q, base)
     out = []
     for h in range(b**m):
         num = 0
-        for t in laurent_digits((poly_from_int(h, base) * qq) % pp, pp, m).digits:
+        for t in laurent_digits(poly_mulmod(h, q, p, b), p, m, b):
             num = num * b + t
         out.append(num)
     return out
@@ -60,10 +58,9 @@ def columns_reference(b, m, p, qs):
     """_columns by one Laurent division per column: the 2m - 1 Laurent
     digits u of q/p, and digit i of point h = sum_k h_k b^k equal to
     sum_k h_k u_{i+k} mod b."""
-    base = FieldBase(b)
     out = np.zeros((b**m, len(qs), m), dtype=np.int64)
     for j, q in enumerate(qs):
-        u = laurent_digits(poly_from_int(q, base), poly_from_int(p, base), 2 * m - 1).digits
+        u = laurent_digits(q, p, 2 * m - 1, b)
         for h in range(b**m):
             hk = [(h // b**k) % b for k in range(m)]
             for i in range(m):
@@ -208,6 +205,32 @@ class DualWeightedMerit:
         return running * self._factor(col, j)
 
 
+def fresh_interpreter(code):
+    """The number that code prints when a fresh interpreter runs it on this
+    cdquad; code may call hwm(), the peak RSS (VmHWM) so far in MB."""
+    prelude = (
+        "def hwm():\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    return int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
+    )
+    src = str(Path(cdquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", prelude + code], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    return float(done.stdout.strip())
+
+
+def digit_add(a, c, b):
+    """Sum of two polynomial encodings over F_b: their base-b digits added
+    mod b, without carries."""
+    out, place = 0, 1
+    while a or c:
+        out += (a + c) % b * place
+        a, c, place = a // b, c // b, place * b
+    return out
+
+
 def dual_merit_bruteforce(gv, coord_weights, rates=None):
     """Oracle for DualWeightedMerit: explicit dual-lattice enumeration.
 
@@ -228,10 +251,12 @@ def dual_merit_bruteforce(gv, coord_weights, rates=None):
     for kvec in itertools.product(range(b**m), repeat=s):
         if not any(kvec):
             continue
-        acc = PolyGF(gv.base, ())
+        # sum_j k_j q_j mod p, as a sum of the reduced products: reduction
+        # mod p is F_b-linear
+        acc = 0
         for k, q in zip(kvec, gv.q):
-            acc = acc + poly_from_int(k, gv.base) * poly_from_int(q, gv.base)
-        if (acc % poly_from_int(gv.modulus, gv.base)).is_zero():
+            acc = digit_add(acc, poly_mulmod(k, q, gv.modulus, b), b)
+        if acc == 0:
             term = 1.0
             for j, k in enumerate(kvec):
                 if k:
@@ -411,10 +436,23 @@ class TestScrambleVariance:
         *[(m, alpha) for alpha in (1, 2, 3) for m in range(1, 7)],
         *[(m, 4) for m in range(1, 4)],
         (10, 2), (10, 3),  # the deepest workload shapes
+        # past lattice._RHO_SLICE_AXES, so built over several slices
+        *[(m, alpha) for alpha in (5, 6) for m in (1, 2)],
     ])
     def test_rho_table_matches_oracle(self, m, alpha):
         # both compute the same exact rational and round it once
         assert np.array_equal(_scramble_rho_table(m, alpha), rho_table_oracle(m, alpha))
+
+    def test_rho_table_memory(self):
+        # the 10^6-entry table of m = 9, alpha 6 in a fresh interpreter: its
+        # exact sums go a slice at a time, so the peak RSS (VmHWM), import
+        # included, stays under 128 MB; built whole, they took 361 MB
+        code = (
+            "from cdquad.lattice import _scramble_rho_table\n"
+            "_scramble_rho_table(9, 6)\n"
+            "print(hwm())\n"
+        )
+        assert fresh_interpreter(code) < 128
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_full_grid_is_stratified_sampling(self, m):
@@ -587,27 +625,19 @@ class TestBatchedVarianceSearch:
         # spawned child's ru_maxrss starts at its parent's peak) rises by
         # less than 24 MB over the import
         code = (
-            "def hwm():\n"
-            "    status = open('/proc/self/status').read()\n"
-            "    return int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
             "from cdquad.gfpoly import FieldBase\n"
             "from cdquad.lattice import search_generating_vector\n"
             "before = hwm()\n"
             "search_generating_vector(6, 13, FieldBase(2), alpha=3)\n"
             "print(hwm() - before)\n"
         )
-        src = str(Path(cdquad.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=600, check=True)
-        assert float(done.stdout.strip()) < 24
+        assert fresh_interpreter(code) < 24
 
 
 class TestIrreducibleModulus:
     def test_degree_and_irreducibility(self):
         for b in (2, 3):
             for m in range(1, 8):
-                p = poly_from_int(irreducible_modulus(b, m), FieldBase(b))
-                assert p.degree == m
-                assert is_irreducible(p)
+                p = irreducible_modulus(b, m)
+                assert b**m <= p < b ** (m + 1)  # of degree m
+                assert is_irreducible(p, b)
