@@ -315,9 +315,7 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
     qs, cols = np.unique(q, return_inverse=True)
     cols = cols.reshape(q.shape)
     depths = _depths(2, m, modulus, qs.tolist())
-    # the rho table flattened, times the weight of each output coordinate
     tab = _scramble_rho_table(m, alpha).ravel()
-    wtabs = [wj * tab for wj in w]
     strides = (m + 1) ** np.arange(alpha - 1, -1, -1, dtype=np.intp)
     out = np.empty(len(q))
     # per vector and point: the running excess, the flat index, the gathered
@@ -328,11 +326,13 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
         # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
         # residues near 1e-18 that a final mean(prod) - 1 would round away
         excess = np.zeros((len(chunk), n))
-        for j, wtab in enumerate(wtabs):
+        for j, wj in enumerate(w):
             flat = np.zeros((len(chunk), n), dtype=np.intp)
             for r in range(alpha):
                 flat += depths[chunk[:, j * alpha + r]] * strides[r]
-            f = wtab[flat]
+            # weighted after the gather, so the table is never copied
+            f = tab[flat]
+            f *= wj
             excess += f + excess * f
         out[i:i + step] = excess.mean(axis=1)
     return out

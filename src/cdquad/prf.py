@@ -21,10 +21,13 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer applied to every word of a uint64 array
     (wraparound arithmetic)."""
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        z = np.array(x, dtype=np.uint64)  # a copy: the rounds run in place on it
+        z += np.uint64(_GAMMA)
+        for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+            z ^= z >> np.uint64(shift)
+            if mult is not None:
+                z *= np.uint64(mult)
+        return z[()]  # a numpy scalar for 0-d input
 
 
 def derive_seed(master: int, *tokens) -> int:

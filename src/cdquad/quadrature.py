@@ -16,12 +16,12 @@ group of active sets of equal (|u|, n) at once.
 
 Memory contract: the estimators (run_rule_batch, run_rule_seeds and so
 empirical_variance) stream.  They draw, integrate and reduce one chunk of
-the (set, index) grid at a time, about scramble.CHUNK_BYTES of points, so
-they hold one chunk and the (K, R) means, never all R*n points.  Each chunk
-of a group calls its integrand once, on the points of all its sets.  Rows do
-not depend on the chunking, as every draw is a function of its key and every
-mean of its row.  rule_points and rule_points_seeds return the full point
-array.
+the (set, index) grid at a time, at most scramble.CHUNK_BYTES (1 MB) of
+points, or one point set where a single one is larger, so they hold one chunk
+and the (K, R) means, never all R*n points.  Each chunk of a group calls its
+integrand once, on the points of all its sets.  Rows do not depend on the
+chunking, as every draw is a function of its key and every mean of its row.
+rule_points and rule_points_seeds return the full point array.
 """
 
 from __future__ import annotations

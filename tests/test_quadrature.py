@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdquad.gfpoly import FieldBase
 from cdquad.kernels import bernoulli
@@ -440,6 +440,38 @@ class TestStreaming:
         assert (len(derived), len(looked_up)) == (3, 3)
         run_rule_batch(RuleSpec(INTERLACED_PLR, (1, 2), 8, 4, alpha=2), smooth_pair, seeds)
         assert (len(derived), len(looked_up)) == (4, 4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.tuples(st.just(MONTE_CARLO), st.integers(0, 15), st.integers(1, 5)),
+                     st.tuples(st.just(INTERLACED_PLR), st.integers(1, 7), st.integers(1, 2))),
+           st.integers(1, 3), st.integers(1, 12))
+    @example((MONTE_CARLO, 15, 5), 2, 3)  # one point set alone exceeds the budget
+    @example((MONTE_CARLO, 12, 5), 1, 12)  # a set splits its seeds
+    @example((MONTE_CARLO, 11, 3), 3, 12)  # one set per chunk
+    def test_integrand_sees_at_most_a_chunk(self, shape, K, R):
+        # at the module's budget, no integrand call gets more than
+        # CHUNK_BYTES of points, unless they are a single point set that
+        # alone exceeds it; every point set is integrated once
+        kind, m, d = shape
+        n, budget = 2**m, scramble.CHUNK_BYTES
+        specs = [RuleSpec(kind, tuple(range(k * d, k * d + d)), n, 0, alpha=2) for k in range(K)]
+        seen = []
+
+        def group(sets, x):
+            seen.append(x.shape)
+            return np.zeros(x.shape[:2])
+
+        def single(x):
+            seen.append((1,) + x.shape)
+            return np.zeros(len(x))
+
+        for run, count in ((lambda: run_rule_seeds(specs, group, np.arange(R)), K),
+                           (lambda: run_rule_batch(specs[0], single, np.arange(R)), 1)):
+            seen.clear()
+            run()
+            for sets, points, dim in seen:
+                assert 8 * sets * points * dim <= budget or (sets, points) == (1, n)
+            assert sum(sets * points for sets, points, _ in seen) == count * R * n
 
     def test_batch_draws_once_per_chunk(self, monkeypatch):
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 16, 0, alpha=2)

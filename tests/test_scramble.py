@@ -386,6 +386,18 @@ class TestBase2TreeScramble:
                 alone = scramble_digit_matrix(value_digits(p, m, b), b, k, prec)
                 assert np.array_equal(batch[i, p], as_uint8(alone))
 
+    @pytest.mark.parametrize("m", (10, 15, 20))
+    def test_flip_table_equals_per_point_hashes(self, m):
+        # deeper than the test above (m <= 9): a full net under a few keys
+        # takes one flip table per key, and each of its points, given a key
+        # of its own, hashes its own prefixes; every point agrees
+        digs = value_digits(np.arange(2**m), m)
+        keys_ = key_array(m, 2)
+        table = scramble_digit_matrix(digs, 2, keys_[:, None], m + 3).words
+        for i, k in enumerate(keys_):
+            alone = scramble_digit_matrix(digs, 2, np.full(2**m, k, dtype=np.uint64), m + 3)
+            assert np.array_equal(alone.words, table[i])
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
            st.integers(0, 2**64 - 1))
@@ -566,9 +578,15 @@ class TestPrf:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
     def test_mix64_array_matches_scalar(self, words):
-        got = mix64_array(np.array(words, dtype=np.uint64))
+        x = np.array(words, dtype=np.uint64)
+        got = mix64_array(x)
         assert got.shape == (len(words),)
-        assert [int(v) for v in got] == [mix64(x) for x in words]
+        assert [int(v) for v in got] == [mix64(w) for w in words]
+        # a strided view and a 2-d array mix word by word as well, and the
+        # rounds, which run in place, never write into the input
+        assert np.array_equal(mix64_array(x[::2]), got[::2])
+        assert np.array_equal(mix64_array(x.reshape(1, -1)), got[None])
+        assert [int(v) for v in x] == words
 
     def test_mix64_array_zero_d(self):
         # a 0-d word gives a scalar word, equal to its entry in an array
