@@ -85,15 +85,20 @@ def _normalize_coeffs(coeffs: Mapping) -> dict[frozenset, float]:
 
 
 def _bank_eval(coeffs: Mapping[frozenset, float], assignment: Mapping, anchor_value):
+    # eta(x_j) once per coordinate; each product runs left to right in sorted
+    # coordinate order, in place on its own fresh array
+    etas: dict = {}
     total = coeffs.get(frozenset(), 0.0)
     for u, c in coeffs.items():
         if not u:
             continue
         term = c
         for j in sorted(u):
-            xj = assignment.get(j, anchor_value)
-            term = term * _eta(np.asarray(xj, dtype=float) if hasattr(xj, "__len__") else xj)
-        total = total + term
+            if j not in etas:
+                xj = assignment.get(j, anchor_value)
+                etas[j] = _eta(np.asarray(xj, dtype=float) if hasattr(xj, "__len__") else xj)
+            term *= etas[j]
+        total += term
     return total
 
 

@@ -8,8 +8,10 @@ a polynomial lattice rule form a digital net whose generating matrix is the
 Hankel matrix of the Laurent digits of q_j/p.  Those digits are F_b-linear
 in q_j, so every column, in every base, comes from one Laurent basis per
 modulus: the digits of x^i/p for i < m, read off one expansion of 1/p.
-Points are stored as exact fixed-point numerators over b^m, so everything
-downstream (scrambling, digit dumps) stays bit-exact.
+Base 2 builds its columns as uint32 numerators, as its digits add without
+carry, and every other base as digit matrices.  Points are stored as exact
+fixed-point numerators over b^m, so everything downstream (scrambling,
+digit dumps) stays bit-exact.
 """
 
 from __future__ import annotations
@@ -145,8 +147,7 @@ def _columns(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
     stay in uint64, where (b - 1)^2 m fits for every b^m <= 2^32.
     """
     ub = np.uint64(b)
-    qd = np.asarray(qs, dtype=np.uint64)[:, None] // ub ** np.arange(m, dtype=np.uint64) % ub
-    u = qd @ _laurent_basis(b, m, p) % ub
+    u = _laurent(b, m, p, qs)
     hankel = u[:, np.add.outer(np.arange(m), np.arange(m))]  # [j, k]: u_{k+1..k+m} of q_j
     dtype = np.min_scalar_type(2 * b - 2)  # a digit sum before reduction
     shifts = (np.arange(b, dtype=np.uint64)[:, None, None, None] * hankel % ub).astype(dtype)
@@ -159,12 +160,42 @@ def _columns(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
     return rows
 
 
+def _laurent(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
+    """The first 2m - 1 Laurent digits of each q/p, q in qs: the base-b
+    digits of q times the Laurent basis, mod b, shape (len(qs), 2m - 1)."""
+    ub = np.uint64(b)
+    qd = np.asarray(qs, dtype=np.uint64)[:, None] // ub ** np.arange(m, dtype=np.uint64) % ub
+    return qd @ _laurent_basis(b, m, p) % ub
+
+
+def _base2_numerators(m: int, p: int, qs: Sequence[int]) -> np.ndarray:
+    """The base-2 lattice columns q in qs as numerators over 2^m, shape
+    (len(qs), 2^m) uint32: _columns with each point's m digits packed into
+    one integer, most significant first.
+
+    Digits add without carry in base 2, so point h = sum_k h_k 2^k is the
+    XOR of the words w_k of the points 2^k with h_k = 1, and the columns
+    double as in _columns.  w_k holds Laurent digits u_{k+1..k+m} of q/p,
+    the m-bit window of the (2m - 1)-bit Laurent word at shift m - 1 - k.
+    """
+    u = _laurent(2, m, p, qs)
+    word = u @ (np.uint64(1) << np.arange(2 * m - 2, -1, -1, dtype=np.uint64))
+    out = np.zeros((len(qs), 2**m), dtype=np.uint32)
+    for k in range(m):
+        w = (word >> np.uint64(m - 1 - k)) & np.uint64(2**m - 1)
+        np.bitwise_xor(out[:, :2**k], w.astype(np.uint32)[:, None], out=out[:, 2**k:2 ** (k + 1)])
+    return out
+
+
 def plr_points(gv: GeneratingVector) -> PointSet:
     """The polynomial lattice point set of a generating vector.
 
     Coordinate j of point h is the m-digit truncation of h(x) q_j(x) / p(x).
     """
     b, m = gv.base.b, gv.m
+    if b == 2:
+        return PointSet(2, m, np.ascontiguousarray(_base2_numerators(m, gv.modulus, gv.q).T,
+                                                   dtype=np.uint64))
     digits = _columns(b, m, gv.modulus, gv.q)
     coords = np.zeros((gv.n, gv.s), dtype=np.uint64)
     for t in range(m):
@@ -270,6 +301,15 @@ def _depths(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
     _SEARCH_BYTES."""
     n = b**m
     out = np.empty((len(qs), n), dtype=np.uint8)
+    if b == 2:
+        # m minus the bit length of each numerator, which frexp gives exactly
+        # for a uint32 (0 for 0); per point and column the chunk holds its
+        # numerator, and frexp's float temporaries cover one column at a time
+        step = max(1, _SEARCH_BYTES // (n * 4))
+        for i in range(0, len(qs), step):
+            for j, col in enumerate(_base2_numerators(m, p, qs[i:i + step]), i):
+                out[j] = m - np.frexp(col)[1]
+        return out
     # per point and column: the digits and their mod-b and nonzero
     # temporaries (m bytes each), and the argmax index
     step = max(1, _SEARCH_BYTES // (n * (3 * m + 8)))

@@ -19,15 +19,20 @@ _M2 = 0x94D049BB133111EB
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer applied to every word of a uint64 array
-    (wraparound arithmetic)."""
+    (wraparound arithmetic); the input is never written."""
+    return _mix64_inplace(np.array(x, dtype=np.uint64))[()]  # a numpy scalar for 0-d input
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64_array run in place on a uint64 array the caller owns (a fresh
+    temporary), which it returns."""
     with np.errstate(over="ignore"):
-        z = np.array(x, dtype=np.uint64)  # a copy: the rounds run in place on it
         z += np.uint64(_GAMMA)
         for shift, mult in ((30, _M1), (27, _M2), (31, None)):
             z ^= z >> np.uint64(shift)
             if mult is not None:
                 z *= np.uint64(mult)
-        return z[()]  # a numpy scalar for 0-d input
+    return z
 
 
 def derive_seed(master: int, *tokens) -> int:

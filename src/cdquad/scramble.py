@@ -31,6 +31,14 @@ scramble is one random bit per tree node:
   gives all of those bits at once: equal values get equal tails and distinct
   values independent ones, exactly as in the nested scramble.
 Other bases draw a permutation of F_b per digit and prefix, level by level.
+
+ScrambledRule keeps its streams as (r, rep, j, point) arrays: interlacing
+depth r, replication, output coordinate j, and the points last, so that
+every key-against-point broadcast runs numpy's inner loop along the points.
+With the 2-3 coordinates last, a (3, 4, 1, 2) + (3, 1, 1024, 2) uint64 add
+took 5.5-6.9 ns an element on a 2-vCPU Xeon VM, against 0.98 ns for the same
+add with the points last.  The public (R, n, d) and (R, n, d, digits) shapes
+are made once per chunk of keys.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .prf import mix64_array
+from .prf import _mix64_inplace, mix64_array
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _DEPTH = 0xD1B54A32D192ED03
@@ -166,7 +174,7 @@ def _node_flips(node_key: np.ndarray, prefix: np.ndarray, depth: int) -> np.ndar
         # the table holds the 2^(depth-1) prefixes of depth-1 digits, in
         # uint32 words (depth <= MAX_BASE2_DIGITS)
         heap = np.arange(1, 2**depth, dtype=np.uint64)
-        bits = mix64_array(node_key[..., None] ^ heap)
+        bits = _mix64_inplace(node_key[..., None] ^ heap)
         bits &= np.uint64(1)
         bits = bits.astype(np.uint32)
         table = np.zeros(node_key.shape + (1,), dtype=np.uint32)
@@ -180,7 +188,7 @@ def _node_flips(node_key: np.ndarray, prefix: np.ndarray, depth: int) -> np.ndar
     flips = np.zeros(shape, dtype=np.uint64)
     for t in range(depth):
         node = (prefix >> np.uint64(depth - t)) | np.uint64(1 << t)
-        flips = (flips << np.uint64(1)) | (mix64_array(node_key ^ node) & np.uint64(1))
+        flips = (flips << np.uint64(1)) | (_mix64_inplace(node_key ^ node) & np.uint64(1))
     return flips
 
 
@@ -203,7 +211,7 @@ def _scramble_words(digits: PackedDigits, key: np.ndarray, out_prec: int) -> Pac
         scrambled <<= np.uint64(64 - head)
         words.append(scrambled)
     for k in range(-(-(out_prec - head) // 64)):
-        tail = mix64_array(mix64_array(key ^ _const(_TAIL, k + 1)) ^ value)
+        tail = _mix64_inplace(mix64_array(key ^ _const(_TAIL, k + 1)) ^ value)
         if head:
             # the tail digits follow the head digits in the word string
             words[-1] |= tail >> np.uint64(head)
@@ -347,7 +355,9 @@ class ScrambledRule:
     once per rule, as PackedDigits in base 2 and uint8 matrices otherwise;
     keys are scrambled in chunks, and row i of every output depends on key
     i alone.  Base-2 digits stay packed up to the floats of points() and
-    unpack only at the end of digits().
+    unpack only at the end of digits().  Streams and keys hold the points
+    last; each chunk's output goes to the (R, n, d[, digits]) arrays as it
+    is written.
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
@@ -361,11 +371,13 @@ class ScrambledRule:
         self.n, S = num.shape
         self.d = S // alpha
         self.prec = max(m, -(-float_digit_cap(b) // alpha))
-        # the stream digits (r, 1, point, j): scrambled against stream keys
-        # (r, rep, 1, j), the alpha streams of an output coordinate come out
-        # first, as interlacing takes them
-        self._streams = numerators_to_digits(
-            num.reshape(self.n, self.d, alpha).transpose(2, 0, 1)[:, None], b, m)
+        # the stream digits (r, 1, j, point), C-contiguous, against stream
+        # keys (r, rep, j, 1): the points last (see the module docstring),
+        # and the alpha streams of an output coordinate first, as
+        # interlacing takes them.  numerators_to_digits keeps the memory
+        # order it is given, so the transposed view is copied first
+        self._streams = numerators_to_digits(np.ascontiguousarray(
+            num.reshape(self.n, self.d, alpha).transpose(2, 1, 0)[:, None]), b, m)
         # stream u = j * alpha + r of each key gets its own key
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
@@ -381,13 +393,7 @@ class ScrambledRule:
         out = np.empty((len(keys), self.n, self.d))
         for rows in self._chunks(len(keys)):
             digs = self._interlaced(keys[rows])
-            if self.b == 2:
-                out[rows] = digits_to_floats(digs, 2)
-            else:
-                # one output coordinate at a time: the base-b matmul rounds
-                # by the layout it is given, and this layout keeps its rounding
-                for j in range(self.d):
-                    out[rows, :, j] = digits_to_floats(digs[:, :, j], self.b)
+            out[rows] = digits_to_floats(digs, self.b).transpose(0, 2, 1)
             del digs  # free this chunk's digits before the next is scrambled
         return out
 
@@ -395,21 +401,22 @@ class ScrambledRule:
         """Exact interlaced output digits, shape (R, n, d, alpha*prec); keys
         None gives the unscrambled net, shape (1, n, d, alpha*m)."""
         if keys is None:
-            return _unpacked(self._interlaced(None))
+            return np.ascontiguousarray(_unpacked(self._interlaced(None)).transpose(0, 2, 1, 3))
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
         for rows in self._chunks(len(keys)):
-            out[rows] = _unpacked(self._interlaced(keys[rows]))
+            out[rows] = _unpacked(self._interlaced(keys[rows])).transpose(0, 2, 1, 3)
         return out
 
     def _interlaced(self, keys: np.ndarray | None) -> np.ndarray | PackedDigits:
         # the interlaced digits of the streams scrambled by each key, or of
-        # the streams as they are, axes (rep, point, j)
+        # the streams as they are, axes (rep, j, point)
         streams = self._streams
         if keys is not None:
-            # one key per replication and stream, axes (r, rep, 1, j)
-            stream_keys = mix64_array(keys[:, None] ^ self._stream_salt).reshape(
-                len(keys), self.d, self.alpha).transpose(2, 0, 1)[:, :, None]
+            # one key per replication and stream, axes (r, rep, j, 1)
+            stream_keys = np.ascontiguousarray(mix64_array(keys[:, None] ^ self._stream_salt)
+                                               .reshape(len(keys), self.d, self.alpha)
+                                               .transpose(2, 0, 1)[..., None])
             streams = scramble_digit_matrix(streams, self.b, stream_keys, self.prec)
         return interlace_digit_matrices(streams)
 

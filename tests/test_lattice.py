@@ -513,6 +513,18 @@ class TestScrambleVariance:
             pos = first_nonzero_digit_pos(coords[:, j], b, m)
             assert np.array_equal(depths[j], np.where(pos == 0, m, pos - 1))
 
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_base2_depths_equal_first_nonzero_column_digit(self, m):
+        # base 2 reads the depths off the column numerators; they are the
+        # first nonzero digit of every point of _columns, over several chunks
+        # of columns from m = 13 on
+        n = 2**m
+        qs = sorted({1, 2, 3, 5, 7, 11, n // 3 + 1, n // 2, n - 2, n - 1} & set(range(1, n)))
+        p = irreducible_modulus(2, m)
+        ref = (_columns(2, m, p, qs) != 0).argmax(axis=2).T
+        ref[:, 0] = m
+        assert np.array_equal(_depths(2, m, p, qs), ref)
+
     def test_nonnegative(self):
         # the merit is an exact variance, so it can never go negative
         for enc in (1, 3, 7, 11):

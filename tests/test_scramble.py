@@ -487,6 +487,31 @@ class TestScrambledRule:
         weights = 2.0 ** -np.arange(1, 54)
         assert np.array_equal(rule.points(keys_), digs[..., :53].astype(np.float64) @ weights)
 
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_digits_equal_streams_scrambled_one_by_one(self, b, d, alpha):
+        # coordinate j of replication i interlaces its alpha streams
+        # u = j * alpha + r, each scrambled alone under key i salted for u,
+        # whatever layout the rule keeps its streams in; the outputs are
+        # C-contiguous (R, n, d[, digits])
+        m, n, R = 3, 11, 4
+        nums = key_array(10 * b + d, n * d * alpha).reshape(n, d * alpha) % np.uint64(b**m)
+        rule = ScrambledRule(b, m, nums, alpha)
+        keys_ = key_array(alpha, R)
+        digs, pts = rule.digits(keys_), rule.points(keys_)
+        assert digs.shape == (R, n, d, alpha * rule.prec) and digs.flags.c_contiguous
+        assert pts.shape == (R, n, d) and pts.flags.c_contiguous
+        for i in range(R):
+            for j in range(d):
+                streams = []
+                for r in range(alpha):
+                    salt = np.uint64((0x94D049BB133111EB * (j * alpha + r + 1)) & _MASK64)
+                    key = mix64_array(keys_[i] ^ salt)
+                    digits = numerators_to_digits(nums[:, j * alpha + r], b, m)
+                    streams.append(as_uint8(scramble_digit_matrix(digits, b, key, rule.prec)))
+                assert np.array_equal(digs[i, :, j], interlace_digit_matrices(np.stack(streams)))
+
     def test_base2_points_never_unpack_words(self, monkeypatch):
         # base-2 rules hold packed words from the numerators on: building the
         # rule and drawing points unpack nothing, and digits() unpacks its
