@@ -5,6 +5,9 @@ target accuracy, weights, and building-block variance assumptions; the
 estimator runs one independent randomized rule per active subset on the
 anchored component f_{u,a} and charges cost in the unrestricted subspace
 sampling model (2^{|u|} anchored evaluations of price $(|u|) per point).
+A `plr` rule template takes a prime base b <= 256 (polynomial lattice rules
+live over the field F_b and hold their digits as uint8), and the planner
+rounds each n_u up to a power of it; `mc` templates ignore the base.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
+from .gfpoly import FieldBase
 from .kernels import kernel_diag
 from .quadrature import INTERLACED_PLR, RuleSpec, run_rule_seeds
+from .scramble import check_base
 from .weights import PODWeights, Truncation, WeightModel, _ProductFamily, downward_closure
 
 CoordSet = frozenset[int]
@@ -147,6 +152,11 @@ class RuleTemplate:
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError(f"interlacing factor alpha must be >= 1, got {self.alpha}")
+        if self.kind == INTERLACED_PLR:
+            # rounding n_u up to a power of any other base plans rules that
+            # cannot be built, and never ends at b = 0 or 1
+            FieldBase(self.b)
+            check_base(self.b)
 
 
 @dataclass(frozen=True)

@@ -122,28 +122,28 @@ class BankFunction:
     def active(self) -> tuple[int, ...]:
         return tuple(sorted(set().union(*self.coeffs.keys()))) if self.coeffs else ()
 
+    def kappa_table(self, anchor_value) -> dict:
+        """{sorted u: kappa_u} with kappa_u = sum over v containing u of
+        c_v eta(a)^{|v|-|u|}, one exact fsum per u in the closure of the
+        coefficient sets; every other u has no terms, so kappa_u = 0."""
+        eta_a = float(_eta(anchor_value))
+        terms: dict = {}
+        for v, c in self.coeffs.items():
+            for r in range(len(v) + 1):
+                for u in itertools.combinations(sorted(v), r):
+                    terms.setdefault(u, []).append(c * eta_a ** (len(v) - r))
+        return {u: math.fsum(ts) for u, ts in terms.items()}
+
     def integrand(self) -> BlackBoxIntegrand:
         coeffs = self.coeffs
-        tables: dict = {}  # anchor value -> {sorted u: kappa_u}
-
-        def kappa_table(av) -> dict:
-            # kappa_u = sum over v containing u of c_v eta(a)^{|v|-|u|}, one
-            # exact fsum per u in the closure of the coefficient sets; every
-            # other u has no terms, so kappa_u = 0
-            eta_a = float(_eta(av))
-            terms: dict = {}
-            for v, c in coeffs.items():
-                for r in range(len(v) + 1):
-                    for u in itertools.combinations(sorted(v), r):
-                        terms.setdefault(u, []).append(c * eta_a ** (len(v) - r))
-            return {u: math.fsum(ts) for u, ts in terms.items()}
+        tables: dict = {}  # anchor value -> kappa_table
 
         def anchored(sets, x, av):
             # for a sum of products the u-anchored component collapses to
             # kappa_u times prod_{j in u} (eta(x_j) - eta(a)), multiplied left
             # to right in sorted coordinate order
             if av not in tables:
-                tables[av] = kappa_table(av)
+                tables[av] = self.kappa_table(av)
             table = tables[av]
             term = np.array([table.get(u, 0.0) for u in sets])[:, None]
             factors = _eta(x) - float(_eta(av))
@@ -158,17 +158,13 @@ class BankFunction:
 
     def plan_bias(self, Q, anchor_value: float = 0.5) -> float:
         """Exact bias of a changing dimension estimator with active family Q:
-        I(f) minus the sum of anchored-component integrals over Q."""
+        I(f) minus the sum of anchored-component integrals over Q, where
+        I(f_{v,a}) = (-eta(a))^{|v|} kappa_v."""
         eta_a = float(_eta(anchor_value))
+        kappa = self.kappa_table(anchor_value)
         Q = {frozenset(q) for q in Q}
-        # I(f_{v,a}) = (-eta_a)^{|v|} sum_{z >= v} c_z eta_a^{|z|-|v|}
-        return math.fsum(
-            (-eta_a) ** len(v) * math.fsum(
-                c * eta_a ** (len(z) - len(v))
-                for z, c in self.coeffs.items() if v <= z
-            )
-            for v in downward_closure(self.coeffs) if v not in Q
-        )
+        return math.fsum((-eta_a) ** len(v) * kappa.get(tuple(sorted(v)), 0.0)
+                         for v in downward_closure(self.coeffs) if v not in Q)
 
     def on_points(self, coords: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized f over an (n, len(coords)) point array."""

@@ -8,10 +8,12 @@ a polynomial lattice rule form a digital net whose generating matrix is the
 Hankel matrix of the Laurent digits of q_j/p.  Those digits are F_b-linear
 in q_j, so every column, in every base, comes from one Laurent basis per
 modulus: the digits of x^i/p for i < m, read off one expansion of 1/p.
-Base 2 builds its columns as uint32 numerators, as its digits add without
-carry, and every other base as digit matrices.  Points are stored as exact
-fixed-point numerators over b^m, so everything downstream (scrambling,
-digit dumps) stays bit-exact.
+Columns leave this module in one form, as exact fixed-point numerators over
+b^m (those of `PointSet`), built by one function, so everything downstream
+(scrambling, digit dumps) stays bit-exact.  The CBC search builds no column
+at all: it needs only where each point of the q = 1 column has its first
+nonzero digit, and h/p has its first nonzero Laurent digit at x^(deg h - m),
+which the digit count of h gives exactly.
 """
 
 from __future__ import annotations
@@ -134,56 +136,47 @@ def _laurent_basis(b: int, m: int, p: int) -> np.ndarray:
     return basis
 
 
-def _columns(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
-    """Base-b digits of the lattice columns q in qs under modulus p, most
-    significant first: entry [h, j] holds the first m Laurent digits of
-    h(x) q_j(x) / p(x), shape (b^m, len(qs), m).
+def _numerators(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
+    """The lattice columns q in qs under modulus p as numerators over b^m:
+    entry [j, h] packs the first m Laurent digits of h(x) q_j(x) / p(x),
+    most significant first, shape (len(qs), b^m) uint32.
 
     The Laurent digits u = (u_1, ..., u_{2m-1}) of q/p are the base-b digits
     of q times the Laurent basis, mod b.  Digit i of point h = sum_k h_k b^k
-    is then sum_k h_k u_{i+k} mod b (a Hankel matrix), so the rows double
-    over the digits of h: the rows with h_k = a are the rows so far plus
-    a (u_{k+1}, ..., u_{k+m}).  All columns double together.  The products
-    stay in uint64, where (b - 1)^2 m fits for every b^m <= 2^32.
+    is then sum_k h_k u_{i+k} mod b (a Hankel matrix), so the points double
+    over the digits of h: the points with h_k = a are the points so far plus
+    a (u_{k+1}, ..., u_{k+m}), digit by digit mod b.  All columns double
+    together.  Base 2 adds without carry, so there the m-bit window of the
+    (2m - 1)-bit Laurent word at shift m - 1 - k is XOR-ed onto the
+    numerators themselves; every other base doubles digit rows and folds
+    them once.  The products stay in uint64, where (b - 1)^2 m fits for
+    every b^m <= 2^32.
     """
     ub = np.uint64(b)
-    u = _laurent(b, m, p, qs)
-    hankel = u[:, np.add.outer(np.arange(m), np.arange(m))]  # [j, k]: u_{k+1..k+m} of q_j
+    qd = np.asarray(qs, dtype=np.uint64)[:, None] // ub ** np.arange(m, dtype=np.uint64) % ub
+    u = qd @ _laurent_basis(b, m, p) % ub  # [j, i]: u_{i+1} of q_j
+    out = np.zeros((len(qs), b**m), dtype=np.uint32)
+    if b == 2:
+        word = u @ (np.uint64(1) << np.arange(2 * m - 2, -1, -1, dtype=np.uint64))
+        for k in range(m):
+            w = (word >> np.uint64(m - 1 - k)) & np.uint64(2**m - 1)
+            np.bitwise_xor(out[:, :2**k], w.astype(np.uint32)[:, None], out=out[:, 2**k:2 ** (k + 1)])
+        return out
     dtype = np.min_scalar_type(2 * b - 2)  # a digit sum before reduction
-    shifts = (np.arange(b, dtype=np.uint64)[:, None, None, None] * hankel % ub).astype(dtype)
-    rows = np.zeros((1, len(qs), m), dtype=dtype)
+    hankel = u[:, np.add.outer(np.arange(m), np.arange(m))]  # [j, k, i]: u_{k+i+1} of q_j
+    # [j, a, k, i]: a times window k, mod b, for the digits a = 1..b-1
+    shifts = (np.arange(1, b, dtype=np.uint64)[:, None, None] * hankel[:, None] % ub).astype(dtype)
+    digits = np.zeros((len(qs), b**m, m), dtype=dtype)
     for k in range(m):
-        rows = (rows + shifts[:, None, :, k, :]).reshape(-1, len(qs), m)
+        lo = b**k
+        rows = digits[:, lo:b * lo].reshape(len(qs), b - 1, lo, m)  # [j, a - 1, h mod b^k]
+        np.add(digits[:, None, :lo], shifts[:, :, k, None], out=rows)
         # reduce mod b: in unsigned arithmetic rows - b wraps around to a
         # larger value exactly when rows < b
         np.minimum(rows, rows - b, out=rows)
-    return rows
-
-
-def _laurent(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
-    """The first 2m - 1 Laurent digits of each q/p, q in qs: the base-b
-    digits of q times the Laurent basis, mod b, shape (len(qs), 2m - 1)."""
-    ub = np.uint64(b)
-    qd = np.asarray(qs, dtype=np.uint64)[:, None] // ub ** np.arange(m, dtype=np.uint64) % ub
-    return qd @ _laurent_basis(b, m, p) % ub
-
-
-def _base2_numerators(m: int, p: int, qs: Sequence[int]) -> np.ndarray:
-    """The base-2 lattice columns q in qs as numerators over 2^m, shape
-    (len(qs), 2^m) uint32: _columns with each point's m digits packed into
-    one integer, most significant first.
-
-    Digits add without carry in base 2, so point h = sum_k h_k 2^k is the
-    XOR of the words w_k of the points 2^k with h_k = 1, and the columns
-    double as in _columns.  w_k holds Laurent digits u_{k+1..k+m} of q/p,
-    the m-bit window of the (2m - 1)-bit Laurent word at shift m - 1 - k.
-    """
-    u = _laurent(2, m, p, qs)
-    word = u @ (np.uint64(1) << np.arange(2 * m - 2, -1, -1, dtype=np.uint64))
-    out = np.zeros((len(qs), 2**m), dtype=np.uint32)
-    for k in range(m):
-        w = (word >> np.uint64(m - 1 - k)) & np.uint64(2**m - 1)
-        np.bitwise_xor(out[:, :2**k], w.astype(np.uint32)[:, None], out=out[:, 2**k:2 ** (k + 1)])
+    for i in range(m):
+        out *= np.uint32(b)
+        out += digits[..., i]
     return out
 
 
@@ -193,14 +186,8 @@ def plr_points(gv: GeneratingVector) -> PointSet:
     Coordinate j of point h is the m-digit truncation of h(x) q_j(x) / p(x).
     """
     b, m = gv.base.b, gv.m
-    if b == 2:
-        return PointSet(2, m, np.ascontiguousarray(_base2_numerators(m, gv.modulus, gv.q).T,
-                                                   dtype=np.uint64))
-    digits = _columns(b, m, gv.modulus, gv.q)
-    coords = np.zeros((gv.n, gv.s), dtype=np.uint64)
-    for t in range(m):
-        coords = coords * np.uint64(b) + digits[..., t]
-    return PointSet(b, m, coords)
+    return PointSet(b, m, np.ascontiguousarray(_numerators(b, m, gv.modulus, gv.q).T,
+                                               dtype=np.uint64))
 
 
 # --- search criteria -------------------------------------------------------
@@ -229,7 +216,6 @@ def _phi_table(b: int, m: int, rate: float = 2.0) -> np.ndarray:
 _RHO_SLICE_AXES = 4
 
 
-@lru_cache(maxsize=32)
 def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     """rho[t_1, ..., t_alpha] = E[B2(X) B2(X')] for one output coordinate of a
     stream-scrambled interlaced pair whose underlying streams share exactly
@@ -289,33 +275,26 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
     return out
 
 
-#: the vector searches build columns and score candidates in chunks whose
+#: the variance search builds columns and scores candidates in chunks whose
 #: temporaries total about this many bytes
 _SEARCH_BYTES = 1 << 18
 
 
-def _depths(b: int, m: int, p: int, qs: Sequence[int]) -> np.ndarray:
-    """Leading zero digits of every point of each column q in qs (m for
-    point 0), shape (len(qs), b^m) uint8.  The columns are built a few at a
-    time, so their digits and the temporaries over them stay within
-    _SEARCH_BYTES."""
-    n = b**m
+def _depths(m: int, p: int, qs: Sequence[int]) -> np.ndarray:
+    """Leading zero digits of every point of each base-2 column q in qs (m
+    for point 0), shape (len(qs), 2^m) uint8: m minus the bit length of
+    each numerator, which frexp gives exactly for a uint32 (0 for 0).
+
+    The columns are built a few at a time: per point and column a chunk
+    holds its numerator, within _SEARCH_BYTES, and frexp's float
+    temporaries cover one column at a time.
+    """
+    n = 2**m
     out = np.empty((len(qs), n), dtype=np.uint8)
-    if b == 2:
-        # m minus the bit length of each numerator, which frexp gives exactly
-        # for a uint32 (0 for 0); per point and column the chunk holds its
-        # numerator, and frexp's float temporaries cover one column at a time
-        step = max(1, _SEARCH_BYTES // (n * 4))
-        for i in range(0, len(qs), step):
-            for j, col in enumerate(_base2_numerators(m, p, qs[i:i + step]), i):
-                out[j] = m - np.frexp(col)[1]
-        return out
-    # per point and column: the digits and their mod-b and nonzero
-    # temporaries (m bytes each), and the argmax index
-    step = max(1, _SEARCH_BYTES // (n * (3 * m + 8)))
+    step = max(1, _SEARCH_BYTES // (n * 4))
     for i in range(0, len(qs), step):
-        out[i:i + step] = (_columns(b, m, p, qs[i:i + step]) != 0).argmax(axis=2).T
-    out[:, 0] = m  # h q mod p is nonzero for h != 0, so only point 0 has no nonzero digit
+        for j, col in enumerate(_numerators(2, m, p, qs[i:i + step]), i):
+            out[j] = m - np.frexp(col)[1]
     return out
 
 
@@ -354,7 +333,7 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
         raise ValueError("need one weight per output coordinate")
     qs, cols = np.unique(q, return_inverse=True)
     cols = cols.reshape(q.shape)
-    depths = _depths(2, m, modulus, qs.tolist())
+    depths = _depths(m, modulus, qs.tolist())
     tab = _scramble_rho_table(m, alpha).ravel()
     strides = (m + 1) ** np.arange(alpha - 1, -1, -1, dtype=np.intp)
     out = np.empty(len(q))
@@ -422,6 +401,19 @@ def _field_exp_table(b: int, m: int) -> np.ndarray:
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
+def _leading_positions(b: int, m: int) -> np.ndarray:
+    """1-based position of the first nonzero digit of each point h of the
+    q = 1 column, 0 for point 0, shape (b^m,).
+
+    Point h is the m-digit truncation of h(x) / p(x), whose Laurent
+    expansion starts at x^(deg h - m): a point with k base-b digits has its
+    first nonzero digit at position m + 1 - k, and the b^k - b^(k-1) points
+    with k digits follow each other in h.
+    """
+    counts = [1] + [b**k - b ** (k - 1) for k in range(1, m + 1)]
+    return np.repeat(np.array([0, *range(m, 0, -1)], dtype=np.intp), counts)
+
+
 def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
     """CBC search under the weighted dual-lattice criterion via cyclic-group
     correlation.
@@ -438,10 +430,7 @@ def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
     N = n - 1
     modulus = irreducible_modulus(b, m)
     exp_ = _field_exp_table(b, m)
-    # 1-based position of the first nonzero digit of each point h of the
-    # q = 1 column, 0 for point 0
-    pos = _depths(b, m, modulus, [1])[0] + 1
-    pos[0] = 0
+    pos = _leading_positions(b, m)
 
     running = np.ones(n)
     chosen = []

@@ -197,6 +197,14 @@ class TestPlanStructure:
         with pytest.raises(ValueError, match="alpha"):
             RuleTemplate(alpha=alpha)
 
+    @pytest.mark.parametrize("b,message", [(0, "prime"), (1, "prime"), (4, "prime"),
+                                           (257, "at most 256")])
+    def test_template_plr_base_is_a_buildable_prime(self, b, message):
+        with pytest.raises(ValueError, match=message):
+            RuleTemplate(b=b)
+        # Monte Carlo rules have no base to check
+        assert RuleTemplate(kind="mc", b=b).b == b
+
     def test_descriptor_default_names_the_class(self):
         w = TwoCoordinates()
         plan = plan_build(w, PlannerConstants.for_weights(w, 0.1, 1.0))

@@ -378,6 +378,12 @@ class TestSelftestAndCLI:
          "weights, explicit"),
         (["plan", "--weights", "product-poly,a=3", "--cost", '{"s":2}', "--eps-grid", "0.5"],
          "a cost mapping needs a 'preset' key, one of linear, power, exp"),
+        # the planner rounds n_u up to a power of the PLR base: it looped
+        # forever at bases 0 and 1 and printed plans no rule could run at 4 and 257
+        *[(["plan", "--weights", "product-poly,a=3", "--eps-grid", "0.5", "--base", b], message)
+          for b, message in [("0", "base must be prime, got 0"), ("1", "base must be prime, got 1"),
+                             ("4", "base must be prime, got 4"),
+                             ("257", "digit base must be at most 256")]],
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -21,8 +21,9 @@ from cdquad.lattice import (
     scramble_variance,
     search_generating_vector,
     _VARIANCE_TRIALS,
-    _columns,
     _depths,
+    _leading_positions,
+    _numerators,
     _phi_table,
     _scramble_rho_table,
 )
@@ -55,16 +56,15 @@ def column_oracle(b, m, p, q):
 
 
 def columns_reference(b, m, p, qs):
-    """_columns by one Laurent division per column: the 2m - 1 Laurent
-    digits u of q/p, and digit i of point h = sum_k h_k b^k equal to
-    sum_k h_k u_{i+k} mod b."""
+    """The base-b digits of the lattice columns q in qs, most significant
+    first, by one Laurent division per column: the 2m - 1 Laurent digits u
+    of q/p, and digit i of point h = sum_k h_k b^k equal to
+    sum_k h_k u_{i+k} mod b, shape (b^m, len(qs), m)."""
+    hk = np.arange(b**m)[:, None] // b ** np.arange(m) % b  # [h, k]: digit k of h
     out = np.zeros((b**m, len(qs), m), dtype=np.int64)
     for j, q in enumerate(qs):
-        u = laurent_digits(q, p, 2 * m - 1, b)
-        for h in range(b**m):
-            hk = [(h // b**k) % b for k in range(m)]
-            for i in range(m):
-                out[h, j, i] = sum(hk[k] * u[i + k] for k in range(m)) % b
+        u = np.array(laurent_digits(q, p, 2 * m - 1, b))
+        out[:, j] = hk @ u[np.add.outer(np.arange(m), np.arange(m))] % b
     return out
 
 
@@ -154,13 +154,15 @@ class TestPlrPoints:
     @pytest.mark.parametrize("b,m", [(2, 1), (2, 2), (2, 3), (2, 6), (2, 9), (3, 1), (3, 2),
                                      (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
     def test_columns_match_laurent_reference(self, b, m):
-        # the Laurent basis gives every column the digits of its own division
+        # the Laurent basis gives every column the digits of its own
+        # division, packed most significant first
         n = b**m
         qs = range(1, n) if n <= 64 else sorted({1, 2, b - 1, n // 3, n // 2 + 1, n - 2, n - 1})
         p = irreducible_modulus(b, m)
-        got = _columns(b, m, p, list(qs))
-        assert got.shape == (n, len(qs), m)
-        assert np.array_equal(got, columns_reference(b, m, p, list(qs)))
+        got = _numerators(b, m, p, list(qs))
+        assert got.shape == (len(qs), n) and got.dtype == np.uint32
+        ref = columns_reference(b, m, p, list(qs)) @ b ** np.arange(m - 1, -1, -1)
+        assert np.array_equal(got.T, ref)
 
     @pytest.mark.parametrize("b,m", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 3), (3, 4),
                                      (5, 1), (5, 2), (5, 3), (131, 1)])
@@ -402,6 +404,14 @@ class TestSearch:
         with pytest.raises(ValueError, match=rf"\b{name} must be >= 1"):
             search_generating_vector(s, 3, FieldBase(b), alpha=alpha)
 
+    @pytest.mark.parametrize("b,m", [*[(2, m) for m in range(1, 15)], *[(3, m) for m in range(1, 9)],
+                                     *[(5, m) for m in range(1, 6)], *[(7, m) for m in range(1, 5)]])
+    def test_leading_positions_match_column_oracle(self, b, m):
+        # the CBC search reads the first nonzero digit of each point of the
+        # q = 1 column off the digit count of h; the column itself agrees
+        col = column_oracle(b, m, irreducible_modulus(b, m), 1)
+        assert np.array_equal(_leading_positions(b, m), first_nonzero_digit_pos(col, b, m))
+
     def test_cbc_beats_all_ones_merit(self):
         w = [1.0, 1.0]
         gv = search_generating_vector(2, 4, F2)
@@ -487,9 +497,9 @@ class TestScrambleVariance:
         # and each vector's variance is that of its own lattice columns
         built = []
 
-        def recording(b, m, p, qs):
+        def recording(m, p, qs):
             built.append(list(qs))
-            return _depths(b, m, p, qs)
+            return _depths(m, p, qs)
 
         monkeypatch.setattr(lattice, "_depths", recording)
         encs = [[3, 9], [9, 3], [3, 5], [5, 9]]
@@ -498,7 +508,7 @@ class TestScrambleVariance:
         for row, v in zip(encs, batch):
             assert v == variance_oracle(gv_for(2, 5, row), 2, [2.0])
 
-    @pytest.mark.parametrize("b,m", [(2, 1), (2, 5), (2, 10), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("b,m", [(2, 1), (2, 5), (2, 10)])
     def test_depths_are_leading_zero_digits(self, b, m):
         # the depths of each column are those of the lattice column itself,
         # also when the columns are built over several chunks (m = 10), and
@@ -506,7 +516,7 @@ class TestScrambleVariance:
         n = b**m
         qs = sorted({1, n // 3 + 1, n // 2, n - 1} - {0, n}) * 2 + list(range(1, min(n, 24)))
         p = irreducible_modulus(b, m)
-        depths = _depths(b, m, p, qs)
+        depths = _depths(m, p, qs)
         assert depths.shape == (len(qs), n) and depths.dtype == np.uint8
         coords = plr_points(GeneratingVector(FieldBase(b), m, p, tuple(qs))).coords
         for j in range(len(qs)):
@@ -515,15 +525,15 @@ class TestScrambleVariance:
 
     @pytest.mark.parametrize("m", range(1, 15))
     def test_base2_depths_equal_first_nonzero_column_digit(self, m):
-        # base 2 reads the depths off the column numerators; they are the
-        # first nonzero digit of every point of _columns, over several chunks
-        # of columns from m = 13 on
+        # the depths are read off the column numerators; they are the first
+        # nonzero digit of every point of the reference columns, over
+        # several chunks of columns from m = 13 on
         n = 2**m
         qs = sorted({1, 2, 3, 5, 7, 11, n // 3 + 1, n // 2, n - 2, n - 1} & set(range(1, n)))
         p = irreducible_modulus(2, m)
-        ref = (_columns(2, m, p, qs) != 0).argmax(axis=2).T
+        ref = (columns_reference(2, m, p, qs) != 0).argmax(axis=2).T
         ref[:, 0] = m
-        assert np.array_equal(_depths(2, m, p, qs), ref)
+        assert np.array_equal(_depths(m, p, qs), ref)
 
     def test_nonnegative(self):
         # the merit is an exact variance, so it can never go negative
