@@ -15,6 +15,7 @@ from .cdalg import (
     epsilon_dimension,
     plan_build,
     plan_cost,
+    plan_grid,
 )
 from .decomp import (
     Anchor,

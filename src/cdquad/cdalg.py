@@ -8,20 +8,27 @@ sampling model (2^{|u|} anchored evaluations of price $(|u|) per point).
 A `plr` rule template takes a prime base b <= 256 (polynomial lattice rules
 live over the field F_b and hold their digits as uint8), and the planner
 rounds each n_u up to a power of it; `mc` templates ignore the base.
+
+A set's lead lambda_u = c L C_hat^{|u|} gamma_u^{alpha0} does not depend on
+eps, and the constants depend on eps only through eps itself, so the sets
+are enumerated once (Enumeration) and the plan at any eps at or above the
+enumeration's is a filter of it: the sets that earn n_u' >= 1 at eps and
+their subsets.  plan_grid plans a whole eps grid from one enumeration at its
+smallest eps.  A plan past the hard cap of MAX_ACTIVE_SETS active sets is a
+PlanningError, and so is an enumeration that finds more sets than that,
+since the plan at its own eps would be past the cap.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Mapping
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
-from .gfpoly import FieldBase
 from .kernels import kernel_diag
-from .quadrature import INTERLACED_PLR, RuleSpec, run_rule_seeds
-from .scramble import check_base
+from .quadrature import INTERLACED_PLR, RuleSpec, check_plr_base, run_rule_seeds
 from .weights import PODWeights, Truncation, WeightModel, _ProductFamily, downward_closure
 
 CoordSet = frozenset[int]
@@ -155,8 +162,7 @@ class RuleTemplate:
         if self.kind == INTERLACED_PLR:
             # rounding n_u up to a power of any other base plans rules that
             # cannot be built, and never ends at b = 0 or 1
-            FieldBase(self.b)
-            check_base(self.b)
+            check_plr_base(self.b)
 
 
 @dataclass(frozen=True)
@@ -206,85 +212,161 @@ class Plan:
         )
 
 
-def _n_prime(consts: PlannerConstants, size: int, gamma_u: float) -> int:
-    lead = consts.c * consts.L * consts.C_hat**size * gamma_u**consts.alpha0
-    if lead < consts.eps**2:
-        return 0
-    return _floor_tol((lead / consts.eps**2) ** (1 / consts.tau))
-
-
 def _floor_tol(v: float) -> int:
     # guard the floor against float dust (e.g. 2/0.01 -> 199.99999999999997)
     return math.floor(v * (1 + 1e-12) + 1e-12)
 
 
 def _round_up_power(n: int, b: int) -> int:
-    m = 0
-    while b**m < n:
-        m += 1
-    return b**m
+    p = 1
+    while p < n:
+        p *= b
+    return p
+
+
+class Enumeration:
+    """Every plan of one weight model and one set of eps-free planner
+    constants at or above an accuracy, from a single enumeration of the sets
+    they can make active.
+
+    A set's lead lambda_u = c L C_hat^{|u|} gamma_u^{alpha0} does not depend
+    on eps.  Set u earns n_u' = floor((lambda_u / eps^2)^{1/tau}) >= 1 at
+    eps iff its key is >= eps^2; the key is lambda_u, or less where the
+    pruned search stops short of u at that eps.  So the plan at eps is a
+    filter of the enumeration: the sets of key >= eps^2 and their subsets,
+    which get n_u = 1 unless they earn more.  Finite-support weights
+    enumerate their whole support closure, so they serve every eps;
+    product-type weights are searched down to the eps of the constants.
+    An enumeration that finds more than MAX_ACTIVE_SETS sets plans past the
+    hard cap at that eps: it is a PlanningError.
+    """
+
+    def __init__(self, w: WeightModel, consts: PlannerConstants):
+        self.weights, self.consts = w, consts
+        self.tau = consts.tau
+        if w.has_finite_support():
+            self.low = 0.0
+            found = _support_keys(w, consts)
+        else:
+            self.low = consts.eps**2
+            found = _search_keys(w, consts, self.low)
+        #: the enumerated sets, in the order plan_build always took them
+        #: (depth-first, which is lexicographic, or that of the support
+        #: closure), with their leads and keys
+        self.lead = {u: lead for u, lead, _ in found}
+        self.key = {u: key for u, _, key in found}
+
+    def allocations(self, eps: float, template: RuleTemplate) -> dict[CoordSet, int]:
+        """The plan at eps, keyed in the order of downward_closure over the
+        sets earning n' >= 1 in enumeration order, as plan_build always built
+        it: the float sums of bias_squared for product weights run in that
+        order.  PlanningError past MAX_ACTIVE_SETS."""
+        eps2 = eps**2
+        if eps2 < self.low:
+            raise ValueError(f"eps = {eps} is below the enumeration's {math.sqrt(self.low)}")
+        n_prime = {u: _floor_tol((self.lead[u] / eps2) ** (1 / self.tau))
+                   for u, key in self.key.items() if key >= eps2}
+        active = downward_closure(n_prime)
+        if len(active) > MAX_ACTIVE_SETS:
+            raise _past_cap(eps)
+        if template.kind == INTERLACED_PLR:
+            return {u: _round_up_power(n_prime.get(u, 1), template.b) for u in active}
+        return {u: n_prime.get(u, 1) for u in active}
+
+
+def _past_cap(eps: float) -> PlanningError:
+    return PlanningError(f"the plan at eps = {eps} has more than {MAX_ACTIVE_SETS} "
+                         f"active sets (the hard cap)")
+
+
+def _support_keys(w: WeightModel, consts: PlannerConstants) -> list:
+    """(u, lambda_u, lambda_u) over the support closure, in its order."""
+    found = []
+    for u in w.support_closure():
+        if u:
+            lead = consts.c * consts.L * consts.C_hat ** len(u) * w.gamma(u) ** consts.alpha0
+            found.append((u, lead, lead))
+    return found
+
+
+def _search_keys(w: WeightModel, consts: PlannerConstants, eps2: float) -> list:
+    """Depth-first search of product-type weights for the sets of key >=
+    eps2: (u, lambda_u, key_u) in visiting (lexicographic) order.
+
+    The search tries the children j = 1, 2, ... of a set in turn and stops
+    at the first whose bound on every extension falls below eps^2; the
+    pruning is justified by the decreasing singleton sequence.  So at a
+    larger eps it visits a set iff every bound checked on its way is >=
+    eps^2, and a visited set earns n' >= 1 iff its lead is too: the key is
+    the smaller of the lead and the least of those bounds.
+    """
+    if not isinstance(w, _ProductFamily) or isinstance(w, PODWeights):
+        # the boost-product pruning below is only sound for (possibly
+        # order-capped) product weights
+        raise PlanningError(f"no planner enumeration for {type(w).__name__}")
+    gamma_seq = w.gamma_seq
+    size_cap = min(MAX_SET_SIZE, w.order)
+    J = Truncation().max_index
+    boosts = [consts.C_hat * gamma_seq(j) ** consts.alpha0 for j in range(1, J + 1)]
+    # suffix[j] = largest factor any extension using coords > j can add
+    suffix = [1.0] * (J + 2)
+    for j in range(J, 0, -1):
+        suffix[j] = suffix[j + 1] * max(1.0, boosts[j - 1])
+    found: list = []
+
+    def visit(u: tuple[int, ...], lead: float, reach: float, next_j: int):
+        key = min(lead, reach)
+        if u and key >= eps2:
+            if len(found) == MAX_ACTIVE_SETS:
+                raise _past_cap(consts.eps)
+            found.append((frozenset(u), lead, key))
+        if len(u) >= size_cap:
+            return
+        for j in range(next_j, J + 1):
+            ext = lead * boosts[j - 1]
+            bound = ext * suffix[j + 1]
+            if bound < eps2:
+                break  # boosts decrease with j: no deeper branch can recover
+            reach = min(reach, bound)
+            visit(u + (j,), ext, reach, j + 1)
+
+    base = consts.c * consts.L * float(w.gamma(frozenset())) ** consts.alpha0
+    visit((), base, math.inf, 1)
+    return found
 
 
 def plan_build(
     w: WeightModel,
     consts: PlannerConstants,
     template: RuleTemplate = RuleTemplate(),
+    enumeration: Enumeration | None = None,
 ) -> Plan:
-    """Choose the active sets and their sample counts.
+    """Choose the active sets and their sample counts: the filter at
+    consts.eps of an Enumeration of w under the same eps-free constants,
+    made at consts.eps unless one made at or below it is given.
 
     n_u' comes straight from the accuracy formula; a set is kept active when
-    any superset earns n' >= 1, which makes the family downward closed.
-    Finite-support weights enumerate their support closure; product-type
-    weights are searched depth-first with pruning justified by the decreasing
-    singleton sequence.
+    any superset earns n' >= 1, which makes the family downward closed.  A
+    plan past MAX_ACTIVE_SETS active sets is a PlanningError.
     """
-    n_prime: dict[CoordSet, int] = {}
-    if w.has_finite_support():
-        for u in w.support_closure():
-            np_ = _n_prime(consts, len(u), w.gamma(u))
-            if np_ >= 1:
-                n_prime[frozenset(u)] = np_
-    else:
-        if not isinstance(w, _ProductFamily) or isinstance(w, PODWeights):
-            # the boost-product pruning below is only sound for (possibly
-            # order-capped) product weights
-            raise PlanningError(f"no planner enumeration for {type(w).__name__}")
-        gamma_seq = w.gamma_seq
-        size_cap = min(MAX_SET_SIZE, w.order)
-        J = Truncation().max_index
-        boosts = [consts.C_hat * gamma_seq(j) ** consts.alpha0 for j in range(1, J + 1)]
-        # suffix[j] = largest factor any extension using coords > j can add
-        suffix = [1.0] * (J + 2)
-        for j in range(J, 0, -1):
-            suffix[j] = suffix[j + 1] * max(1.0, boosts[j - 1])
-        eps2 = consts.eps**2
-
-        def visit(u: tuple[int, ...], lead: float, next_j: int):
-            if len(n_prime) > MAX_ACTIVE_SETS:
-                raise PlanningError("active-set enumeration exceeded the hard cap")
-            if lead >= eps2 and u:
-                n_prime[frozenset(u)] = _floor_tol((lead / eps2) ** (1 / consts.tau))
-            if len(u) >= size_cap:
-                return
-            for j in range(next_j, J + 1):
-                ext = lead * boosts[j - 1]
-                if ext * suffix[j + 1] < eps2:
-                    break  # boosts decrease with j: no deeper branch can recover
-                visit(u + (j,), ext, j + 1)
-
-        base = consts.c * consts.L * float(w.gamma(frozenset())) ** consts.alpha0
-        visit((), base, 1)
-
-    active = downward_closure(n_prime)
-    if len(active) > MAX_ACTIVE_SETS:
-        raise PlanningError("active-set closure exceeded the hard cap")
-    alloc: dict[CoordSet, int] = {}
-    for u in active:
-        n = max(1, n_prime.get(u, 0))
-        if u and template.kind == INTERLACED_PLR:
-            n = _round_up_power(n, template.b)
-        alloc[u] = 1 if not u else n
+    if enumeration is None:
+        enumeration = Enumeration(w, consts)
+    elif enumeration.weights is not w or replace(enumeration.consts, eps=consts.eps) != consts:
+        raise ValueError("the enumeration is of other weights or planner constants")
+    alloc = enumeration.allocations(consts.eps, template)
     return Plan(consts, alloc, template, w.descriptor())
+
+
+def plan_grid(w: WeightModel, eps_grid, tau: float, chi: int = 1,
+              template: RuleTemplate = RuleTemplate()) -> list[Plan]:
+    """plan_build at every eps of the grid, in grid order, from one
+    Enumeration at the smallest eps, with the planner constants computed
+    once: L depends only on tau and the decay."""
+    consts = PlannerConstants.for_weights(w, min(eps_grid), tau, chi=chi)
+    enum = Enumeration(w, consts)
+    plans = {eps: plan_build(w, replace(consts, eps=eps), template, enum)
+             for eps in sorted(set(eps_grid))}
+    return [plans[eps] for eps in eps_grid]
 
 
 # --- execution -------------------------------------------------------------

@@ -4,10 +4,14 @@ Subcommands: plan (print an allocation plan), estimate (one changing
 dimension run on a bank function), study (convergence or variance table),
 points (exact digit dump of a point set), selftest (fast invariant suite).
 A JSON config file can supply any ExperimentConfig field; flags override it.
-Bad input (an unknown preset or preset option, an impossible plan, an eps
-or tau that is not > 0, an invalid rule size, an unreadable config file, an
-unknown config field, a seed outside [0, 2^64)) prints one `cdquad: error:`
-line to stderr and exits with status 2.
+The accuracies of plan, estimate and a convergence study come from
+--eps-grid, or from --cost-grid: each target cost becomes the accuracy
+whose plan costs about that much (harness.eps_grid_for_costs).
+Bad input (an unknown preset or preset option, an impossible plan, an eps,
+tau or target cost that is not > 0, both --eps-grid and --cost-grid, an
+invalid rule size, an unreadable config file, an unknown config field, a
+seed outside [0, 2^64)) prints one `cdquad: error:` line to stderr and exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -19,17 +23,17 @@ import sys
 from pathlib import Path
 
 from .cdalg import (
-    PlannerConstants,
     cd_estimate,
     cost_model,
     epsilon_dimension,
-    plan_build,
     plan_cost,
+    plan_grid,
 )
 from .harness import (
     ExperimentConfig,
     _preset_name,
     dump_points,
+    eps_grid_for_costs,
     run_convergence_study,
     run_variance_study,
     selftest,
@@ -68,6 +72,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cost", help="cost model: linear, power, exp")
     p.add_argument("--tau", type=float)
     p.add_argument("--eps-grid", help="comma separated accuracies")
+    p.add_argument("--cost-grid", help="comma separated plan costs, each turned into the "
+                                       "accuracy whose plan costs about that much")
     p.add_argument("--n-grid", help="comma separated point counts")
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int)
@@ -110,23 +116,28 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         fields["eps_grid"] = tuple(fields["eps_grid"])
     if "n_grid" in fields and fields["n_grid"] is not None:
         fields["n_grid"] = tuple(fields["n_grid"])
-    return ExperimentConfig(**fields)
+    cfg = ExperimentConfig(**fields)
+    if args.cost_grid:
+        if args.eps_grid:
+            raise ValueError("give either --eps-grid or --cost-grid, not both")
+        cfg.eps_grid = tuple(eps_grid_for_costs(
+            cfg.resolve_weights(), _parse_grid(args.cost_grid, float), cfg.tau, chi=cfg.chi,
+            template=cfg.template(), dollar=cost_model(cfg.cost, **cfg.cost_params)))
+    return cfg
 
 
-def _build_plan(cfg: ExperimentConfig, eps: float):
-    w = cfg.resolve_weights()
-    consts = PlannerConstants.for_weights(w, eps, cfg.tau, chi=cfg.chi)
-    return plan_build(w, consts, cfg.template())
+def _plans(cfg: ExperimentConfig):
+    return plan_grid(cfg.resolve_weights(), cfg.eps_grid, cfg.tau, chi=cfg.chi,
+                     template=cfg.template())
 
 
 def _cmd_plan(args) -> int:
     cfg = _config_from(args)
     if not cfg.eps_grid:
-        print("plan: need --eps-grid (one or more accuracies)", file=sys.stderr)
+        print("plan: need --eps-grid (one or more accuracies) or --cost-grid", file=sys.stderr)
         return 2
     dollar = cost_model(cfg.cost, **cfg.cost_params)
-    for eps in cfg.eps_grid:
-        plan = _build_plan(cfg, eps)
+    for eps, plan in zip(cfg.eps_grid, _plans(cfg)):
         print(f"# eps={eps} |Q|={len(plan.Q)} d(eps)={epsilon_dimension(plan)} "
               f"cost={plan_cost(plan, dollar):.6g}")
         if args.full:
@@ -137,13 +148,13 @@ def _cmd_plan(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = _config_from(args)
     if not cfg.eps_grid:
-        print("estimate: need --eps-grid (one or more accuracies)", file=sys.stderr)
+        print("estimate: need --eps-grid (one or more accuracies) or --cost-grid",
+              file=sys.stderr)
         return 2
     bank = cfg.resolve_bank()
     f = bank.integrand()
     dollar = cost_model(cfg.cost, **cfg.cost_params)
-    for eps in cfg.eps_grid:
-        plan = _build_plan(cfg, eps)
+    for eps, plan in zip(cfg.eps_grid, _plans(cfg)):
         est, ledger = cd_estimate(f, plan, cfg.seed, dollar)
         print(f"eps={eps} estimate={est!r} exact={bank.integral!r} "
               f"error={est - bank.integral:.6e} cost={ledger.total:.6g}")

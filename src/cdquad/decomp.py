@@ -146,6 +146,16 @@ def alt_sum_S(Q, u) -> int:
     return sum((-1) ** len(v) for v in Q if frozenset(v) <= u)
 
 
+def _alt_sum_in(Q: set, u: CoordSet) -> int:
+    """alt_sum_S for a set Q of frozensets: looks up the subsets of u in Q,
+    or scans Q where it holds fewer sets than u has subsets."""
+    if 2 ** len(u) > len(Q):
+        return alt_sum_S(Q, u)
+    items = sorted(u)
+    return sum((-1) ** k for k in range(len(items) + 1)
+               for c in combinations(items, k) if frozenset(c) in Q)
+
+
 def psi_Q_project(f: BlackBoxIntegrand, Q, a: Anchor) -> BlackBoxIntegrand:
     """The projection of f onto the subspaces sampled by an active set Q:
     Psi_Q f = sum over u in closure(Q) of f_{u,a}.
@@ -184,11 +194,12 @@ def bias_squared(Q, w: WeightModel, k_aa: float, T: Truncation = Truncation()) -
     """
     Q = [frozenset(q) for q in Q]
     if w.has_finite_support():
+        Qset = set(Q)
         total = 0.0
         for u in sorted(w.support_closure(), key=lambda s: (len(s), sorted(s))):
             if not u:
                 continue
-            total += alt_sum_S(Q, u) ** 2 * w.gamma(u) * k_aa ** len(u)
+            total += _alt_sum_in(Qset, u) ** 2 * w.gamma(u) * k_aa ** len(u)
         return total
     if not isinstance(w, _ProductFamily):
         raise TypeError(f"no bias evaluation path for {type(w).__name__}")
@@ -229,13 +240,14 @@ def _bias_trace_fold(Q, w, k_aa: float, T: Truncation) -> float:
     S depends on u only through the trace.  Used for the order-capped
     families, where the order factor kills all but small traces."""
     V = sorted(frozenset().union(*Q)) if Q else []
+    Qset = set(Q)
     outside = [w.gamma_seq(j) * k_aa for j in range(1, T.max_index + 1) if j not in set(V)]
     kmax = T.max_order
     es = esym(outside, kmax)
     total = 0.0
     for r in range(min(len(V), w.order) + 1):
         for t in combinations(V, r):
-            S2 = alt_sum_S(Q, frozenset(t)) ** 2
+            S2 = _alt_sum_in(Qset, frozenset(t)) ** 2
             if S2 == 0:
                 continue
             gt = 1.0

@@ -4,6 +4,15 @@ studies with rate fitting, and exact point dumps.
 The test-integrand bank is built from products of the Bernoulli polynomial
 B_2/2, which has zero mean on [0,1], so every component is an explicit ANOVA
 term and the integral of the whole function is just the constant coefficient.
+
+A study does its eps-free work once: its config builds the weights and the
+bank, and a convergence study computes the planner constants and enumerates
+the active sets once, at its smallest eps, then filters every plan of its
+grid from that enumeration (cdalg.plan_grid).  eps_grid_for_costs bisects for
+the accuracy of each target cost on plans filtered from one enumeration,
+made anew only when a step goes below every earlier one; a plan past the
+hard cap of MAX_ACTIVE_SETS active sets, and every smaller eps, counts as
+infinite cost.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -22,7 +32,9 @@ import numpy as np
 
 from .cdalg import (
     CostModel,
+    Enumeration,
     PlannerConstants,
+    PlanningError,
     RuleTemplate,
     _preset_options,
     cd_estimate_many,
@@ -30,6 +42,7 @@ from .cdalg import (
     epsilon_dimension,
     plan_build,
     plan_cost,
+    plan_grid,
 )
 from .decomp import Anchor, BlackBoxIntegrand, bias_squared
 from .kernels import bernoulli, kernel_diag
@@ -72,6 +85,14 @@ __all__ = [
 
 def _eta(x):
     return bernoulli(2, x) / 2.0
+
+
+# the 6-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(6)
+# gives it, for BankFunction._validate
+_GL6_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+              0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
+_GL6_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 
 
 def _normalize_coeffs(coeffs: Mapping) -> dict[frozenset, float]:
@@ -134,17 +155,31 @@ class BankFunction:
                     terms.setdefault(u, []).append(c * eta_a ** (len(v) - r))
         return {u: math.fsum(ts) for u, ts in terms.items()}
 
+    @cached_property
+    def _per_anchor(self) -> dict:
+        """anchor value -> (kappa_table, plan_bias terms), each built once."""
+        return {}
+
+    def _anchor_tables(self, anchor_value) -> tuple[dict, list]:
+        """kappa_table(anchor_value), and (v, I(f_{v,a})) for every v in
+        the downward closure of the coefficient sets."""
+        tables = self._per_anchor.get(anchor_value)
+        if tables is None:
+            eta_a = float(_eta(anchor_value))
+            kappa = self.kappa_table(anchor_value)
+            terms = [(v, (-eta_a) ** len(v) * kappa.get(tuple(sorted(v)), 0.0))
+                     for v in downward_closure(self.coeffs)]
+            tables = self._per_anchor[anchor_value] = (kappa, terms)
+        return tables
+
     def integrand(self) -> BlackBoxIntegrand:
         coeffs = self.coeffs
-        tables: dict = {}  # anchor value -> kappa_table
 
         def anchored(sets, x, av):
             # for a sum of products the u-anchored component collapses to
             # kappa_u times prod_{j in u} (eta(x_j) - eta(a)), multiplied left
             # to right in sorted coordinate order
-            if av not in tables:
-                tables[av] = self.kappa_table(av)
-            table = tables[av]
+            table = self._anchor_tables(av)[0]
             term = np.array([table.get(u, 0.0) for u in sets])[:, None]
             factors = _eta(x) - float(_eta(av))
             for i in range(x.shape[2]):
@@ -160,11 +195,8 @@ class BankFunction:
         """Exact bias of a changing dimension estimator with active family Q:
         I(f) minus the sum of anchored-component integrals over Q, where
         I(f_{v,a}) = (-eta(a))^{|v|} kappa_v."""
-        eta_a = float(_eta(anchor_value))
-        kappa = self.kappa_table(anchor_value)
         Q = {frozenset(q) for q in Q}
-        return math.fsum((-eta_a) ** len(v) * kappa.get(tuple(sorted(v)), 0.0)
-                         for v in downward_closure(self.coeffs) if v not in Q)
+        return math.fsum(term for v, term in self._anchor_tables(anchor_value)[1] if v not in Q)
 
     def on_points(self, coords: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized f over an (n, len(coords)) point array."""
@@ -180,9 +212,8 @@ class BankFunction:
         # brute-force check of the analytic integral on the active cube;
         # above 4 active coordinates, check a 4-variable restriction instead
         active = self.active
-        nodes, wts = np.polynomial.legendre.leggauss(6)
-        nodes = (nodes + 1) / 2
-        wts = wts / 2
+        nodes = (np.array(_GL6_NODES) + 1) / 2
+        wts = np.array(_GL6_WEIGHTS) / 2
         if len(active) <= 4:
             v = active
             expected = self.integral
@@ -313,7 +344,10 @@ def weight_preset(spec) -> WeightModel:
 
 @dataclass
 class ExperimentConfig:
-    """One study: which weights/bank, which rule, which grid, how many reps."""
+    """One study: which weights/bank, which rule, which grid, how many reps.
+
+    The weight model and the bank are resolved once, at construction (use
+    dataclasses.replace for a config with other weights or bank)."""
 
     weights: dict = field(default_factory=lambda: {"preset": "product-poly", "a": 3.0})
     bank: object | None = None  # None -> derived from weights
@@ -337,23 +371,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown rule kind {self.rule!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        # fail fast on bad preset names and rule parameters, before any planning
+        # fail fast on bad preset names and rule parameters, before any
+        # planning; the weights and the bank are built here, once per config
         self.template()
-        weight_preset(self.weights)
-        if self.bank is not None:
-            bank_preset(self.bank)
+        self._weights = weight_preset(self.weights)
+        self._bank = None if self.bank is None else bank_preset(self.bank)
         cost_model(self.cost, **self.cost_params)
 
     def template(self) -> RuleTemplate:
         return RuleTemplate(kind=self.rule, alpha=self.alpha, b=self.base)
 
     def resolve_weights(self) -> WeightModel:
-        return weight_preset(self.weights)
+        """The weight model, built at construction: the planner keeps its
+        enumeration on it."""
+        return self._weights
 
     def resolve_bank(self) -> BankFunction:
-        if self.bank is not None:
-            return bank_preset(self.bank)
-        return bank_from_weights(self.resolve_weights())
+        if self._bank is not None:
+            return self._bank
+        return bank_from_weights(self._weights)
 
     def to_jsonable(self) -> dict:
         d = asdict(self)
@@ -401,6 +437,8 @@ class StudyResult:
 
     def write(self, path: str | Path):
         """CSV table plus a JSON metadata sidecar; byte-stable per seed."""
+        from . import __version__
+
         path = Path(path)
         fieldnames = list(self.rows[0].keys())
         with path.open("w", newline="") as fh:
@@ -412,39 +450,29 @@ class StudyResult:
             "slope": self.slope,
             "slope_stderr": self.slope_stderr,
             "config": self.config.to_jsonable(),
-            "version": _version(),
+            "version": __version__,
         }
         path.with_suffix(path.suffix + ".meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n"
         )
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("cdquad")
-    except Exception:
-        return "unknown"
-
-
 def run_convergence_study(cfg: ExperimentConfig) -> StudyResult:
-    """RMSE vs cost across the eps grid: plan, replicate the changing
-    dimension estimator under R master seeds, compare against the analytic
-    integral, and fit the log-log slope."""
+    """RMSE vs cost across the eps grid: plan (every plan filtered from one
+    enumeration, made at the smallest eps; see cdalg.plan_grid), replicate
+    the changing dimension estimator under R master seeds, compare against
+    the analytic integral, and fit the log-log slope."""
     if not cfg.eps_grid:
         raise ValueError("convergence study needs an eps grid")
     w = cfg.resolve_weights()
     bank = cfg.resolve_bank()
     f = bank.integrand()
-    tpl = cfg.template()
     dollar = cost_model(cfg.cost, **cfg.cost_params)
     anchor = Anchor()
     k_aa = kernel_diag(cfg.chi, anchor.value)
     rows = []
-    for eps in cfg.eps_grid:
-        consts = PlannerConstants.for_weights(w, eps, cfg.tau, chi=cfg.chi)
-        plan = plan_build(w, consts, tpl)
+    plans = plan_grid(w, cfg.eps_grid, cfg.tau, chi=cfg.chi, template=cfg.template())
+    for eps, plan in zip(cfg.eps_grid, plans):
         cost = plan_cost(plan, dollar)
         seeds = [derive_seed(cfg.seed, "study", f"{eps:.12e}", r)
                  for r in range(cfg.reps)]
@@ -515,19 +543,32 @@ def eps_grid_for_costs(
     hi: float = 100.0,
 ) -> list[float]:
     """For each target cost, bisect (in log eps) for the accuracy whose plan
-    costs roughly that much.  Plan cost is nonincreasing in eps."""
+    costs roughly that much.  Plan cost is nonincreasing in eps.  Each step
+    plans from one Enumeration, made anew only when a step goes below every
+    earlier one.  A plan past the hard cap of MAX_ACTIVE_SETS active sets
+    counts as infinite cost, and so does every smaller eps, as plans only
+    grow as eps falls."""
     template = template or RuleTemplate()
     dollar = dollar or cost_model("linear")
+    if not all(t > 0 for t in targets):  # written so that NaN fails too
+        raise ValueError(f"target costs must be > 0, got {list(targets)}")
+    consts = PlannerConstants.for_weights(w, hi, tau, chi=chi)
+    past_cap = 0.0  # the largest eps known to plan past the cap
+    enum = None
 
     def cost_at(eps: float) -> float:
-        from .cdalg import PlanningError
-
-        consts = PlannerConstants.for_weights(w, eps, tau, chi=chi)
-        try:
-            return plan_cost(plan_build(w, consts, template), dollar)
-        except PlanningError:
-            # enumeration cap means the plan is far bigger than any target
+        nonlocal past_cap, enum
+        if eps <= past_cap:
             return math.inf
+        try:
+            if enum is None or eps**2 < enum.low:
+                enum = Enumeration(w, replace(consts, eps=eps))
+            plan = plan_build(w, replace(consts, eps=eps), template, enum)
+        except PlanningError:
+            # the cap means the plan is far bigger than any target
+            past_cap = eps
+            return math.inf
+        return plan_cost(plan, dollar)
 
     out = []
     for target in targets:

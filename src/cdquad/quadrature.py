@@ -41,6 +41,14 @@ MONTE_CARLO = "mc"
 INTERLACED_PLR = "plr"
 
 
+def check_plr_base(b: int) -> None:
+    """A polynomial lattice rule lives over the field F_b and holds its
+    digits as uint8, so its base must be a prime <= 256; the ValueError
+    names the base."""
+    FieldBase(b)
+    check_base(b)
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """An executable randomized rule on the coordinates in u.
@@ -66,7 +74,7 @@ class RuleSpec:
         if self.kind not in (MONTE_CARLO, INTERLACED_PLR):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == INTERLACED_PLR:
-            check_base(self.b)
+            check_plr_base(self.b)
             m = round(math.log(self.n, self.b))
             if self.b**m != self.n:
                 raise ValueError("PLR rules need n = b^m")

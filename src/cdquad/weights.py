@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -42,6 +43,8 @@ def downward_closure(Q) -> set[CoordSet]:
     """Every subset of every set in Q, the empty set included."""
     out = {frozenset()}
     for q in Q:
+        if q in out:
+            continue  # out is downward closed, so it holds q's subsets too
         items = sorted(q)
         for k in range(1, len(items) + 1):
             out.update(frozenset(c) for c in combinations(items, k))
@@ -216,12 +219,17 @@ class PODWeights(_ProductFamily):
 
 
 def intersection_degree(support: Mapping[CoordSet, float]) -> int:
-    """Smallest rho such that every positive set meets at most 1+rho positive sets."""
+    """Smallest rho such that every positive set meets at most 1+rho positive sets.
+
+    The sets that u meets are the union, over its coordinates j, of the sets
+    holding j, so each count reads a coordinate index instead of
+    intersecting all pairs."""
     pos = [u for u, g in support.items() if g > 0 and u]
-    worst = 0
-    for u in pos:
-        hits = sum(1 for v in pos if u & v)
-        worst = max(worst, hits)
+    holding: dict[int, list[int]] = {}
+    for i, u in enumerate(pos):
+        for j in u:
+            holding.setdefault(j, []).append(i)
+    worst = max((len(set().union(*(holding[j] for j in u))) for u in pos), default=0)
     return max(0, worst - 1)
 
 
@@ -240,6 +248,13 @@ class _FiniteSupportMixin:
         return True
 
     def support_closure(self) -> set[CoordSet]:
+        """The downward closure of the positive sets, built once per object;
+        the planner, the bias bound and bank_from_weights share it, so it
+        must not be modified."""
+        return self._closure
+
+    @cached_property
+    def _closure(self) -> set[CoordSet]:
         return downward_closure(u for u, g in self.table.items() if g > 0)
 
     def weighted_power_sum(self, exponent: float, truncation: Truncation = Truncation()) -> float:

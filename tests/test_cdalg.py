@@ -1,9 +1,11 @@
 """Planner arithmetic, plan structure, and the changing-dimension estimator."""
 
 import dataclasses
+import functools
 import json
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,10 +33,11 @@ from cdquad.decomp import (
     downward_closure,
     psi_Q_project,
 )
-from cdquad.harness import bank_from_weights, bank_preset
+from cdquad.harness import bank_from_weights, bank_preset, eps_grid_for_costs, weight_preset
 from cdquad.kernels import bernoulli
 from cdquad.quadrature import RuleSpec, rule_points_seeds, run_rule_batch
 from cdquad.weights import (
+    ExplicitWeights,
     FiniteProductWeights,
     ProductWeights,
     Truncation,
@@ -78,8 +81,8 @@ class TestSampleCountFormula:
         cs = PlannerConstants(eps=0.1, tau=1.0, decay=3.0, k_aa=0.25,
                               alpha0=0.5, L=2.0, c=1.0, C=1.6)
         assert cs.C_hat == 2.0
-        from cdquad.cdalg import _n_prime
-        assert _n_prime(cs, 1, 0.25) == 200
+        plan = plan_build(ExplicitWeights({fs({1}): 0.25}), cs, MC)
+        assert plan.allocations == {fs(): 1, fs({1}): 200}
 
     def test_c_hat_floor(self):
         cs = PlannerConstants(eps=0.1, tau=1.0, decay=3.0, k_aa=1.0,
@@ -149,7 +152,6 @@ class TestPlanStructure:
     def test_enumeration_matches_direct_formula(self):
         # the pruned DFS must reproduce the closed formula on every subset of
         # a small coordinate block
-        from cdquad.cdalg import _n_prime
         from itertools import combinations
 
         w = ProductWeights.polynomial(3.0)
@@ -157,8 +159,7 @@ class TestPlanStructure:
         plan = plan_build(w, cs)
         for k in range(1, 4):
             for u in combinations(range(1, 9), k):
-                np_ = _n_prime(cs, k, w.gamma(fs(u)))
-                if np_ >= 1:
+                if cs.c * cs.L * cs.C_hat**k * w.gamma(fs(u)) ** cs.alpha0 >= cs.eps**2:
                     assert fs(u) in plan.Q
 
     def test_finite_order_dimension_bound(self):
@@ -483,3 +484,181 @@ class TestGroupedEstimator:
         f = BlackBoxIntegrand(pair_integrand().evaluator, anchored=values)
         with pytest.raises(ValueError, match="group integrand returned shape"):
             cd_estimate(f, plan, 0)
+
+
+# --- one enumeration per study ------------------------------------------------
+
+
+def parent_downward_closure(Q):
+    out = {fs()}
+    for q in Q:
+        items = sorted(q)
+        for k in range(1, len(items) + 1):
+            out.update(fs(c) for c in combinations(items, k))
+    return out
+
+
+def per_eps_plan(w, cs, template=RuleTemplate()):
+    """Oracle: the planner as it ran before plans were filtered from one
+    enumeration, a depth-first search or a support-closure scan at each eps
+    followed by the downward closure; returns the allocations in the order
+    that planner built them."""
+    cap = cdalg.MAX_ACTIVE_SETS
+    n_prime = {}
+    if w.has_finite_support():
+        for u in parent_downward_closure(u for u, g in w.table.items() if g > 0):
+            lead = cs.c * cs.L * cs.C_hat ** len(u) * w.gamma(u) ** cs.alpha0
+            if lead >= cs.eps**2:
+                n_prime[fs(u)] = cdalg._floor_tol((lead / cs.eps**2) ** (1 / cs.tau))
+    else:
+        gamma_seq = w.gamma_seq
+        size_cap = min(cdalg.MAX_SET_SIZE, w.order)
+        J = Truncation().max_index
+        boosts = [cs.C_hat * gamma_seq(j) ** cs.alpha0 for j in range(1, J + 1)]
+        suffix = [1.0] * (J + 2)
+        for j in range(J, 0, -1):
+            suffix[j] = suffix[j + 1] * max(1.0, boosts[j - 1])
+        eps2 = cs.eps**2
+
+        def visit(u, lead, next_j):
+            if len(n_prime) > cap:
+                raise PlanningError("enumeration cap")
+            if lead >= eps2 and u:
+                n_prime[fs(u)] = cdalg._floor_tol((lead / eps2) ** (1 / cs.tau))
+            if len(u) >= size_cap:
+                return
+            for j in range(next_j, J + 1):
+                ext = lead * boosts[j - 1]
+                if ext * suffix[j + 1] < eps2:
+                    break
+                visit(u + (j,), ext, j + 1)
+
+        visit((), cs.c * cs.L * float(w.gamma(fs())) ** cs.alpha0, 1)
+    active = parent_downward_closure(n_prime)
+    if len(active) > cap:
+        raise PlanningError("closure cap")
+    alloc = {}
+    for u in active:
+        n = max(1, n_prime.get(u, 0))
+        if u and template.kind == "plr":
+            n = cdalg._round_up_power(n, template.b)
+        alloc[u] = 1 if not u else n
+    return alloc
+
+
+def oracle_outcome(w, cs, template):
+    """The allocations in order: the order of Q, which bias_squared's float
+    sums follow for product weights, is that of the allocations."""
+    try:
+        return list(per_eps_plan(w, cs, template).items())
+    except PlanningError:
+        return "past the cap"
+
+
+#: name -> (weights, a cap of active sets that CAP_GRID reaches)
+PLANNED_WEIGHTS = {
+    "product-poly": (lambda: ProductWeights.polynomial(3.0), 300),
+    "product-poly-slow": (lambda: ProductWeights.polynomial(2.2, 0.7), 300),
+    "finite-product-poly": (lambda: FiniteProductWeights.polynomial(3, 2.5), 300),
+    "disjoint-pairs": (lambda: disjoint_pair_weights(3.0, 50), 60),
+    "explicit": (lambda: ExplicitWeights({
+        fs({1}): 0.5, fs({2}): 0.4, fs({3}): 0.2, fs({1, 2}): 0.3, fs({1, 3}): 0.15,
+        fs({2, 3}): 0.1, fs({1, 2, 3}): 0.05, fs({4}): 0.02}), 6),
+}
+CAP_GRID = (50.0, 5.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012,
+            0.008, 0.005, 0.003, 0.002, 0.001, 1e-4, 1e-6)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("tau", [2.5, 1.0])
+    @pytest.mark.parametrize("template", [RuleTemplate(alpha=2), MC, RuleTemplate(b=3)],
+                             ids=["plr", "mc", "plr-b3"])
+    @pytest.mark.parametrize("name", sorted(PLANNED_WEIGHTS))
+    def test_plans_equal_per_eps_planner(self, monkeypatch, name, template, tau):
+        # a small cap, so that every preset reaches it on the grid
+        make, cap = PLANNED_WEIGHTS[name]
+        monkeypatch.setattr(cdalg, "MAX_ACTIVE_SETS", cap)
+        w, w_oracle = make(), make()
+        cs = PlannerConstants.for_weights(w, CAP_GRID[0], tau)
+        oracle = [oracle_outcome(w_oracle, dataclasses.replace(cs, eps=eps), template)
+                  for eps in CAP_GRID]
+        planned = [eps for eps, out in zip(CAP_GRID, oracle) if out != "past the cap"]
+        assert planned == list(CAP_GRID[:len(planned)]) and 0 < len(planned) < len(CAP_GRID)
+        # every plan within the cap is filtered from one enumeration, made at
+        # the smallest of their eps
+        built = []
+        monkeypatch.setattr(cdalg, "Enumeration",
+                            lambda *a, _real=cdalg.Enumeration: built.append(a) or _real(*a))
+        for eps, plan, expected in zip(planned, cdalg.plan_grid(w, planned, tau, template=template),
+                                       oracle):
+            assert list(plan.allocations.items()) == expected, eps
+        assert len(built) == 1
+        # past the cap: the search finds too many sets, or the closure is
+        # too large
+        enum = cdalg.Enumeration(w, dataclasses.replace(cs, eps=planned[-1]))
+        for eps in CAP_GRID[len(planned):]:
+            with pytest.raises(PlanningError, match="hard cap"):
+                plan_build(w, dataclasses.replace(cs, eps=eps), template)
+            if eps**2 >= enum.low:
+                with pytest.raises(PlanningError, match="hard cap"):
+                    enum.allocations(eps, template)
+
+    def test_plan_grid_keeps_grid_order(self):
+        w = ProductWeights.polynomial(3.0)
+        grid = (0.2, 0.05, 0.5, 0.05)
+        plans = cdalg.plan_grid(w, grid, 2.5)
+        assert [p.constants.eps for p in plans] == list(grid)
+        assert plans[1] is plans[3]
+        for eps, plan in zip(grid, plans):
+            assert plan.constants == PlannerConstants.for_weights(w, eps, 2.5)
+
+    def test_enumeration_serves_its_own_plans(self):
+        w = ProductWeights.polynomial(3.0)
+        cs = PlannerConstants.for_weights(w, 0.05, 2.5)
+        enum = cdalg.Enumeration(w, cs)
+        plan = plan_build(w, dataclasses.replace(cs, eps=0.2))
+        assert list(enum.allocations(0.2, RuleTemplate()).items()) == list(plan.allocations.items())
+        with pytest.raises(ValueError, match="below the enumeration"):
+            enum.allocations(0.04, RuleTemplate())
+        assert plan_build(w, dataclasses.replace(cs, eps=0.2), enumeration=enum) == plan
+        # an enumeration serves only its own weights and eps-free constants
+        with pytest.raises(ValueError, match="other weights or planner constants"):
+            plan_build(ProductWeights.polynomial(3.0), dataclasses.replace(cs, eps=0.2),
+                       enumeration=enum)
+        with pytest.raises(ValueError, match="other weights or planner constants"):
+            plan_build(w, PlannerConstants.for_weights(w, 0.2, 1.0), enumeration=enum)
+
+    @pytest.mark.parametrize("wspec", [{"preset": "product-poly", "a": 3.0},
+                                       {"preset": "disjoint-pairs", "a": 3.0, "count": 50}],
+                             ids=["product", "pairs"])
+    def test_eps_grid_for_costs_equals_per_eps_bisection(self, wspec):
+        # the criterion-5 grids, against the bisection that planned afresh
+        # at every step (memoized here, as every step is a function of eps)
+        targets, lo, hi = [1e2, 1e4, 1e6], 1e-8, 100.0
+        w_oracle = weight_preset(wspec)
+        linear = cost_model("linear")
+
+        @functools.lru_cache(maxsize=None)
+        def cost_at(eps):
+            cs = PlannerConstants.for_weights(w_oracle, eps, 2.5)
+            try:
+                return math.fsum(n * 2 ** len(u) * linear(len(u))
+                                 for u, n in per_eps_plan(w_oracle, cs).items())
+            except PlanningError:
+                return math.inf
+
+        oracle = []
+        for target in targets:
+            a, b_ = math.log(lo), math.log(hi)
+            if cost_at(math.exp(b_)) >= target:
+                oracle.append(math.exp(b_))
+                continue
+            for _ in range(40):
+                mid = (a + b_) / 2
+                if cost_at(math.exp(mid)) >= target:
+                    a = mid
+                else:
+                    b_ = mid
+            oracle.append(math.exp((a + b_) / 2))
+        got = eps_grid_for_costs(weight_preset(wspec), targets, tau=2.5)
+        assert list(map(repr, got)) == list(map(repr, oracle))

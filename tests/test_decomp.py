@@ -7,11 +7,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdquad.decomp import (
     ORDER_CAP,
     Anchor,
     BlackBoxIntegrand,
+    _alt_sum_in,
     alt_sum_S,
     anchored_component,
     bias_squared,
@@ -252,6 +255,15 @@ class TestAltSum:
 
     def test_downward_closure(self):
         assert downward_closure([fs({1, 2})]) == {fs(), fs({1}), fs({2}), fs({1, 2})}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.frozensets(st.integers(1, 7), max_size=4), max_size=30),
+           st.frozensets(st.integers(1, 7), max_size=6))
+    def test_subset_lookup_equals_the_scan(self, Q, u):
+        # both branches: Q smaller and larger than the 2^|u| subsets of u
+        assert _alt_sum_in(Q, u) == alt_sum_S(Q, u)
+        big = Q | downward_closure([fs(range(1, 8))])
+        assert _alt_sum_in(big, u) == alt_sum_S(big, u)
 
 
 def bias_bruteforce(Q, w, k_aa, ground):

@@ -18,7 +18,6 @@ SRC = Path(cdquad.__file__).resolve().parent
 
 ALLOWED_UNCALLED = {
     "decomp.psi_Q_project": "the projection Psi_Q f that acceptance criterion 3 compares against",
-    "harness.eps_grid_for_costs": "the eps grid of the acceptance criterion 5 studies",
 }
 
 ALLOWED_UNREAD = {

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,27 @@ class TestStudies:
         assert meta["kind"] == "variance"
         assert meta["config"]["seed"] == 5
 
+    def test_sidecar_version_is_the_package_version(self, tmp_path):
+        import cdquad
+
+        res = run_variance_study(ExperimentConfig(bank="single", rule="mc", n_grid=(16,), reps=3))
+        res.write(tmp_path / "v.csv")
+        meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
+        assert meta["version"] == cdquad.__version__
+        pyproject = (Path(cdquad.__file__).parents[2] / "pyproject.toml").read_text()
+        assert f'\nversion = "{cdquad.__version__}"\n' in pyproject
+
+    def test_validation_nodes_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        assert nodes.tolist() == list(harness._GL6_NODES)
+        assert weights.tolist() == list(harness._GL6_WEIGHTS)
+
+    def test_config_builds_weights_and_bank_once(self):
+        cfg = ExperimentConfig(weights={"preset": "disjoint-pairs", "a": 3.0, "count": 4},
+                               bank="pair")
+        assert cfg.resolve_weights() is cfg.resolve_weights()
+        assert cfg.resolve_bank() is cfg.resolve_bank()
+
     def test_eps_grid_for_costs_monotone(self):
         w = disjoint_pair_weights(a=3.0, count=20)
         grid = eps_grid_for_costs(w, [1e2, 1e3, 1e4], tau=1.0)
@@ -331,6 +353,19 @@ class TestSelftestAndCLI:
         assert main(["plan"]) == 2
         assert "eps-grid" in capsys.readouterr().err
 
+    def test_cli_cost_grid(self, capsys, tmp_path):
+        w = weight_preset({"preset": "disjoint-pairs", "a": 3.0, "count": 8})
+        grid = eps_grid_for_costs(w, [1e2, 1e3], tau=2.5)
+        assert main(["plan", "--weights", "disjoint-pairs,a=3,count=8",
+                     "--cost-grid", "1e2,1e3"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# eps=")]
+        assert [line.split()[1] for line in lines] == [f"eps={eps}" for eps in grid]
+        out = tmp_path / "study.csv"
+        assert main(["study", "--weights", "disjoint-pairs,a=3,count=8", "--cost-grid", "1e2,1e3",
+                     "--reps", "3", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "study.csv.meta.json").read_text())
+        assert meta["config"]["eps_grid"] == grid
+
     @pytest.mark.parametrize("argv,message", [
         (["points", "--m", "2", "--s", "0"], "number of coordinates s must be >= 1"),
         (["study", "--weights", "nosuch", "--eps-grid", "0.5"], "unknown weight preset 'nosuch'"),
@@ -384,6 +419,11 @@ class TestSelftestAndCLI:
           for b, message in [("0", "base must be prime, got 0"), ("1", "base must be prime, got 1"),
                              ("4", "base must be prime, got 4"),
                              ("257", "digit base must be at most 256")]],
+        # a cost grid picks the accuracies, so it cannot come with them
+        (["plan", "--weights", "product-poly,a=3", "--eps-grid", "0.5", "--cost-grid", "1e2"],
+         "give either --eps-grid or --cost-grid, not both"),
+        (["study", "--weights", "product-poly,a=3", "--cost-grid", "1e2,0"],
+         "target costs must be > 0"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -69,6 +69,15 @@ class TestRuleSpecValidation:
         with pytest.raises(ValueError, match="digit base must be at most 256"):
             RuleSpec(INTERLACED_PLR, (1,), 257, 0, b=257)
 
+    @pytest.mark.parametrize("b", [0, 1, 4, 257])
+    def test_plr_base_is_a_buildable_prime(self, b):
+        # b = 1 once raised ZeroDivisionError, b = 0 a math domain error, and
+        # b = 4 passed until the rule's vector was looked up
+        with pytest.raises(ValueError, match=f"got {b}$"):
+            RuleSpec(INTERLACED_PLR, (1,), 4, 0, b=b)
+        # Monte Carlo rules have no base to check
+        assert RuleSpec(MONTE_CARLO, (1,), 4, 0, b=b).b == b
+
     @pytest.mark.parametrize("b,m", [(2, 3), (3, 2)])
     def test_gv_must_match_base_and_size(self, b, m):
         # a vector for another base or size would silently change n

@@ -16,6 +16,7 @@ from cdquad.weights import (
     ProductWeights,
     Truncation,
     disjoint_pair_weights,
+    downward_closure,
     intersection_degree,
 )
 
@@ -186,6 +187,31 @@ class TestSupportStructure:
         # pairs {1,2} and {3,4} are disjoint: each set meets itself and its
         # two singletons
         assert rho == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.frozensets(st.integers(1, 12), max_size=5),
+                           st.sampled_from([0.0, 0.25, 1.0]), max_size=40))
+    def test_intersection_degree_counts_all_pairs(self, support):
+        # oracle: the all-pairs count the coordinate index replaced
+        pos = [u for u, g in support.items() if g > 0 and u]
+        worst = max((sum(1 for v in pos if u & v) for u in pos), default=0)
+        assert intersection_degree(support) == max(0, worst - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(1, 12), max_size=6), max_size=40))
+    def test_downward_closure_keeps_its_order(self, Q):
+        # oracle: the closure that also expanded sets already in it; plans
+        # are keyed in this order, and bias_squared sums in it
+        out = {fs()}
+        for q in Q:
+            items = sorted(q)
+            for k in range(1, len(items) + 1):
+                out.update(fs(c) for c in combinations(items, k))
+        assert list(downward_closure(Q)) == list(out)
+
+    def test_support_closure_built_once(self):
+        w = disjoint_pair_weights(3.0, 5)
+        assert w.support_closure() is w.support_closure()
 
     def test_disjoint_pairs_structure(self):
         w = disjoint_pair_weights(3.0, 5)
