@@ -23,8 +23,6 @@ from .decomp import (
     alt_sum_S,
     anchored_component,
     bias_squared,
-    downward_closure,
-    psi_Q_project,
     psi_project,
 )
 from .harness import (
@@ -62,10 +60,10 @@ from .weights import (
     ExplicitWeights,
     FiniteIntersectionWeights,
     FiniteProductWeights,
-    PODWeights,
     ProductWeights,
     Truncation,
     disjoint_pair_weights,
+    downward_closure,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from typing import Callable, ClassVar, Mapping
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
 from .quadrature import INTERLACED_PLR, RuleSpec, check_plr_base, run_rule_seeds
-from .weights import PODWeights, Truncation, WeightModel, _ProductFamily, downward_closure
+from .weights import Truncation, WeightModel, _ProductFamily, downward_closure
 
 CoordSet = frozenset[int]
 
@@ -300,7 +300,7 @@ def _search_keys(w: WeightModel, consts: PlannerConstants, eps2: float) -> list:
     eps^2, and a visited set earns n' >= 1 iff its lead is too: the key is
     the smaller of the lead and the least of those bounds.
     """
-    if not isinstance(w, _ProductFamily) or isinstance(w, PODWeights):
+    if not isinstance(w, _ProductFamily):
         # the boost-product pruning below is only sound for (possibly
         # order-capped) product weights
         raise PlanningError(f"no planner enumeration for {type(w).__name__}")

@@ -21,7 +21,6 @@ from .weights import (
     Truncation,
     WeightModel,
     _ProductFamily,
-    downward_closure,
     esym,
 )
 
@@ -81,13 +80,7 @@ def _check_order(u) -> tuple[int, ...]:
     return u
 
 
-def anchored_component(
-    f: BlackBoxIntegrand,
-    u,
-    a: Anchor,
-    x,
-    _memo: dict | None = None,
-):
+def anchored_component(f: BlackBoxIntegrand, u, a: Anchor, x):
     """The u-component of the anchored decomposition at x:
     sum over v subseteq u of (-1)^{|u minus v|} f(x_v; a).
 
@@ -99,14 +92,14 @@ def anchored_component(
     returned, row k those of f_{u[k],a}.  The one-set form of an integrand
     with the analytic hook (BlackBoxIntegrand.anchored) is the group of K = 1;
     without it, each set runs the inclusion-exclusion on its own, and in the
-    group form a failure names the set.  Evaluations are memoized within a
-    one-set call (pass a shared dict to memoize across calls).
+    group form a failure names the set.  The inclusion-exclusion evaluates
+    f once per subset of u.
     """
     if isinstance(x, Mapping):
         u = _check_order(u)
         x = {j: x.get(j, a.value) for j in u}
         if f.anchored is None:
-            return _inclusion_exclusion(f, u, a, x, {} if _memo is None else _memo)
+            return _inclusion_exclusion(f, u, a, x)
         cols = np.broadcast_arrays(*(np.asarray(x[j], dtype=np.float64) for j in u))
         shape = cols[0].shape if cols else ()
         pts = np.stack([c.reshape(-1) for c in cols], axis=-1) if cols else np.empty((1, 0))
@@ -121,21 +114,18 @@ def anchored_component(
     out = np.empty(pts.shape[:2])
     for k, s in enumerate(sets):
         try:
-            out[k] = _inclusion_exclusion(f, s, a, {j: pts[k, :, i] for i, j in enumerate(s)}, {})
+            out[k] = _inclusion_exclusion(f, s, a, {j: pts[k, :, i] for i, j in enumerate(s)})
         except Exception as exc:
             raise RuntimeError(f"integrand failed on subset {list(s)}") from exc
     return out
 
 
-def _inclusion_exclusion(f: BlackBoxIntegrand, u: tuple[int, ...], a: Anchor, x, memo: dict):
+def _inclusion_exclusion(f: BlackBoxIntegrand, u: tuple[int, ...], a: Anchor, x):
     total = None
     for k in range(len(u) + 1):
         sign = (-1) ** (len(u) - k)
         for v in combinations(u, k):
-            key = frozenset(v)
-            if key not in memo:
-                memo[key] = psi_project(f, key, a, x)
-            term = memo[key]
+            term = psi_project(f, v, a, x)
             total = sign * term if total is None else total + sign * term
     return total
 
@@ -154,31 +144,6 @@ def _alt_sum_in(Q: set, u: CoordSet) -> int:
     items = sorted(u)
     return sum((-1) ** k for k in range(len(items) + 1)
                for c in combinations(items, k) if frozenset(c) in Q)
-
-
-def psi_Q_project(f: BlackBoxIntegrand, Q, a: Anchor) -> BlackBoxIntegrand:
-    """The projection of f onto the subspaces sampled by an active set Q:
-    Psi_Q f = sum over u in closure(Q) of f_{u,a}.
-
-    On assignments whose support lies in the closure the projection returns
-    the very same evaluator call as f, so any algorithm that only looks at
-    such points receives bit-identical values from f and its projection.
-    """
-    closure = downward_closure(Q)
-
-    def ev(assignment, anchor_value):
-        support = frozenset(assignment)
-        if support in closure:
-            return f.evaluator(assignment, anchor_value)
-        total = None
-        anch = Anchor(anchor_value)
-        memo: dict = {}
-        for u in sorted(closure, key=lambda s: (len(s), sorted(s))):
-            term = anchored_component(f, u, anch, assignment, _memo=memo)
-            total = term if total is None else total + term
-        return total
-
-    return BlackBoxIntegrand(ev)
 
 
 # --- worst-case squared bias ----------------------------------------------

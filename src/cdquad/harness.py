@@ -12,7 +12,8 @@ grid from that enumeration (cdalg.plan_grid).  eps_grid_for_costs bisects for
 the accuracy of each target cost on plans filtered from one enumeration,
 made anew only when a step goes below every earlier one; a plan past the
 hard cap of MAX_ACTIVE_SETS active sets, and every smaller eps, counts as
-infinite cost.
+infinite cost, and a target that no plan within the cap reaches is a
+PlanningError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import cdalg
 from .cdalg import (
     CostModel,
     Enumeration,
@@ -375,21 +377,21 @@ class ExperimentConfig:
         # planning; the weights and the bank are built here, once per config
         self.template()
         self._weights = weight_preset(self.weights)
-        self._bank = None if self.bank is None else bank_preset(self.bank)
+        self._bank = (bank_from_weights(self._weights) if self.bank is None
+                      else bank_preset(self.bank))
         cost_model(self.cost, **self.cost_params)
 
     def template(self) -> RuleTemplate:
         return RuleTemplate(kind=self.rule, alpha=self.alpha, b=self.base)
 
     def resolve_weights(self) -> WeightModel:
-        """The weight model, built at construction: the planner keeps its
-        enumeration on it."""
+        """The weight model, built at construction."""
         return self._weights
 
     def resolve_bank(self) -> BankFunction:
-        if self._bank is not None:
-            return self._bank
-        return bank_from_weights(self._weights)
+        """The bank, built at construction (from the weights when bank is
+        None), so its kappa tables are computed once per config."""
+        return self._bank
 
     def to_jsonable(self) -> dict:
         d = asdict(self)
@@ -547,7 +549,9 @@ def eps_grid_for_costs(
     plans from one Enumeration, made anew only when a step goes below every
     earlier one.  A plan past the hard cap of MAX_ACTIVE_SETS active sets
     counts as infinite cost, and so does every smaller eps, as plans only
-    grow as eps falls."""
+    grow as eps falls.  A target is a PlanningError unless some eps tried
+    plans within the cap at a cost at least as large: else every plan down
+    to lo costs less, or those that would cost that much are past the cap."""
     template = template or RuleTemplate()
     dollar = dollar or cost_model("linear")
     if not all(t > 0 for t in targets):  # written so that NaN fails too
@@ -565,24 +569,36 @@ def eps_grid_for_costs(
                 enum = Enumeration(w, replace(consts, eps=eps))
             plan = plan_build(w, replace(consts, eps=eps), template, enum)
         except PlanningError:
-            # the cap means the plan is far bigger than any target
+            # past the cap: more than any target, but it reaches none
             past_cap = eps
             return math.inf
         return plan_cost(plan, dollar)
 
+    def at_least(eps: float, target: float) -> bool:
+        nonlocal reached
+        cost = cost_at(eps)
+        reached |= target <= cost < math.inf
+        return cost >= target
+
     out = []
     for target in targets:
+        reached = False  # whether an eps tried plans at a finite cost >= target
         a, b_ = math.log(lo), math.log(hi)
-        if cost_at(math.exp(b_)) >= target:
-            out.append(math.exp(b_))
-            continue
-        for _ in range(40):
-            mid = (a + b_) / 2
-            if cost_at(math.exp(mid)) >= target:
-                a = mid
-            else:
-                b_ = mid
-        out.append(math.exp((a + b_) / 2))
+        if at_least(math.exp(b_), target):
+            eps = math.exp(b_)
+        else:
+            for _ in range(40):
+                mid = (a + b_) / 2
+                if at_least(math.exp(mid), target):
+                    a = mid
+                else:
+                    b_ = mid
+            eps = math.exp((a + b_) / 2)
+        if not reached:
+            raise PlanningError(
+                f"no plan reaches the target cost {target}: every eps down to lo = {lo} "
+                f"plans at less, or past the hard cap of {cdalg.MAX_ACTIVE_SETS} active sets")
+        out.append(eps)
     return out
 
 

@@ -10,9 +10,10 @@ key per randomization; the keys of a group of sets are spread in one call.
 A replication number and a master seed are both such an index, and a single
 draw is the case R = 1.  All entry points below are thin fronts over one
 keyed path.  It draws the point sets of K rules of one shape (kind, n, |u|,
-alpha, b, vector) under R indices in a single call, since every scramble is
-a per-key function; the changing-dimension estimator uses this to draw each
-group of active sets of equal (|u|, n) at once.
+alpha, b; the generating vector follows from these) under R indices in a
+single call, since every scramble is a per-key function; the
+changing-dimension estimator uses this to draw each group of active sets of
+equal (|u|, n) at once.
 
 Memory contract: the estimators (run_rule_batch, run_rule_seeds and so
 empirical_variance) stream.  They draw, integrate and reduce one chunk of
@@ -63,7 +64,6 @@ class RuleSpec:
     seed: int
     alpha: int = 1
     b: int = 2
-    gv: GeneratingVector | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(sorted(set(self.u))))
@@ -75,16 +75,8 @@ class RuleSpec:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == INTERLACED_PLR:
             check_plr_base(self.b)
-            m = round(math.log(self.n, self.b))
-            if self.b**m != self.n:
+            if self.b**self.m != self.n:
                 raise ValueError("PLR rules need n = b^m")
-            if self.gv is not None:
-                if (self.gv.base.b, self.gv.m) != (self.b, m):
-                    raise ValueError(
-                        f"generating vector is for b={self.gv.base.b}, m={self.gv.m}; "
-                        f"the rule needs b={self.b}, m={m}")
-                if self.gv.s != self.alpha * len(self.u):
-                    raise ValueError("generating vector dimension must be alpha * |u|")
 
     @property
     def m(self) -> int:
@@ -98,15 +90,13 @@ class RuleSpec:
 
     @cached_property
     def vector(self) -> GeneratingVector:
-        """gv, or the default vector of the rule's shape, looked up once per
-        spec."""
-        return self.gv or default_generating_vector(self.b, self.m, self.alpha * len(self.u),
-                                                    self.alpha)
+        """The default vector of the rule's shape, looked up once per spec."""
+        return default_generating_vector(self.b, self.m, self.alpha * len(self.u), self.alpha)
 
 
 @lru_cache(maxsize=512)
 def default_generating_vector(b: int, m: int, s: int, alpha: int) -> GeneratingVector:
-    """Cached CBC vector for rules that don't bring their own."""
+    """The cached generating vector of every rule of this shape."""
     return search_generating_vector(s, m, FieldBase(b), alpha=alpha)
 
 
@@ -134,7 +124,7 @@ def rule_keys(seed: int, u, index) -> np.ndarray:
 
 
 def _shape(spec: RuleSpec) -> tuple:
-    return (spec.kind, spec.n, len(spec.u), spec.alpha, spec.b, spec.gv)
+    return (spec.kind, spec.n, len(spec.u), spec.alpha, spec.b)
 
 
 class _Group(tuple):
@@ -154,7 +144,7 @@ def _group(specs) -> _Group:
     specs = _Group(specs)
     first = _shape(specs[0])
     if any(_shape(other) != first for other in specs[1:]):
-        raise ValueError("rules drawn together must share kind, n, |u|, alpha, b and vector")
+        raise ValueError("rules drawn together must share kind, n, |u|, alpha and b")
     return specs
 
 

@@ -2,7 +2,7 @@
 
 A weight model assigns a nonnegative importance gamma_u to every finite set
 of coordinate indices, with gamma of the empty set fixed to 1.  The
-product-type families (product, finite-product, POD) all have the form
+product-type families (product, finite-product) both have the form
 gamma_u = Gamma_{|u|} prod_{j in u} gamma_j and differ only in their order
 factors Gamma_k; explicit and finite-intersection weights are finite tables.
 The scalars derived here (decay exponent, weighted power sums) drive the
@@ -198,24 +198,6 @@ class FiniteProductWeights(_ProductFamily):
 
     def order_factor(self, k: int) -> float:
         return 1.0 if k <= self.order else 0.0
-
-
-@dataclass(frozen=True)
-class PODWeights(_ProductFamily):
-    """Product-and-order-dependent weights Gamma_{|u|} * prod gamma_j."""
-
-    order_factors: Callable[[int], float]
-    gamma_seq: Callable[[int], float]
-    declared_decay: float | None = None
-    _variant = "pod"
-
-    def __post_init__(self):
-        _check_decreasing(self.gamma_seq)
-        if abs(self.order_factors(0) - 1.0) > 0 or abs(self.order_factors(1) - 1.0) > 0:
-            raise ValueError("order factors must satisfy Gamma_0 = Gamma_1 = 1")
-
-    def order_factor(self, k: int) -> float:
-        return self.order_factors(k)
 
 
 def intersection_degree(support: Mapping[CoordSet, float]) -> int:

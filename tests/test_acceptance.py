@@ -27,8 +27,6 @@ from cdquad.decomp import (
     alt_sum_S,
     anchored_component,
     bias_squared,
-    downward_closure,
-    psi_Q_project,
 )
 from cdquad.gfpoly import FieldBase, _coeffs, _encode, laurent_digits
 from cdquad.harness import ExperimentConfig, bank_preset, run_variance_study
@@ -41,7 +39,9 @@ from cdquad.weights import (
     FiniteProductWeights,
     ProductWeights,
     disjoint_pair_weights,
+    downward_closure,
 )
+from oracles import psi_Q_project
 
 fs = frozenset
 

@@ -30,8 +30,6 @@ from cdquad.decomp import (
     Anchor,
     BlackBoxIntegrand,
     anchored_component,
-    downward_closure,
-    psi_Q_project,
 )
 from cdquad.harness import bank_from_weights, bank_preset, eps_grid_for_costs, weight_preset
 from cdquad.kernels import bernoulli
@@ -43,7 +41,9 @@ from cdquad.weights import (
     Truncation,
     WeightModel,
     disjoint_pair_weights,
+    downward_closure,
 )
+from oracles import psi_Q_project
 
 fs = frozenset
 MC = RuleTemplate(kind="mc")
@@ -177,12 +177,19 @@ class TestPlanStructure:
         ]
         assert dims == sorted(dims)
 
-    def test_pod_rejected(self):
-        from cdquad.weights import PODWeights
+    def test_weights_without_enumeration_rejected(self):
+        # infinite support that is not a product family: the planner's
+        # pruned search does not apply, and there is no table to scan
+        class Singletons(WeightModel):
+            """gamma = j^-3 on the singletons {j}, 0 on larger sets."""
 
-        w = PODWeights(lambda k: 1.0, lambda j: j**-3.0, declared_decay=3.0)
-        with pytest.raises(PlanningError):
-            plan_build(w, consts(0.1))
+            declared_decay = 3.0
+
+            def gamma(self, u):
+                return 1.0 if not u else float(len(u) == 1) * min(u) ** -3.0
+
+        with pytest.raises(PlanningError, match="no planner enumeration for Singletons"):
+            plan_build(Singletons(), consts(0.1))
 
     def test_plan_validation(self):
         cs = consts(0.1)

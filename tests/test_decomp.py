@@ -18,9 +18,7 @@ from cdquad.decomp import (
     alt_sum_S,
     anchored_component,
     bias_squared,
-    downward_closure,
     psi_project,
-    psi_Q_project,
 )
 from cdquad.kernels import bernoulli
 from cdquad.weights import (
@@ -29,8 +27,10 @@ from cdquad.weights import (
     ProductWeights,
     Truncation,
     _ProductFamily,
+    downward_closure,
     esym,
 )
+from oracles import psi_Q_project
 
 fs = frozenset
 A = Anchor(0.5)

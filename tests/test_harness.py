@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdquad import harness
+from cdquad import cdalg, harness
+from cdquad.cdalg import PlanningError
 from cdquad.cli import main
-from cdquad.decomp import Anchor, downward_closure
+from cdquad.decomp import Anchor
 from cdquad.harness import (
     BankFunction,
     ExperimentConfig,
@@ -32,6 +33,7 @@ from cdquad.weights import (
     FiniteProductWeights,
     ProductWeights,
     disjoint_pair_weights,
+    downward_closure,
 )
 
 fs = frozenset
@@ -296,12 +298,32 @@ class TestStudies:
                                bank="pair")
         assert cfg.resolve_weights() is cfg.resolve_weights()
         assert cfg.resolve_bank() is cfg.resolve_bank()
+        # a bank derived from the weights is built once too
+        cfg = ExperimentConfig(weights={"preset": "disjoint-pairs", "a": 3.0, "count": 4})
+        assert cfg.resolve_bank() is cfg.resolve_bank()
+        assert cfg.resolve_bank().coeffs == bank_from_weights(cfg.resolve_weights()).coeffs
 
     def test_eps_grid_for_costs_monotone(self):
         w = disjoint_pair_weights(a=3.0, count=20)
         grid = eps_grid_for_costs(w, [1e2, 1e3, 1e4], tau=1.0)
         assert grid == sorted(grid, reverse=True)
         assert all(e > 0 for e in grid)
+
+    @pytest.mark.parametrize("wspec,cap,target", [
+        # every plan within a cap of 300 sets costs far less than 1e9
+        ({"preset": "product-poly", "a": 3.0}, 300, 1e9),
+        # 151 sets, never at the cap: every eps down to lo plans below 1e30
+        ({"preset": "disjoint-pairs", "a": 3.0, "count": 50}, None, 1e30),
+    ], ids=["past-the-cap", "below-every-cost"])
+    def test_eps_grid_for_costs_unreachable_target(self, monkeypatch, wspec, cap, target):
+        if cap is not None:
+            monkeypatch.setattr(cdalg, "MAX_ACTIVE_SETS", cap)
+        message = (f"no plan reaches the target cost {target}: every eps down to lo = 1e-08 "
+                   f"plans at less, or past the hard cap of {cdalg.MAX_ACTIVE_SETS} active sets")
+        # the first target plans; the error names the second
+        with pytest.raises(PlanningError) as err:
+            eps_grid_for_costs(weight_preset(wspec), [1e2, target], tau=2.5)
+        assert str(err.value) == message
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -424,6 +446,9 @@ class TestSelftestAndCLI:
          "give either --eps-grid or --cost-grid, not both"),
         (["study", "--weights", "product-poly,a=3", "--cost-grid", "1e2,0"],
          "target costs must be > 0"),
+        # no plan costs inf: the grid must not name an eps the user never gave
+        (["plan", "--weights", "disjoint-pairs,a=3,count=8", "--cost-grid", "1e2,inf"],
+         "no plan reaches the target cost inf"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

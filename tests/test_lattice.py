@@ -480,7 +480,8 @@ class TestScrambleVariance:
         m, alpha = 8, 2
         gv = search_generating_vector(alpha, m, F2, alpha=alpha)
         model = variance_of(gv, alpha)
-        spec = RuleSpec(kind="plr", u=(1,), n=2**m, seed=5, alpha=alpha, gv=gv)
+        spec = RuleSpec(kind="plr", u=(1,), n=2**m, seed=5, alpha=alpha)
+        assert spec.vector == gv
         est = empirical_variance(
             spec, lambda x: x[..., 0] ** 2 - x[..., 0] + 1 / 6, 800
         )

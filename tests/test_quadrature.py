@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdquad.gfpoly import FieldBase
 from cdquad.kernels import bernoulli
 from cdquad import quadrature, scramble
-from cdquad.lattice import plr_points, search_generating_vector
+from cdquad.lattice import plr_points
 from cdquad.quadrature import (
     INTERLACED_PLR,
     MONTE_CARLO,
@@ -77,13 +76,6 @@ class TestRuleSpecValidation:
             RuleSpec(INTERLACED_PLR, (1,), 4, 0, b=b)
         # Monte Carlo rules have no base to check
         assert RuleSpec(MONTE_CARLO, (1,), 4, 0, b=b).b == b
-
-    @pytest.mark.parametrize("b,m", [(2, 3), (3, 2)])
-    def test_gv_must_match_base_and_size(self, b, m):
-        # a vector for another base or size would silently change n
-        gv = search_generating_vector(2, m, FieldBase(b), alpha=2)
-        with pytest.raises(ValueError):
-            RuleSpec(INTERLACED_PLR, (1,), 4, 0, alpha=2, gv=gv)
 
 
 class TestDeterminism:
@@ -292,8 +284,6 @@ class TestGroupDraw:
         RuleSpec(INTERLACED_PLR, (3,), 8, 0, alpha=2),
         RuleSpec(INTERLACED_PLR, (3, 4), 8, 0, alpha=1),
         RuleSpec(INTERLACED_PLR, (3, 4), 9, 0, alpha=2, b=3),
-        RuleSpec(INTERLACED_PLR, (3, 4), 8, 0, alpha=2,
-                 gv=search_generating_vector(4, 3, FieldBase(2), alpha=1)),
     ])
     def test_mixed_shapes_rejected(self, other):
         spec = RuleSpec(INTERLACED_PLR, (1, 2), 8, 0, alpha=2)

@@ -12,7 +12,6 @@ from cdquad.weights import (
     ExplicitWeights,
     FiniteIntersectionWeights,
     FiniteProductWeights,
-    PODWeights,
     ProductWeights,
     Truncation,
     disjoint_pair_weights,
@@ -55,9 +54,9 @@ class TestDecay:
     def test_disjoint_pairs_declares(self):
         assert disjoint_pair_weights(3.0, 10).decay() == 3.0
 
-    def test_pod_requires_declaration(self):
-        w = PODWeights(order_factors=lambda k: 1.0, gamma_seq=lambda j: j**-2.0)
-        with pytest.raises(ValueError):
+    def test_undeclared_decay_raises(self):
+        w = ProductWeights(lambda j: j**-2.0)
+        with pytest.raises(ValueError, match="declare one"):
             w.decay()
 
 
@@ -127,20 +126,15 @@ class TestDivergenceWarning:
 
 @st.composite
 def product_family(draw):
-    """(weights, Gamma, gamma_j) for one of the three product-type classes,
+    """(weights, Gamma, gamma_j) for one of the two product-type classes,
     with Gamma_k the family's order factor by its definition."""
     a = draw(st.floats(2.2, 4.0))
     c = draw(st.floats(0.1, 1.0))
-    kind = draw(st.sampled_from(["product", "finite-product", "pod"]))
-    if kind == "product":
+    if draw(st.sampled_from(["product", "finite-product"])) == "product":
         w, Gamma = ProductWeights.polynomial(a, c), lambda k: 1.0
-    elif kind == "finite-product":
+    else:
         order = draw(st.integers(1, 4))
         w, Gamma = FiniteProductWeights.polynomial(order, a, c), lambda k: float(k <= order)
-    else:
-        p = draw(st.floats(0.0, 1.0))
-        Gamma = lambda k: math.factorial(k) ** p
-        w = PODWeights(Gamma, lambda j: c * j ** (-a))
     return w, Gamma, lambda j: c * j ** (-a)
 
 
