@@ -35,6 +35,23 @@ def _check_size(b: int, m: int):
                          "the 64-bit digit arithmetic supports")
 
 
+#: a generating-vector search holds tables of b^m 8-byte entries: the
+#: field's power table and the point factors and correlations of the CBC
+#: search (int64 and float64), the point depths of the variance search.  A
+#: search whose tables would each pass this many bytes is refused before
+#: any of them is allocated (2^27 bytes: b^m <= 2^24)
+MAX_TABLE_BYTES = 1 << 27
+
+
+def _check_search_size(b: int, m: int):
+    need = 8 * b**m
+    if need > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a generating-vector search at b^m = {b}^{m} needs tables of {b**m} 8-byte "
+            f"entries ({need / 2**20:.0f} MiB each), past the {MAX_TABLE_BYTES >> 20} MiB "
+            "limit on a search table")
+
+
 @lru_cache(maxsize=None)
 def irreducible_modulus(b: int, m: int) -> int:
     """Encoding of the irreducible degree-m polynomial over F_b with smallest
@@ -472,6 +489,7 @@ def search_generating_vector(
         raise ValueError(f"number of coordinates s must be >= 1, got {s}")
     b = base.b
     _check_size(b, m)  # before the modulus search, which grows with b^m
+    _check_search_size(b, m)
     if alpha >= 2 and b == 2 and s % alpha == 0:
         # interlaced rules are judged by the variance they deliver after
         # scrambling, which the dual criterion only bounds up to the squared

@@ -14,23 +14,38 @@ every other base.  A base-2 layer given a uint8 matrix raises ValueError.
 Interlacing gives all alpha*prec output digits in both forms: packed streams
 are bit-interleaved (in base 2 Dick's digit interlacing is bit
 interleaving), and uint8 streams are interlaced digit by digit, in any base.
+A Net holds alpha streams with their interlacing, made once per point set;
+scramble_digit_matrix takes a Net and returns the interlaced scramble of its
+streams.
 
-Base 2 hashes each node of the scramble tree once (after Friedel and Keller,
-"Fast generation of randomized low-discrepancy point sets", and the exact
-hash-based variant of Burley, "Practical hash-based Owen scrambling").  In
-base 2 the permutation of a digit is either the identity or a flip, so Owen's
-scramble is one random bit per tree node:
-- Digit t of a point with m = in_prec digits is flipped by bit 0 of the hash
-  of its prefix node (t, p), p the point's first t digits, at heap index
-  2^t + p.  All 2^m - 1 nodes are hashed once per key and gathered by prefix,
-  or, when a key scrambles fewer points than there are nodes, each point
-  hashes its own m prefixes.
-- Past digit m the prefix is the point's whole value followed by zeros, so
-  the node bits below the point form one path that only the value selects.
-  One 64-bit hash of (key, value), in a domain apart from the node hashes,
-  gives all of those bits at once: equal values get equal tails and distinct
-  values independent ones, exactly as in the nested scramble.
-Other bases draw a permutation of F_b per digit and prefix, level by level.
+Base 2 scrambles in interlaced form.  Interlacing is a fixed permutation of
+bit positions, so it commutes with the scramble's flips: interlace(v ^ f) =
+interlace(v) ^ interlace(f).  A Net interlaces its unscrambled streams once,
+and each key only makes random bits, written straight into their output
+slots (digit t of stream r is output digit t*alpha + r, bit 63 - (t*alpha +
+r) % 64 of word (t*alpha + r) // 64) and XORed onto the net's words; no
+scrambled word is interlaced again.  Each node of the scramble tree is
+hashed once (after Friedel and Keller, "Fast generation of randomized
+low-discrepancy point sets", and the exact hash-based variant of Burley,
+"Practical hash-based Owen scrambling").  In base 2 the permutation of a
+digit is either the identity or a flip, so Owen's scramble is one random bit
+per tree node:
+- Digit t of a stream value with m = in_prec digits is flipped by the bit of
+  its prefix node (t, p), p the value's first t digits.  The nodes of level
+  t have indices 2^t + q, q the prefix read backwards (digit 0 lowest), and
+  node i takes bit i % 64 of mix64(node_key ^ i // 64): one hash gives 64
+  nodes, ceil(2^m / 64) per key and stream.  The nodes' bits go to their
+  slots, and a table per key over the prefixes of m - 1 digits, built one
+  level at a time, is gathered by each value's prefix; when a key scrambles
+  fewer values than there are nodes, each value hashes its own m prefixes.
+- Past digit m the prefix is the value followed by zeros, so the node bits
+  below it form one path that only the value selects.  In output word k,
+  stream r's digits past m are mix64(mix64(key_r ^ TAIL_k) ^ value) masked
+  to that stream's slots in word k: one hash per stream value and word, in a
+  domain apart from the node hashes.  Equal values get equal tails and
+  distinct values independent ones, exactly as in the nested scramble.
+Other bases draw a permutation of F_b per digit and prefix, level by level,
+and interlace the scrambled digits.
 
 ScrambledRule keeps its streams as (r, rep, j, point) arrays: interlacing
 depth r, replication, output coordinate j, and the points last, so that
@@ -163,86 +178,172 @@ def digits_to_floats(digits: np.ndarray | PackedDigits, b: int) -> np.ndarray:
     return digits[..., :prec].astype(np.float64) @ scale
 
 
-def _node_flips(node_key: np.ndarray, prefix: np.ndarray, depth: int) -> np.ndarray:
-    """Flip words of the first `depth` digits: bit depth-1-t is bit 0 of the
-    hash of node (t, first t digits of prefix).  node_key and prefix have
-    equal ndim and broadcast together."""
-    shape = np.broadcast_shapes(node_key.shape, prefix.shape)
-    if 2**depth - 1 <= math.prod(shape) // node_key.size:
-        # hash every node once per key, then build the flip word of each
-        # prefix one tree level at a time.  No node reads the last digit, so
-        # the table holds the 2^(depth-1) prefixes of depth-1 digits, in
-        # uint32 words (depth <= MAX_BASE2_DIGITS)
-        heap = np.arange(1, 2**depth, dtype=np.uint64)
-        bits = _mix64_inplace(node_key[..., None] ^ heap)
-        bits &= np.uint64(1)
-        bits = bits.astype(np.uint32)
-        table = np.zeros(node_key.shape + (1,), dtype=np.uint32)
-        for t in range(depth):
-            table <<= np.uint32(1)
-            table |= bits[..., 2**t - 1:2 ** (t + 1) - 1]
-            if t < depth - 1:
-                table = np.repeat(table, 2, axis=-1)
-        row = np.arange(node_key.size, dtype=np.intp).reshape(node_key.shape) * 2 ** (depth - 1)
-        return np.take(table.reshape(-1), row + (prefix >> np.uint64(1)).astype(np.intp))
-    flips = np.zeros(shape, dtype=np.uint64)
-    for t in range(depth):
-        node = (prefix >> np.uint64(depth - t)) | np.uint64(1 << t)
-        flips = (flips << np.uint64(1)) | (_mix64_inplace(node_key ^ node) & np.uint64(1))
-    return flips
+@lru_cache(maxsize=None)
+def _layout(alpha: int, m: int, prec: int) -> tuple:
+    """Where alpha interlaced m-digit streams scrambled to prec digits put
+    their digits: digit t of stream r is output digit t*alpha + r, bit
+    63 - (t*alpha + r) % 64 of output word (t*alpha + r) // 64.  Returns
+    (heads, tails, nets), one entry per output word k:
+    - heads[k]: (alpha, m) uint64 shifts that move a node bit from bit 0 to
+      the slot of digit t < min(m, prec) of stream r in word k, 64 (which
+      shifts it out) where that slot is in another word, or None when word k
+      holds no such digit;
+    - tails[k]: (alpha,) uint64 masks of the slots of digits m..prec-1 of
+      each stream in word k, or None when it holds none of them;
+    - nets[k]: the mask that keeps the first alpha*prec output digits of
+      word k of the unscrambled net (alpha*m digits), for its words only."""
+    count = alpha * prec
+    heads, tails, nets = [], [], []
+    for k in range(max(1, -(-count // 64))):
+        slot = np.arange(m + prec)[None, :] * alpha + np.arange(alpha)[:, None] - 64 * k
+        inside = (slot >= 0) & (slot < 64)
+        bit = np.where(inside, 63 - slot, 64).astype(np.uint64)
+        head = bit[:, :min(m, prec)]
+        heads.append(np.pad(head, ((0, 0), (0, m - head.shape[1])), constant_values=64)
+                     if (head < 64).any() else None)
+        tail = [sum(1 << int(v) for v in row[m:prec] if v < 64) for row in bit]
+        tails.append(np.array(tail, dtype=np.uint64) if any(tail) else None)
+        if 64 * k < alpha * m:
+            keep = min(64, max(0, count - 64 * k))
+            nets.append(np.uint64(((1 << keep) - 1) << (64 - keep)))
+    return heads, tails, nets
 
 
-def _scramble_words(digits: PackedDigits, key: np.ndarray, out_prec: int) -> PackedDigits:
-    """Base-2 Owen scramble from one hash per tree node and one per value
-    (see the module docstring)."""
-    in_prec = digits.count
-    if in_prec > MAX_BASE2_DIGITS:
+@lru_cache(maxsize=32)
+def _node_lifts(alpha: int, m: int, prec: int) -> dict:
+    """The head shifts of _layout per tree node rather than per level, for
+    its words with head digits: k -> (alpha, 2^m) uint64, entry [r, i] the
+    shift of node i's level (64 for the unused node 0)."""
+    level = np.frexp(np.arange(2**m))[1] - 1  # -1 for node 0: the column of 64s
+    return {k: np.concatenate([h, np.full((alpha, 1), 64, dtype=np.uint64)], axis=1)[:, level]
+            for k, h in enumerate(_layout(alpha, m, prec)[0]) if h is not None}
+
+
+def _node_flips(node_key: np.ndarray, index: np.ndarray, alpha: int, m: int, prec: int) -> list:
+    """For each output word k of _layout(alpha, m, prec), the flip bits of
+    its head digits in their slots, or None where it holds none.  The flip
+    of digit t of a value is bit i % 64 of mix64(node_key ^ i // 64), i =
+    2^t + (its first t digits read backwards) the index of its node.
+    node_key and index, (alpha, ...), have equal ndim and broadcast
+    together; index holds each value's first m - 1 digits read backwards."""
+    heads = _layout(alpha, m, prec)[0]
+    shape = np.broadcast_shapes(node_key.shape, index.shape)
+    if 2**m - 1 > math.prod(shape) // node_key.size:
+        # fewer points than nodes per key: each point hashes its own prefixes
+        lead = (alpha,) + (1,) * (len(shape) - 1)
+        flips = [None if h is None else np.zeros(shape, dtype=np.uint64) for h in heads]
+        prefix = index.astype(np.uint64)
+        for t in range(min(m, prec)):
+            node = (prefix & np.uint64(2**t - 1)) | np.uint64(2**t)
+            bit = _mix64_inplace(node_key ^ (node >> np.uint64(6)))
+            bit >>= node & np.uint64(63)
+            bit &= np.uint64(1)
+            for flip, h in zip(flips, heads):
+                if flip is not None:
+                    flip |= bit << h[:, t].reshape(lead)
+        return flips
+    # one table per key and word over the 2^(m-1) prefixes that the nodes
+    # read (no node reads the last digit), laid out (alpha, node, keys...)
+    # so that every step runs its inner loop along the keys, which a small
+    # tree's few nodes would cut short.  Node i's bit is bit i % 64 of node
+    # word i // 64, so tree level t is nodes 2^t..: all node bits go to
+    # their slots at once, then each level takes in the flips of the level
+    # above.  Read backwards, the prefixes of t digits are those of t - 1
+    # digits, then those again with digit t - 1 set, so the level above
+    # lands on both halves of a level
+    rest = node_key.shape[1:]
+    words = np.arange(-(-2**m // 64), dtype=np.uint64).reshape((1, -1, 1) + (1,) * len(rest))
+    words = _mix64_inplace(node_key[:, None, None] ^ words)
+    bits = words >> np.arange(min(64, 2**m), dtype=np.uint64).reshape((-1,) + (1,) * len(rest))
+    bits = bits.reshape((alpha, 2**m) + rest)
+    bits &= np.uint64(1)
+    lifts = _node_lifts(alpha, m, prec)
+    tables = {}
+    for k, lift in lifts.items():
+        table = np.left_shift(bits, lift.reshape(lift.shape + (1,) * len(rest)),
+                              out=bits if k == max(lifts) else None)
+        for t in range(1, m):
+            level = table[:, 2**t:2 ** (t + 1)].reshape((alpha, 2, 2 ** (t - 1)) + rest)
+            level |= table[:, None, 2 ** (t - 1):2**t]
+        tables[k] = table
+    del bits, table
+    # the flat offset of each point's entry: its stream's table, at its
+    # prefix among the nodes of level m - 1, at its key
+    span = math.prod(rest)
+    at = ((np.arange(alpha, dtype=np.intp) * 2**m + 2 ** (m - 1)) * span).reshape(
+        (alpha,) + (1,) * len(rest)) + np.arange(span, dtype=np.intp).reshape((1,) + rest)
+    at = at + index * span
+    return [np.take(tables[k].reshape(-1), at) if k in tables else None
+            for k in range(len(heads))]
+
+
+def _scramble_net(net: Net, key: np.ndarray, out_prec: int) -> PackedDigits:
+    """The interlaced base-2 Owen scramble of a net's streams, written into
+    the net's words (see the module docstring).  key: (alpha, ...), one key
+    per stream, broadcastable against the streams."""
+    m = net.streams.count
+    if m > MAX_BASE2_DIGITS:
         raise ValueError(
-            f"base-2 scrambling supports at most {MAX_BASE2_DIGITS} input digits, got {in_prec}")
-    shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
+            f"base-2 scrambling supports at most {MAX_BASE2_DIGITS} input digits, got {m}")
+    alpha = net.streams.shape[0]
+    # numpy shifts by 64 or more give zero, so m = 0 gives zero values
+    values = net.streams.words[..., 0] >> np.uint64(64 - m)
+    shape = np.broadcast_shapes(values.shape, key.shape)
     key = key.reshape((1,) * (len(shape) - key.ndim) + key.shape)
-    value = digits.words[..., 0] >> np.uint64(64 - in_prec)
-    value = value.reshape((1,) * (len(shape) - value.ndim) + value.shape)
-    head = min(in_prec, out_prec)
-    words = []  # the out_prec scrambled digits as a string of 64-bit words
-    if head:
-        prefix = value >> np.uint64(in_prec - head)
-        scrambled = prefix ^ _node_flips(mix64_array(key ^ _NODE), prefix, head)
-        scrambled <<= np.uint64(64 - head)
-        words.append(scrambled)
-    for k in range(-(-(out_prec - head) // 64)):
-        tail = _mix64_inplace(mix64_array(key ^ _const(_TAIL, k + 1)) ^ value)
-        if head:
-            # the tail digits follow the head digits in the word string
-            words[-1] |= tail >> np.uint64(head)
-            tail <<= np.uint64(64 - head)
-        if len(words) < -(-out_prec // 64):
-            words.append(tail)
-    if not words:
-        return PackedDigits(np.zeros(shape + (1,), dtype=np.uint64), 0)
-    if out_prec % 64:
-        # the digits past out_prec are zero
-        words[-1] &= np.uint64(_MASK << (64 - out_prec % 64) & _MASK)
+    values = values.reshape((1,) * (len(shape) - values.ndim) + values.shape)
+    heads, tails, nets = _layout(alpha, m, out_prec)
+    parts = [None] * len(tails)  # per output word, each stream's random bits
+    if any(h is not None for h in heads):
+        parts = _node_flips(mix64_array(key ^ _NODE), net.index.reshape(values.shape),
+                            alpha, m, out_prec)
+    lead = (alpha,) + (1,) * (len(shape) - 1)
+    for k, mask in enumerate(tails):
+        if mask is not None:
+            tail = _mix64_inplace(mix64_array(key ^ _const(_TAIL, k + 1)) ^ values)
+            tail &= mask.reshape(lead)
+            parts[k] = tail if parts[k] is None else np.bitwise_xor(parts[k], tail, out=tail)
+    words = []
+    for k, part in enumerate(parts):
+        word = np.zeros(shape[1:], dtype=np.uint64) if part is None else (
+            np.bitwise_xor.reduce(part, axis=0) if alpha > 1 else part[0])
+        if k < len(nets):
+            word ^= net.net.words[..., k] & nets[k]
+        words.append(word)
     return PackedDigits(np.stack(words, axis=-1) if len(words) > 1 else words[0][..., None],
-                        out_prec)
+                        alpha * out_prec)
 
 
 def scramble_digit_matrix(
-    digits: np.ndarray | PackedDigits, b: int, key: np.ndarray | int, out_prec: int
+    digits: np.ndarray | PackedDigits | Net, b: int, key: np.ndarray | int, out_prec: int
 ) -> np.ndarray | PackedDigits:
-    """Owen-scramble one coordinate given its original digit matrix.
+    """Owen-scramble digit streams given their original digits.
 
-    digits: PackedDigits in base 2, (..., in_prec) uint8 otherwise; the
-    output is in the same form.  key: uint64, broadcastable against the
-    leading axes (an array key scrambles each slice with an independent
-    stream).  Digits past in_prec are treated as zero, so out_prec > in_prec
-    extends the points to full precision as the scrambling of ...000.  Base
-    2 takes at most MAX_BASE2_DIGITS input digits.
+    digits: a Net of alpha streams, whose interlaced scramble is returned,
+    (..., alpha*out_prec) digits, with key (alpha, ...) holding one key per
+    stream; or the digits of one coordinate, (..., in_prec), the case alpha
+    = 1, which gives (..., out_prec) digits.  Digits are PackedDigits in
+    base 2 and uint8 matrices otherwise, and the output is in the same form.
+    key: uint64, broadcastable against the leading axes (an array key
+    scrambles each slice with an independent stream).  Digits past in_prec
+    are treated as zero, so out_prec > in_prec extends the points to full
+    precision as the scrambling of ...000.  Base 2 takes at most
+    MAX_BASE2_DIGITS input digits.
     """
     key = np.asarray(key, dtype=np.uint64)
-    _check_form(digits, b)
+    if not isinstance(digits, Net):
+        _check_form(digits, b)
+        if b != 2:
+            return _scramble_levels(digits, b, key, out_prec)
+        digits, key = Net(PackedDigits(digits.words[None], digits.count)), key[None]
+    _check_form(digits.streams, b)
     if b == 2:
-        return _scramble_words(digits, key, out_prec)
+        return _scramble_net(digits, key, out_prec)
+    return interlace_digit_matrices(_scramble_levels(digits.streams, b, key, out_prec))
+
+
+def _scramble_levels(digits: np.ndarray, b: int, key: np.ndarray, out_prec: int) -> np.ndarray:
+    """The base-b scramble of (..., in_prec) uint8 digits: a permutation of
+    F_b per digit and prefix, drawn level by level."""
     digits = np.asarray(digits, dtype=np.uint8)
     in_prec = digits.shape[-1]
     shape = np.broadcast_shapes(digits.shape[:-1], key.shape)
@@ -339,10 +440,35 @@ def interlace_digit_matrices(streams: np.ndarray | PackedDigits) -> np.ndarray |
     return out.reshape(streams.shape[1:-1] + (prec * alpha,))
 
 
+class Net:
+    """alpha equally deep digit streams and their interlacing, made once and
+    scrambled under any number of keys.
+
+    streams: (alpha, ..., m), PackedDigits or a uint8 matrix; net is their
+    interlace_digit_matrices, (..., alpha*m), the unscrambled point set.  In
+    base 2 the net also keeps the flip-table index of each stream value,
+    shape (alpha, ...) intp: its first m - 1 digits read backwards, digit 0
+    lowest (see _node_flips).
+    """
+
+    __slots__ = ("streams", "net", "index")
+
+    def __init__(self, streams: np.ndarray | PackedDigits):
+        self.streams = streams
+        self.net = interlace_digit_matrices(streams)
+        self.index = None
+        if isinstance(streams, PackedDigits):
+            words = streams.words[..., 0]
+            index = np.zeros(words.shape, dtype=np.uint64)
+            for t in range(streams.count - 1):
+                index |= (words >> np.uint64(63 - t) & np.uint64(1)) << np.uint64(t)
+            self.index = index.astype(np.intp)
+
+
 #: uint64 temporaries per stream and point that a packed base-2 chunk holds
-#: at its peak: the scrambled words, and the hashing or bit-spreading
-#: working set beside them
-_WORD_TEMPS = 5
+#: at its peak: the node-bit table, the offsets into it and the gathered
+#: flips, or the flips, the tail hash and the hash's working word
+_WORD_TEMPS = 3
 
 
 class ScrambledRule:
@@ -351,13 +477,16 @@ class ScrambledRule:
     Each replication key is split into one key per input stream (output
     coordinate j, interlacing depth r), so distinct output coordinates are
     scrambled independently (the property that lets the rule commute with
-    projections onto coordinate subsets).  The streams' digits are built
-    once per rule, as PackedDigits in base 2 and uint8 matrices otherwise;
-    keys are scrambled in chunks, and row i of every output depends on key
-    i alone.  Base-2 digits stay packed up to the floats of points() and
-    unpack only at the end of digits().  Streams and keys hold the points
-    last; each chunk's output goes to the (R, n, d[, digits]) arrays as it
-    is written.
+    projections onto coordinate subsets).  The streams' digits and their
+    interlacing, the unscrambled net, are built once per rule (a Net), as
+    PackedDigits in base 2 and uint8 matrices otherwise.  Keys are scrambled
+    in chunks, and row i of every output depends on key i alone: base 2
+    writes each chunk's flips and tails into the slots of the net's words,
+    other bases scramble the streams and interlace them.  points() makes
+    only the digits its floats keep (one output word in base 2), digits()
+    all alpha*prec; base-2 digits unpack only at the end of digits().
+    Streams and keys hold the points last; each chunk's output goes to the
+    (R, n, d[, digits]) arrays as it is written.
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
@@ -376,14 +505,14 @@ class ScrambledRule:
         # and the alpha streams of an output coordinate first, as
         # interlacing takes them.  numerators_to_digits keeps the memory
         # order it is given, so the transposed view is copied first
-        self._streams = numerators_to_digits(np.ascontiguousarray(
-            num.reshape(self.n, self.d, alpha).transpose(2, 1, 0)[:, None]), b, m)
+        self._net = Net(numerators_to_digits(np.ascontiguousarray(
+            num.reshape(self.n, self.d, alpha).transpose(2, 1, 0)[:, None]), b, m))
         # stream u = j * alpha + r of each key gets its own key
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
     def _chunks(self, R: int):
-        # per stream and point a chunk holds its packed words, or its
-        # scrambled uint8 digits and their interlaced copy
+        # per stream and point a chunk holds its packed working words, or
+        # its scrambled uint8 digits and their interlaced copy
         per_point = 8 * _WORD_TEMPS if self.b == 2 else 2 * self.prec
         return key_chunks(R, per_point * self._stream_salt.size * self.n)
 
@@ -391,8 +520,10 @@ class ScrambledRule:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d))
+        # only the digits that the floats keep: one output word in base 2
+        prec = -(-float_digit_cap(self.b) // self.alpha)
         for rows in self._chunks(len(keys)):
-            digs = self._interlaced(keys[rows])
+            digs = self._scrambled(keys[rows], prec)
             out[rows] = digits_to_floats(digs, self.b).transpose(0, 2, 1)
             del digs  # free this chunk's digits before the next is scrambled
         return out
@@ -401,24 +532,21 @@ class ScrambledRule:
         """Exact interlaced output digits, shape (R, n, d, alpha*prec); keys
         None gives the unscrambled net, shape (1, n, d, alpha*m)."""
         if keys is None:
-            return np.ascontiguousarray(_unpacked(self._interlaced(None)).transpose(0, 2, 1, 3))
+            return np.ascontiguousarray(_unpacked(self._net.net).transpose(0, 2, 1, 3))
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
         for rows in self._chunks(len(keys)):
-            out[rows] = _unpacked(self._interlaced(keys[rows])).transpose(0, 2, 1, 3)
+            out[rows] = _unpacked(self._scrambled(keys[rows], self.prec)).transpose(0, 2, 1, 3)
         return out
 
-    def _interlaced(self, keys: np.ndarray | None) -> np.ndarray | PackedDigits:
-        # the interlaced digits of the streams scrambled by each key, or of
-        # the streams as they are, axes (rep, j, point)
-        streams = self._streams
-        if keys is not None:
-            # one key per replication and stream, axes (r, rep, j, 1)
-            stream_keys = np.ascontiguousarray(mix64_array(keys[:, None] ^ self._stream_salt)
-                                               .reshape(len(keys), self.d, self.alpha)
-                                               .transpose(2, 0, 1)[..., None])
-            streams = scramble_digit_matrix(streams, self.b, stream_keys, self.prec)
-        return interlace_digit_matrices(streams)
+    def _scrambled(self, keys: np.ndarray, prec: int) -> np.ndarray | PackedDigits:
+        # the interlaced digits of the streams scrambled by each key to prec
+        # digits a stream, axes (rep, j, point); one key per replication and
+        # stream, axes (r, rep, j, 1)
+        stream_keys = np.ascontiguousarray(mix64_array(keys[:, None] ^ self._stream_salt)
+                                           .reshape(len(keys), self.d, self.alpha)
+                                           .transpose(2, 0, 1)[..., None])
+        return scramble_digit_matrix(self._net, self.b, stream_keys, prec)
 
 
 def _unpacked(digits: np.ndarray | PackedDigits) -> np.ndarray:

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +345,22 @@ class TestStudies:
 class TestSelftestAndCLI:
     def test_selftest_passes(self):
         assert selftest(verbose=False) is True
+
+    def test_cli_oversized_search_fails_fast(self, capsys):
+        # a 2^29-point dump once died in a numpy allocation error after the
+        # search had started; the size check now comes before any table, so
+        # the usage error is quick and allocates next to nothing
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(["points", "--base", "2", "--m", "29", "--s", "1"]) == 2
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5 and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("cdquad: error: ") and "b^m = 2^29" in err and "4096 MiB" in err
 
     def test_cli_points_worked_example(self, capsys):
         assert main(["points", "--base", "2", "--m", "2", "--s", "1"]) == 0

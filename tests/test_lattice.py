@@ -104,6 +104,18 @@ class TestGeneratingVector:
         with pytest.raises(ValueError, match=r"b\^m = 2\^33 exceeds the 2\^32 points"):
             GeneratingVector(F2, 33, 2**33 + 1, (1,))
 
+    @pytest.mark.parametrize("b,m", [(2, 25), (2, 29), (3, 16), (5, 11)])
+    def test_search_tables_past_the_limit_rejected(self, b, m):
+        # every search holds tables of b^m 8-byte entries; past the limit it
+        # is refused before the modulus search or any table is built
+        assert 8 * b**m > lattice.MAX_TABLE_BYTES
+        with pytest.raises(ValueError, match=rf"b\^m = {b}\^{m} needs tables of {b**m} 8-byte"):
+            search_generating_vector(1, m, FieldBase(b))
+
+    def test_search_tables_at_the_limit_allowed(self):
+        assert 8 * 2**24 == lattice.MAX_TABLE_BYTES
+        lattice._check_search_size(2, 24)
+
     @pytest.mark.parametrize("b,m", [(2, 1), (2, 3), (3, 2)])
     def test_empty_vector(self, b, m):
         with pytest.raises(ValueError, match="at least one component"):

@@ -20,6 +20,7 @@ from cdquad.gfpoly import FieldBase
 from cdquad.lattice import GeneratingVector, irreducible_modulus, plr_points
 from cdquad.prf import counters_uniform, derive_seed, mix64_array
 from cdquad.scramble import (
+    Net,
     PackedDigits,
     ScrambledRule,
     digits_to_floats,
@@ -61,6 +62,41 @@ def mix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+# the base-2 scramble's hash domains and the rule's per-stream key salt
+_NODE_DOMAIN = 0xA0761D6478BD642F
+_TAIL_DOMAIN = 0xE7037ED1A0B428DB
+_STREAM_SALT = 0x94D049BB133111EB
+
+
+def interlaced_digit_oracle(keys, values, m, prec):
+    """The alpha*prec interlaced base-2 output digits of one point, built
+    one digit at a time from the documented layout, on Python ints.  keys
+    and values hold the alpha stream keys and m-digit stream values.  Output
+    digit P = t*alpha + r is digit t of stream r: below m, the net digit
+    XOR the bit of node i = 2^t + (the first t digits read backwards, digit 0
+    lowest), bit i % 64 of mix64(mix64(key ^ NODE) ^ i // 64); from m on, bit
+    63 - P % 64 of the tail word mix64(mix64(key ^ TAIL_k) ^ value), k = P // 64."""
+    alpha = len(values)
+    out = []
+    for P in range(alpha * prec):
+        t, r = divmod(P, alpha)
+        key, value = keys[r], values[r]
+        if t < m:
+            prefix = value >> (m - t)
+            node = (1 << t) + sum(((prefix >> (t - 1 - q)) & 1) << q for q in range(t))
+            flip = mix64(mix64(key ^ _NODE_DOMAIN) ^ (node // 64)) >> (node % 64) & 1
+            out.append((value >> (m - 1 - t) & 1) ^ flip)
+        else:
+            tail = mix64(mix64(key ^ (_TAIL_DOMAIN * (P // 64 + 1) & _MASK64)) ^ value)
+            out.append(tail >> (63 - P % 64) & 1)
+    return out
+
+
+def stream_keys(key, j, alpha):
+    """The alpha stream keys of output coordinate j under a rule key."""
+    return [mix64(key ^ (_STREAM_SALT * (j * alpha + r + 1) & _MASK64)) for r in range(alpha)]
 
 
 def uint8_digits(values, b, m):
@@ -388,15 +424,21 @@ class TestBase2TreeScramble:
 
     @pytest.mark.parametrize("m", (10, 15, 20))
     def test_flip_table_equals_per_point_hashes(self, m):
-        # deeper than the test above (m <= 9): a full net under a few keys
-        # takes one flip table per key, and each of its points, given a key
-        # of its own, hashes its own prefixes; every point agrees
-        digs = value_digits(np.arange(2**m), m)
-        keys_ = key_array(m, 2)
-        table = scramble_digit_matrix(digs, 2, keys_[:, None], m + 3).words
-        for i, k in enumerate(keys_):
-            alone = scramble_digit_matrix(digs, 2, np.full(2**m, k, dtype=np.uint64), m + 3)
-            assert np.array_equal(alone.words, table[i])
+        # deeper than the test above (m <= 9): a full net of alpha streams
+        # under a few keys takes one flip table per key and stream, and each
+        # of its points, given keys of its own, hashes its own prefixes;
+        # every point agrees.  At alpha 7 and 5 the flips of the m digits
+        # fill two output words, and the 3 tail digits follow
+        alpha = {10: 7, 15: 5, 20: 2}[m]
+        values = (np.arange(2**m) * np.arange(1, 2 * alpha, 2)[:, None]) % 2**m
+        net = Net(value_digits(values[:, None], m))
+        keys_ = key_array(m, 2 * alpha).reshape(alpha, 2, 1)
+        table = scramble_digit_matrix(net, 2, keys_, m + 3)
+        assert table.words.shape == (2, 2**m, -(-alpha * (m + 3) // 64))
+        for i in range(2):
+            per_point = np.ascontiguousarray(np.broadcast_to(keys_[:, i], (alpha, 2**m)))
+            alone = scramble_digit_matrix(Net(value_digits(values, m)), 2, per_point, m + 3)
+            assert np.array_equal(alone.words, table.words[i])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
@@ -491,10 +533,13 @@ class TestScrambledRule:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_digits_equal_streams_scrambled_one_by_one(self, b, d, alpha):
-        # coordinate j of replication i interlaces its alpha streams
-        # u = j * alpha + r, each scrambled alone under key i salted for u,
+        # coordinate j of replication i is the interlaced scramble of its
+        # own alpha streams u = j * alpha + r, each under key i salted for u,
         # whatever layout the rule keeps its streams in; the outputs are
-        # C-contiguous (R, n, d[, digits])
+        # C-contiguous (R, n, d[, digits]).  Each stream scrambled alone
+        # gives the same digits: all of them in base 3, and in base 2 its m
+        # digits of the lattice (the digits past them come from a tail hash
+        # per output word, which depends on where interlacing puts them)
         m, n, R = 3, 11, 4
         nums = key_array(10 * b + d, n * d * alpha).reshape(n, d * alpha) % np.uint64(b**m)
         rule = ScrambledRule(b, m, nums, alpha)
@@ -502,15 +547,63 @@ class TestScrambledRule:
         digs, pts = rule.digits(keys_), rule.points(keys_)
         assert digs.shape == (R, n, d, alpha * rule.prec) and digs.flags.c_contiguous
         assert pts.shape == (R, n, d) and pts.flags.c_contiguous
+        same = m if b == 2 else rule.prec
         for i in range(R):
             for j in range(d):
-                streams = []
-                for r in range(alpha):
-                    salt = np.uint64((0x94D049BB133111EB * (j * alpha + r + 1)) & _MASK64)
-                    key = mix64_array(keys_[i] ^ salt)
-                    digits = numerators_to_digits(nums[:, j * alpha + r], b, m)
-                    streams.append(as_uint8(scramble_digit_matrix(digits, b, key, rule.prec)))
-                assert np.array_equal(digs[i, :, j], interlace_digit_matrices(np.stack(streams)))
+                keys_j = np.array(stream_keys(int(keys_[i]), j, alpha), dtype=np.uint64)
+                streams = numerators_to_digits(nums[:, j * alpha:(j + 1) * alpha].T, b, m)
+                together = scramble_digit_matrix(Net(streams), b, keys_j[:, None], rule.prec)
+                assert np.array_equal(digs[i, :, j], as_uint8(together))
+                alone = np.stack([as_uint8(scramble_digit_matrix(
+                    numerators_to_digits(nums[:, j * alpha + r], b, m), b, keys_j[r], rule.prec))
+                    for r in range(alpha)], axis=-1)  # (n, prec, alpha)
+                assert np.array_equal(digs[i, :, j].reshape(n, rule.prec, alpha)[:, :same],
+                                      alone[:, :same])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 12), st.integers(1, 3), st.booleans(),
+           st.integers(0, 2**64 - 1))
+    @example(6, 11, 1, True, 1)  # 66 output digits: the flips fill two words
+    @example(7, 10, 1, True, 2)  # 70 output digits
+    @example(7, 12, 3, True, 3)  # 84 output digits, three coordinates
+    @example(3, 12, 2, False, 4)  # fewer points than nodes: per-point hashes
+    @example(1, 1, 1, True, 5)
+    def test_base2_rule_matches_digit_oracle(self, alpha, m, d, full, seed):
+        # every output digit of digits() and every float of points() is the
+        # documented node bit, tail slot and net digit, on random stream
+        # values (repeats included); a sample of points is checked per key
+        rng = np.random.default_rng(seed % 2**32)
+        n = 2**m if full else int(rng.integers(1, 6))
+        nums = rng.integers(0, 2**m, (n, d * alpha), dtype=np.uint64)
+        rule = ScrambledRule(2, m, nums, alpha)
+        keys_ = key_array(seed, 2)
+        digs, pts = rule.digits(keys_), rule.points(keys_)
+        assert digs.shape[-1] == alpha * rule.prec
+        for i, key in enumerate(keys_):
+            for j in range(d):
+                for p in {0, n - 1, *rng.integers(0, n, 4).tolist()}:
+                    values = [int(v) for v in nums[p, j * alpha:(j + 1) * alpha]]
+                    want = interlaced_digit_oracle(stream_keys(int(key), j, alpha), values, m,
+                                                   rule.prec)
+                    assert digs[i, p, j].tolist() == want
+                    assert pts[i, p, j] == int("".join(map(str, want[:53])), 2) / 2**53
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 12), st.integers(1, 2), st.integers(0, 2**64 - 1))
+    @example(6, 11, 1, 6)
+    @example(7, 10, 2, 7)
+    def test_base2_heads_permute_a_full_net(self, alpha, m, d, seed):
+        # each stream of a full net holds every m-digit value once, and under
+        # every key its first m scrambled digits still do
+        rng = np.random.default_rng(seed % 2**32)
+        nums = np.stack([rng.permutation(2**m) for _ in range(d * alpha)], axis=1)
+        rule = ScrambledRule(2, m, nums.astype(np.uint64), alpha)
+        digs = rule.digits(key_array(seed, 3))
+        weights = 1 << np.arange(m - 1, -1, -1)
+        for r in range(alpha):
+            heads = digs[..., r::alpha][..., :m].astype(np.int64) @ weights  # (R, n, d)
+            assert np.array_equal(np.sort(heads, axis=1),
+                                  np.broadcast_to(np.arange(2**m)[:, None], heads.shape))
 
     def test_base2_points_never_unpack_words(self, monkeypatch):
         # base-2 rules hold packed words from the numerators on: building the
