@@ -551,11 +551,14 @@ def eps_grid_for_costs(
     counts as infinite cost, and so does every smaller eps, as plans only
     grow as eps falls.  A target is a PlanningError unless some eps tried
     plans within the cap at a cost at least as large: else every plan down
-    to lo costs less, or those that would cost that much are past the cap."""
+    to lo costs less, or those that would cost that much are past the cap.
+    An infinite target, which no plan costs, is one at once."""
     template = template or RuleTemplate()
     dollar = dollar or cost_model("linear")
     if not all(t > 0 for t in targets):  # written so that NaN fails too
         raise ValueError(f"target costs must be > 0, got {list(targets)}")
+    if math.inf in targets:  # else found only after a long walk down to the cap
+        raise PlanningError("no plan reaches the target cost inf: every plan costs a finite amount")
     consts = PlannerConstants.for_weights(w, hi, tau, chi=chi)
     past_cap = 0.0  # the largest eps known to plan past the cap
     enum = None

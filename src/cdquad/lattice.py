@@ -377,8 +377,7 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
 _VARIANCE_TRIALS = 128
 
 
-def _search_variance(d: int, m: int, base: FieldBase, weights,
-                     alpha: int) -> GeneratingVector:
+def _search_variance(d: int, m: int, base: FieldBase, alpha: int) -> GeneratingVector:
     """Randomized search ranked by the exact scramble variance.
 
     The variance criterion does not factor per stream, so instead of a CBC
@@ -388,12 +387,10 @@ def _search_variance(d: int, m: int, base: FieldBase, weights,
     """
     n = base.b**m
     modulus = irreducible_modulus(base.b, m)
-    cw = [max(weights.singleton(j + 1), 1e-12) if weights is not None else 1.0
-          for j in range(d)]
     rng = np.random.default_rng([0x5CA1E, base.b, m, d, alpha])
     cands = rng.integers(1, n, size=(_VARIANCE_TRIALS, d * alpha))
     # argmin keeps the first of equal variances
-    best = cands[int(np.argmin(scramble_variance(base, m, modulus, cands, alpha, cw)))]
+    best = cands[int(np.argmin(scramble_variance(base, m, modulus, cands, alpha)))]
     return GeneratingVector(base, m, modulus, tuple(int(q) for q in best))
 
 
@@ -431,12 +428,12 @@ def _leading_positions(b: int, m: int) -> np.ndarray:
     return np.repeat(np.array([0, *range(m, 0, -1)], dtype=np.intp), counts)
 
 
-def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
+def _cbc_fast(s: int, m: int, base: FieldBase, cw, rate: float) -> GeneratingVector:
     """CBC search under the weighted dual-lattice criterion via cyclic-group
     correlation.
 
     The criterion is the sum over nonzero dual-lattice vectors k of
-    prod_j cw_j^{1{k_j != 0}} b^{-rates_j mu(k_j)}; the character-sum identity
+    prod_j cw_j^{1{k_j != 0}} b^{-rate mu(k_j)}; the character-sum identity
     turns it into the mean over points h of prod_j (1 + cw_j phi(h_j)).  For
     h = g^i and q = g^t the product hq is g^{i+t}, so the candidate scores
     for all q at once are a circular cross-correlation of the running
@@ -447,13 +444,12 @@ def _cbc_fast(s: int, m: int, base: FieldBase, cw, rates) -> GeneratingVector:
     N = n - 1
     modulus = irreducible_modulus(b, m)
     exp_ = _field_exp_table(b, m)
-    pos = _leading_positions(b, m)
+    phi = _phi_table(b, m, rate)[_leading_positions(b, m)]
 
     running = np.ones(n)
     chosen = []
     for j in range(s):
-        phi = _phi_table(b, m, rates[j])
-        fac_by_h = 1.0 + cw[j] * phi[pos]
+        fac_by_h = 1.0 + cw[j] * phi
         A = running[exp_]
         F = fac_by_h[exp_]
         corr = np.fft.irfft(np.conj(np.fft.rfft(A)) * np.fft.rfft(F), N)
@@ -471,7 +467,6 @@ def search_generating_vector(
     s: int,
     m: int,
     base: FieldBase,
-    weights=None,
     alpha: int = 1,
 ) -> GeneratingVector:
     """Search for an s-coordinate generating vector with n = b^m points.
@@ -480,8 +475,10 @@ def search_generating_vector(
     with interlacing factor alpha asks for s = d * alpha).  Interlaced base-2
     rules are ranked by the exact variance they deliver after scrambling;
     every other rule comes from a component-by-component search under the
-    weighted dual-lattice criterion, ties breaking to the smallest integer
-    encoding.  Both searches are deterministic.
+    dual-lattice criterion, ties breaking to the smallest integer encoding.
+    Both searches are deterministic, and neither takes gamma weights: in the
+    changing-dimension algorithm gamma_u scales the whole u-component, so
+    the rule for u is one for the unweighted |u|-variate space.
     """
     if alpha < 1:
         raise ValueError(f"interlacing factor alpha must be >= 1, got {alpha}")
@@ -494,14 +491,9 @@ def search_generating_vector(
         # interlaced rules are judged by the variance they deliver after
         # scrambling, which the dual criterion only bounds up to the squared
         # worst-case error rate; rank candidates by the exact variance instead
-        return _search_variance(s // alpha, m, base, weights, alpha)
-    # one gamma factor and one interlaced-position factor per stream:
-    # stream depth r contributes digit positions r + (mu-1)*alpha, hence
-    # weight gamma * b^{2(alpha-r)} at depth rate 2*alpha
-    cw = []
-    for j in range(s):
-        out_coord = j // alpha + 1
-        r = j % alpha + 1
-        g = weights.singleton(out_coord) if weights is not None else 1.0
-        cw.append(max(g, 1e-12) * float(b) ** (2 * (alpha - r)))
-    return _cbc_fast(s, m, base, cw, [2.0 * alpha] * s)
+        return _search_variance(s // alpha, m, base, alpha)
+    # one interlaced-position factor per stream: stream depth r = 1..alpha
+    # contributes digit positions r + (mu-1)*alpha, hence factor
+    # b^{2(alpha-r)} at depth rate 2*alpha
+    cw = [float(b) ** (2 * (alpha - 1 - j % alpha)) for j in range(s)]
+    return _cbc_fast(s, m, base, cw, 2.0 * alpha)

@@ -24,14 +24,14 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64_array run in place on a uint64 array the caller owns (a fresh
-    temporary), which it returns."""
-    with np.errstate(over="ignore"):
-        z += np.uint64(_GAMMA)
-        for shift, mult in ((30, _M1), (27, _M2), (31, None)):
-            z ^= z >> np.uint64(shift)
-            if mult is not None:
-                z *= np.uint64(mult)
+    """mix64_array run in place on a uint64 ndarray the caller owns (a fresh
+    temporary), which it returns.  In-place ufuncs on an ndarray wrap
+    silently, 0-d arrays included; only numpy scalars warn on overflow."""
+    z += np.uint64(_GAMMA)
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        z ^= z >> np.uint64(shift)
+        if mult is not None:
+            z *= np.uint64(mult)
     return z
 
 

@@ -11,12 +11,11 @@ scramble_digit_matrix, interlace_digit_matrices, digits_to_floats) in one
 form per base: PackedDigits in base 2, 64 digits to a uint64 word with digit
 0 in the top bit, and (..., prec) uint8 matrices, most significant first, in
 every other base.  A base-2 layer given a uint8 matrix raises ValueError.
-Interlacing gives all alpha*prec output digits in both forms: packed streams
-are bit-interleaved (in base 2 Dick's digit interlacing is bit
-interleaving), and uint8 streams are interlaced digit by digit, in any base.
-A Net holds alpha streams with their interlacing, made once per point set;
-scramble_digit_matrix takes a Net and returns the interlaced scramble of its
-streams.
+Interlacing gives all alpha*prec output digits in both forms, digit by digit
+in any base: packed streams are unpacked, interlaced as uint8 digits and
+packed again.  A Net holds alpha streams with their interlacing, made once
+per point set; scramble_digit_matrix takes a Net and returns the interlaced
+scramble of its streams.
 
 Base 2 scrambles in interlaced form.  Interlacing is a fixed permutation of
 bit positions, so it commutes with the scramble's flips: interlace(v ^ f) =
@@ -142,6 +141,16 @@ def _word_digits(words: np.ndarray, count: int) -> np.ndarray:
     first, as digits: (..., k) words give (..., count) digits."""
     raw = np.asarray(words, dtype=">u8").view(np.uint8)
     return np.unpackbits(raw[..., :-(-count // 8)], axis=-1, count=count)
+
+
+def _packed(digits: np.ndarray) -> PackedDigits:
+    """(..., count) uint8 base-2 digits as PackedDigits, the inverse of
+    PackedDigits.digits: packed into big-endian words, zero past count."""
+    count = digits.shape[-1]
+    raw = np.packbits(digits, axis=-1)
+    buf = np.zeros(digits.shape[:-1] + (8 * max(1, -(-count // 64)),), dtype=np.uint8)
+    buf[..., :raw.shape[-1]] = raw
+    return PackedDigits(buf.view(">u8").astype(np.uint64), count)
 
 
 def numerators_to_digits(coords: np.ndarray, b: int, m: int) -> np.ndarray | PackedDigits:
@@ -371,65 +380,17 @@ def _scramble_levels(digits: np.ndarray, b: int, key: np.ndarray, out_prec: int)
     return out
 
 
-@lru_cache(maxsize=None)
-def _spread_steps(alpha: int, keep: int) -> tuple:
-    """(shift, mask) steps that move bit i of a keep-bit integer to bit
-    i*alpha: step j moves the bits whose index has bit j set, highest j
-    first, and the mask keeps each bit at its place after that step."""
-    steps = []
-    for j in range((keep - 1).bit_length() - 1 if alpha > 1 else -1, -1, -1):
-        low = (1 << j) - 1
-        mask = sum(1 << ((i & ~low) * alpha + (i & low)) for i in range(keep))
-        steps.append((np.uint64((1 << j) * (alpha - 1)), np.uint64(mask)))
-    return tuple(steps)
-
-
-def _interlace_words(streams: PackedDigits) -> PackedDigits:
-    """Bit interleaving of alpha packed streams of at most 64 digits,
-    (alpha, ...) strings, into all alpha*prec output digits."""
-    alpha, prec = streams.shape[0], streams.count
-    if streams.words.shape[-1] > 1:
-        raise ValueError(f"packed streams hold at most 64 digits, got {prec}")
-    keep = min(-(-64 // alpha), prec)  # the most digits of a stream in one output word
-    words = []
-    for k in range(max(1, -(-alpha * prec // 64))):
-        # digit first[r] of stream r is its first one in output word k
-        first = [-((r - 64 * k) // alpha) for r in range(alpha)]
-        # digits first[r].. of stream r at bits keep-1.., spread to bits
-        # (keep-1)*alpha..
-        x = streams.words[..., 0]
-        if k:
-            x = x << np.array(first, dtype=np.uint64).reshape((alpha,) + (1,) * (x.ndim - 1))
-        x = x >> np.uint64(64 - keep)
-        for shift, mask in _spread_steps(alpha, keep):
-            x |= x << shift
-            x &= mask
-        # lifted in place so that digit first[r] + i lands at output digit
-        # (first[r] + i)*alpha + r; digits pushed past the word fall off
-        for r in range(alpha):
-            lift = 63 - max(keep - 1, 0) * alpha - (first[r] * alpha + r - 64 * k)
-            if lift >= 0:
-                x[r] <<= np.uint64(lift)
-            else:
-                x[r] >>= np.uint64(-lift)
-        word = x[0]
-        for r in range(1, alpha):
-            word |= x[r]
-        words.append(word)
-    return PackedDigits(np.stack(words, axis=-1) if len(words) > 1 else words[0][..., None],
-                        alpha * prec)
-
-
 def interlace_digit_matrices(streams: np.ndarray | PackedDigits) -> np.ndarray | PackedDigits:
     """Digit interlacing of alpha equally deep digit streams.
 
-    streams: (alpha, ..., prec), PackedDigits of at most 64 digits or a
-    uint8 matrix in any base; the output, in the same form, is (...,
-    alpha*prec), and its digit at position r + (d-1)*alpha is digit d of
-    stream r.
+    streams: (alpha, ..., prec), PackedDigits or a uint8 matrix in any
+    base; the output, in the same form, is (..., alpha*prec), and its digit
+    at position r + (d-1)*alpha is digit d of stream r.  Both forms are
+    interlaced digit by digit: PackedDigits are unpacked once, and their
+    interlacing packed once.
     """
     if isinstance(streams, PackedDigits):
-        return _interlace_words(streams)
+        return _packed(interlace_digit_matrices(streams.digits()))
     alpha = streams.shape[0]
     prec = streams.shape[-1]
     out = np.empty(streams.shape[1:-1] + (prec, alpha), dtype=streams.dtype)
@@ -445,10 +406,11 @@ class Net:
     scrambled under any number of keys.
 
     streams: (alpha, ..., m), PackedDigits or a uint8 matrix; net is their
-    interlace_digit_matrices, (..., alpha*m), the unscrambled point set.  In
-    base 2 the net also keeps the flip-table index of each stream value,
-    shape (alpha, ...) intp: its first m - 1 digits read backwards, digit 0
-    lowest (see _node_flips).
+    interlace_digit_matrices in the same form, (..., alpha*m), the
+    unscrambled point set, so packed streams are unpacked once per Net and
+    never per key.  In base 2 the net also keeps the flip-table index of
+    each stream value, shape (alpha, ...) intp: its first m - 1 digits read
+    backwards, digit 0 lowest (see _node_flips).
     """
 
     __slots__ = ("streams", "net", "index")

@@ -64,9 +64,6 @@ class WeightModel:
     def gamma(self, u) -> float:
         raise NotImplementedError
 
-    def singleton(self, j: int) -> float:
-        return self.gamma(frozenset([j]))
-
     def decay(self) -> float:
         """Analytic decay exponent, if one is known, else the declared one."""
         if self.declared_decay is not None:

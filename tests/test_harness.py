@@ -467,12 +467,18 @@ class TestSelftestAndCLI:
         # no plan costs inf: the grid must not name an eps the user never gave
         (["plan", "--weights", "disjoint-pairs,a=3,count=8", "--cost-grid", "1e2,inf"],
          "no plan reaches the target cost inf"),
+        # rejected before any plan: a bisection toward inf once ran 35 s
+        # down to the cap of the product weights
+        (["plan", "--weights", "product-poly,a=3", "--cost-grid", "inf"],
+         "no plan reaches the target cost inf"),
     ])
     def test_cli_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nosuch.json").write_text('{"nosuch": 1}')
         (tmp_path / "strseed.json").write_text('{"seed": "7"}')
+        start = time.perf_counter()
         assert main(argv) == 2
+        assert time.perf_counter() - start < 5  # bad input fails at once
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cdquad: error: ")

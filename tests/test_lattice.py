@@ -21,6 +21,7 @@ from cdquad.lattice import (
     scramble_variance,
     search_generating_vector,
     _VARIANCE_TRIALS,
+    _cbc_fast,
     _depths,
     _leading_positions,
     _numerators,
@@ -28,7 +29,6 @@ from cdquad.lattice import (
     _scramble_rho_table,
 )
 from cdquad.quadrature import RuleSpec, empirical_variance
-from cdquad.weights import ProductWeights
 
 F2 = FieldBase(2)
 
@@ -279,17 +279,16 @@ def dual_merit_bruteforce(gv, coord_weights, rates=None):
     return total
 
 
-def cbc_oracle(s, m, base, weights=None, alpha=1):
-    """Direct CBC candidate loop: each component tries every q in 1..b^m - 1
-    under DualWeightedMerit, ties going to the smallest encoding."""
+def cbc_oracle(m, base, cw, rate):
+    """Direct CBC candidate loop: component j tries every q in 1..b^m - 1
+    under DualWeightedMerit with factor cw[j] at depth rate `rate`, ties
+    going to the smallest encoding."""
     b = base.b
     modulus = irreducible_modulus(b, m)
-    cw = [max(weights.singleton(j // alpha + 1) if weights is not None else 1.0, 1e-12)
-          * float(b) ** (2 * (alpha - 1 - j % alpha)) for j in range(s)]
-    merit = DualWeightedMerit(b, m, cw, rates=[2.0 * alpha] * s)
+    merit = DualWeightedMerit(b, m, cw, rates=[rate] * len(cw))
     running = merit.start(b**m)
     chosen = []
-    for j in range(s):
+    for j in range(len(cw)):
         best = None
         for enc in range(1, b**m):
             col = plr_points(GeneratingVector(base, m, modulus, (enc,))).coords[:, 0]
@@ -404,8 +403,8 @@ class TestSearch:
         assert gv.q == (1,)
 
     def test_deterministic(self):
-        a = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
-        b = search_generating_vector(2, 5, F2, weights=ProductWeights.polynomial(2.0))
+        a = search_generating_vector(2, 5, F2)
+        b = search_generating_vector(2, 5, F2)
         assert a.q == b.q
 
     @pytest.mark.parametrize("b,s,alpha,name", [
@@ -431,8 +430,7 @@ class TestSearch:
             gv_for(2, 4, [1, 1]), w
         ) + 1e-12
 
-    @pytest.mark.parametrize("weights", [None, ProductWeights.polynomial(2.0)],
-                             ids=["unweighted", "poly2"])
+    @pytest.mark.parametrize("decay", [0.0, 2.0], ids=["unweighted", "poly2"])
     @pytest.mark.parametrize("b,m,s,alpha", [
         (b, m, s, alpha)
         for b, m_max, alphas in ((2, 6, (1,)), (3, 3, (1, 2)))
@@ -440,11 +438,18 @@ class TestSearch:
         for alpha in alphas
         for s in range(alpha, 5, alpha)
     ])
-    def test_matches_cbc_oracle(self, b, m, s, alpha, weights):
+    def test_matches_cbc_oracle(self, b, m, s, alpha, decay):
         # the FFT correlation must pick the vector of the direct candidate
-        # loop, down to the trivial group at b^m = 2
-        gv = search_generating_vector(s, m, FieldBase(b), weights=weights, alpha=alpha)
-        assert list(gv.q) == cbc_oracle(s, m, FieldBase(b), weights, alpha)
+        # loop, down to the trivial group at b^m = 2.  The search gives
+        # stream r = 1..alpha the factor b^(2(alpha - r)); poly2 scales the
+        # factors of output coordinate j by j^-2, so the correlation also
+        # meets factors that differ between coordinates at alpha = 1
+        cw = [(j // alpha + 1) ** -decay * float(b) ** (2 * (alpha - 1 - j % alpha))
+              for j in range(s)]
+        chosen = cbc_oracle(m, FieldBase(b), cw, 2.0 * alpha)
+        assert list(_cbc_fast(s, m, FieldBase(b), cw, 2.0 * alpha).q) == chosen
+        if not decay:
+            assert list(search_generating_vector(s, m, FieldBase(b), alpha=alpha).q) == chosen
 
 
 class TestScrambleVariance:
@@ -583,18 +588,16 @@ def variance_oracle(gv, alpha, coord_weights):
     return float(np.mean(excess))
 
 
-def variance_search_oracle(s, m, alpha, weights=None):
+def variance_search_oracle(s, m, alpha):
     """The variance search as a loop: one candidate drawn and scored at a
     time, a later candidate kept only when strictly better."""
     d = s // alpha
     modulus = irreducible_modulus(2, m)
-    cw = [max(weights.singleton(j + 1), 1e-12) if weights is not None else 1.0
-          for j in range(d)]
     rng = np.random.default_rng([0x5CA1E, 2, m, d, alpha])
     best = None
     for _ in range(_VARIANCE_TRIALS):
         qs = tuple(int(rng.integers(1, 2**m)) for _ in range(s))
-        v = variance_oracle(GeneratingVector(F2, m, modulus, qs), alpha, cw)
+        v = variance_oracle(GeneratingVector(F2, m, modulus, qs), alpha, [1.0] * d)
         if best is None or v < best[0]:
             best = (v, qs)
     return best[1]
@@ -612,12 +615,6 @@ class TestBatchedVarianceSearch:
         # the criterion-4 and 5 benchmark shapes and the full criterion-4 size
         gv = search_generating_vector(s, m, F2, alpha=alpha)
         assert gv.q == variance_search_oracle(s, m, alpha)
-
-    @pytest.mark.parametrize("m,s,alpha", [(4, 4, 2), (9, 6, 3), (5, 8, 4)])
-    def test_weighted_matches_one_at_a_time(self, m, s, alpha):
-        w = ProductWeights.polynomial(2.0)
-        gv = search_generating_vector(s, m, F2, weights=w, alpha=alpha)
-        assert gv.q == variance_search_oracle(s, m, alpha, w)
 
     def test_scramble_variance_matches_oracle(self):
         for m, encs, alpha, w in [(5, [3, 9], 2, [2.0]), (7, [5, 11, 90, 7, 3, 64], 3, [1.0, 0.25]),

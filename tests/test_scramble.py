@@ -277,6 +277,32 @@ def bits(words, count):
                      for row in rows], dtype=np.uint8).reshape(np.shape(words)[:-1] + (count,))
 
 
+def row_int(words, count):
+    """The count-digit integer that a row of uint64 words holds."""
+    value = 0
+    for word in words:
+        value = value << 64 | int(word)
+    return value >> (64 * len(words) - count)
+
+
+def assert_interlaced(streams, out):
+    """out is the interlacing of the packed streams, read off the Python
+    ints: digit t of stream r is output digit t*alpha + r, and no bit past
+    the alpha*prec output digits is set."""
+    alpha, prec = streams.shape[0], streams.count
+    count = alpha * prec
+    assert isinstance(out, PackedDigits) and out.shape == streams.shape[1:-1] + (count,)
+    assert out.words.shape[-1] == max(1, -(-count // 64))
+    ins = streams.words.reshape(alpha, -1, streams.words.shape[-1])
+    for i, row in enumerate(out.words.reshape(-1, out.words.shape[-1])):
+        want = 0
+        for r in range(alpha):
+            value = row_int(ins[r, i], prec)
+            for t in range(prec):
+                want |= (value >> (prec - 1 - t) & 1) << (count - 1 - (t * alpha + r))
+        assert row_int(row, 64 * len(row)) == want << (64 * len(row) - count)
+
+
 class TestPackedDigits:
     """The packed base-2 form against bit-exact and uint8 oracles."""
 
@@ -309,19 +335,19 @@ class TestPackedDigits:
         assert np.array_equal(packed.words, clear_tail(packed.words, packed.count))
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 7), st.integers(1, 53), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 7), st.integers(0, 140), st.integers(0, 2**32 - 1))
     @example(3, 22, 0)  # the 64th output digit is digit 21 of stream 0
     @example(5, 13, 1)  # stream 4's 13th digit falls past the 64th
     @example(7, 53, 2)  # 371 output digits, six words
     @example(2, 32, 3)  # exactly one full word
     @example(3, 43, 4)  # 129 digits: one digit in the third word
+    @example(2, 65, 5)  # streams of two words each
+    @example(7, 140, 6)  # 980 output digits, 16 words
     def test_interlace_equals_uint8_interlace_on_all_digits(self, alpha, prec, seed):
-        streams = numerators_to_digits(random_values(seed, (alpha, 2, 3), prec), 2, prec)
-        packed = interlace_digit_matrices(streams)
-        assert isinstance(packed, PackedDigits)
-        assert packed.shape == (2, 3, alpha * prec)
-        assert np.array_equal(packed.words, clear_tail(packed.words, packed.count))
-        assert np.array_equal(packed.digits(), interlace_digit_matrices(streams.digits()))
+        # the packed interlace is built on the uint8 one, so both are held
+        # to the bit-exact oracle
+        streams = random_packed(seed, (alpha, 2, 3), prec)
+        assert_interlaced(streams, interlace_digit_matrices(streams))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 130), st.integers(0, 2**32 - 1))
@@ -346,8 +372,10 @@ class TestPackedDigits:
             digits_to_floats(packed.digits(), 2)
 
     def test_interlace_takes_one_word_streams(self):
-        with pytest.raises(ValueError, match="at most 64 digits"):
-            interlace_digit_matrices(random_packed(0, (2, 3), 65))
+        # and longer ones: streams of 65 and 100 digits span two words
+        for alpha, prec in [(1, 65), (2, 65), (3, 100), (6, 100)]:
+            streams = random_packed(alpha, (alpha, 4), prec)
+            assert_interlaced(streams, interlace_digit_matrices(streams))
 
 
 def value_digits(values, m, b=2):
@@ -607,8 +635,9 @@ class TestScrambledRule:
 
     def test_base2_points_never_unpack_words(self, monkeypatch):
         # base-2 rules hold packed words from the numerators on: building the
-        # rule and drawing points unpack nothing, and digits() unpacks its
-        # interlaced words once, at the end
+        # rule unpacks its m-digit streams once, to interlace them, drawing
+        # points unpacks nothing, and digits() unpacks its interlaced words
+        # once, at the end
         calls = []
         unpack = scramble._word_digits
 
@@ -619,12 +648,13 @@ class TestScrambledRule:
         monkeypatch.setattr(scramble, "_word_digits", counted)
         rule = ScrambledRule(2, 4, key_array(5, 16 * 6).reshape(16, 6) >> np.uint64(60), alpha=3)
         assert not hasattr(rule, "stream_digits")
+        assert calls == [4]
         assert rule.points(keys(1, 2)).shape == (2, 16, 2)
-        assert calls == []
+        assert calls == [4]
         assert rule.digits(keys(1, 2)).shape == (2, 16, 2, 3 * rule.prec)
-        assert calls == [3 * rule.prec]
+        assert calls == [4, 3 * rule.prec]
         assert rule.digits(None).shape == (1, 16, 2, 3 * 4)
-        assert calls == [3 * rule.prec, 3 * 4]
+        assert calls == [4, 3 * rule.prec, 3 * 4]
 
     def test_criterion4_shape_memory(self):
         # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),
