@@ -443,6 +443,8 @@ def cd_estimate_many(
         specs = [RuleSpec(tpl.kind, tuple(sorted(u)), n, seed=0, alpha=tpl.alpha, b=tpl.b)
                  for u in us]
         terms.append(run_rule_seeds(specs, components, seeds))
-    # fsum is exact, so the sum does not depend on the order of the sets
+    # fsum is exact, so the sum does not depend on the order of the sets; it
+    # reads a list of floats faster than numpy scalars, and one column's list
+    # at a time keeps the floats of all seeds from being held at once
     cols = np.concatenate(terms, axis=0)
-    return np.array([math.fsum(col) for col in cols.T]), ledger
+    return np.array([math.fsum(col.tolist()) for col in cols.T]), ledger

@@ -38,17 +38,30 @@ per tree node:
   level at a time, is gathered by each value's prefix; when a key scrambles
   fewer values than there are nodes, each value hashes its own m prefixes.
 - Past digit m the prefix is the value followed by zeros, so the node bits
-  below it form one path that only the value selects.  In output word k,
-  stream r's digits past m are mix64(mix64(key_r ^ TAIL_k) ^ value) masked
-  to that stream's slots in word k: one hash per stream value and word, in a
-  domain apart from the node hashes.  Equal values get equal tails and
-  distinct values independent ones, exactly as in the nested scramble.
+  below it form one path that only the value selects: the nested scramble
+  needs equal tails for equal values and independent ones for distinct
+  values, in each stream.  In output word k, the digits past m of all alpha
+  streams of an output coordinate are mix64(mix64(key_0 ^ TAIL_k) ^ v_0)
+  masked to their slots in word k, key_0 and v_0 the key and value of the
+  coordinate's first stream: one hash per output-coordinate value and word,
+  in a domain apart from the node hashes.  Each stream of a lattice rule
+  holds every m-digit value once (h -> h*q_j mod p is a bijection for q_j
+  != 0 and p irreducible), so v_0 and the value of stream r determine each
+  other, and stream r's tails are a function of its value, independent
+  between distinct values and, in disjoint slots, between streams: the law
+  of the nested scramble, exactly.  The law is exact whenever the points'
+  values are distinct in every stream, as in every lattice rule, and at
+  alpha = 1 the hash is one per stream value.  Otherwise every digit stays
+  uniform, so estimates stay unbiased: points that share a first-stream
+  value share all their tails, and points that share only another stream's
+  value get independent tails in it.
 Other bases draw a permutation of F_b per digit and prefix, level by level,
 and interlace the scrambled digits.
 
 ScrambledRule keeps its streams as (r, rep, j, point) arrays: interlacing
 depth r, replication, output coordinate j, and the points last, so that
-every key-against-point broadcast runs numpy's inner loop along the points.
+every key-against-point broadcast runs numpy's inner loop along the points;
+the base-2 tail hashes, one per output coordinate, run on (rep, j, point).
 With the 2-3 coordinates last, a (3, 4, 1, 2) + (3, 1, 1024, 2) uint64 add
 took 5.5-6.9 ns an element on a 2-vCPU Xeon VM, against 0.98 ns for the same
 add with the points last.  The public (R, n, d) and (R, n, d, digits) shapes
@@ -197,8 +210,8 @@ def _layout(alpha: int, m: int, prec: int) -> tuple:
       the slot of digit t < min(m, prec) of stream r in word k, 64 (which
       shifts it out) where that slot is in another word, or None when word k
       holds no such digit;
-    - tails[k]: (alpha,) uint64 masks of the slots of digits m..prec-1 of
-      each stream in word k, or None when it holds none of them;
+    - tails[k]: the uint64 mask of the slots of digits m..prec-1 of all
+      alpha streams in word k, or None when it holds none of them;
     - nets[k]: the mask that keeps the first alpha*prec output digits of
       word k of the unscrambled net (alpha*m digits), for its words only."""
     count = alpha * prec
@@ -210,8 +223,8 @@ def _layout(alpha: int, m: int, prec: int) -> tuple:
         head = bit[:, :min(m, prec)]
         heads.append(np.pad(head, ((0, 0), (0, m - head.shape[1])), constant_values=64)
                      if (head < 64).any() else None)
-        tail = [sum(1 << int(v) for v in row[m:prec] if v < 64) for row in bit]
-        tails.append(np.array(tail, dtype=np.uint64) if any(tail) else None)
+        tail = sum(1 << int(v) for v in bit[:, m:prec].ravel() if v < 64)
+        tails.append(np.uint64(tail) if tail else None)
         if 64 * k < alpha * m:
             keep = min(64, max(0, count - 64 * k))
             nets.append(np.uint64(((1 << keep) - 1) << (64 - keep)))
@@ -301,20 +314,21 @@ def _scramble_net(net: Net, key: np.ndarray, out_prec: int) -> PackedDigits:
     key = key.reshape((1,) * (len(shape) - key.ndim) + key.shape)
     values = values.reshape((1,) * (len(shape) - values.ndim) + values.shape)
     heads, tails, nets = _layout(alpha, m, out_prec)
-    parts = [None] * len(tails)  # per output word, each stream's random bits
+    parts = [None] * len(tails)  # per output word, each stream's node flips
     if any(h is not None for h in heads):
         parts = _node_flips(mix64_array(key ^ _NODE), net.index.reshape(values.shape),
                             alpha, m, out_prec)
-    lead = (alpha,) + (1,) * (len(shape) - 1)
-    for k, mask in enumerate(tails):
-        if mask is not None:
-            tail = _mix64_inplace(mix64_array(key ^ _const(_TAIL, k + 1)) ^ values)
-            tail &= mask.reshape(lead)
-            parts[k] = tail if parts[k] is None else np.bitwise_xor(parts[k], tail, out=tail)
     words = []
-    for k, part in enumerate(parts):
+    for k, (part, mask) in enumerate(zip(parts, tails)):
         word = np.zeros(shape[1:], dtype=np.uint64) if part is None else (
             np.bitwise_xor.reduce(part, axis=0) if alpha > 1 else part[0])
+        if mask is not None:
+            # one hash per output coordinate and point gives the tails of all
+            # its streams, from the first stream's key and value (sliced, so
+            # that the hash runs on ndarrays, not on numpy scalars)
+            tail = _mix64_inplace(mix64_array(key[:1] ^ _const(_TAIL, k + 1)) ^ values[:1])
+            tail &= mask
+            word ^= tail[0]
         if k < len(nets):
             word ^= net.net.words[..., k] & nets[k]
         words.append(word)
@@ -410,7 +424,10 @@ class Net:
     unscrambled point set, so packed streams are unpacked once per Net and
     never per key.  In base 2 the net also keeps the flip-table index of
     each stream value, shape (alpha, ...) intp: its first m - 1 digits read
-    backwards, digit 0 lowest (see _node_flips).
+    backwards, digit 0 lowest (see _node_flips).  The first stream's values
+    key the tail digits of all alpha streams, which is the nested scramble
+    when each stream's values are distinct, as in a lattice rule (see the
+    module docstring).
     """
 
     __slots__ = ("streams", "net", "index")
@@ -443,10 +460,12 @@ class ScrambledRule:
     interlacing, the unscrambled net, are built once per rule (a Net), as
     PackedDigits in base 2 and uint8 matrices otherwise.  Keys are scrambled
     in chunks, and row i of every output depends on key i alone: base 2
-    writes each chunk's flips and tails into the slots of the net's words,
-    other bases scramble the streams and interlace them.  points() makes
-    only the digits its floats keep (one output word in base 2), digits()
-    all alpha*prec; base-2 digits unpack only at the end of digits().
+    writes each chunk's node flips, hashed per stream, and tails, one hash
+    per output coordinate from its first stream's key and value, into the
+    slots of the net's words, other bases scramble the streams and
+    interlace them.  points() makes only the digits its floats keep (one
+    output word in base 2), digits() all alpha*prec; base-2 digits unpack
+    only at the end of digits().
     Streams and keys hold the points last; each chunk's output goes to the
     (R, n, d[, digits]) arrays as it is written.
     """

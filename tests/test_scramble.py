@@ -77,7 +77,9 @@ def interlaced_digit_oracle(keys, values, m, prec):
     digit P = t*alpha + r is digit t of stream r: below m, the net digit
     XOR the bit of node i = 2^t + (the first t digits read backwards, digit 0
     lowest), bit i % 64 of mix64(mix64(key ^ NODE) ^ i // 64); from m on, bit
-    63 - P % 64 of the tail word mix64(mix64(key ^ TAIL_k) ^ value), k = P // 64."""
+    63 - P % 64 of tail word k = P // 64, mix64(mix64(key_0 ^ TAIL_k) ^
+    value_0): one word for all streams, from the first stream's key and
+    value."""
     alpha = len(values)
     out = []
     for P in range(alpha * prec):
@@ -89,7 +91,7 @@ def interlaced_digit_oracle(keys, values, m, prec):
             flip = mix64(mix64(key ^ _NODE_DOMAIN) ^ (node // 64)) >> (node % 64) & 1
             out.append((value >> (m - 1 - t) & 1) ^ flip)
         else:
-            tail = mix64(mix64(key ^ (_TAIL_DOMAIN * (P // 64 + 1) & _MASK64)) ^ value)
+            tail = mix64(mix64(keys[0] ^ (_TAIL_DOMAIN * (P // 64 + 1) & _MASK64)) ^ values[0])
             out.append(tail >> (63 - P % 64) & 1)
     return out
 
@@ -113,6 +115,14 @@ def interlace_integers(numerators, b, m):
     for d in interlace_digit_matrices(mats):
         out = out * b + int(d)
     return out
+
+
+def full_net_numerators(m, alpha):
+    """The numerators of a base-2 polynomial lattice rule of alpha <= 3
+    streams, m >= 3: each stream holds every m-digit value once, as h ->
+    h*q mod p permutes them for q != 0 and p irreducible."""
+    q = (1, 5, 3)[:alpha]
+    return plr_points(GeneratingVector(FieldBase(2), m, irreducible_modulus(2, m), q)).coords
 
 
 def small_net(b=2, m=3, s=2):
@@ -386,6 +396,21 @@ def key_array(seed, R):
     return mix64_array(np.arange(R, dtype=np.uint64) ^ np.uint64(seed))
 
 
+def digit_cells(digits):
+    """Counts of the 2^k values of the rows of an (R, k) 0/1 digit array."""
+    k = digits.shape[-1]
+    return np.bincount(digits.astype(np.int64) @ (1 << np.arange(k)), minlength=2**k)
+
+
+def assert_same_law(new, oracle):
+    """Two-sample chi-square on the cell counts of two equally large
+    samples: the same cells are seen, and the law is the same at p = 1e-4."""
+    seen = (new + oracle) > 0
+    assert np.array_equal(new > 0, oracle > 0)
+    stat = float(np.sum((new[seen] - oracle[seen]) ** 2 / (new[seen] + oracle[seen])))
+    assert scipy.stats.chi2.sf(stat, seen.sum() - 1) > 1e-4
+
+
 class TestBase2TreeScramble:
     """Properties of the base-2 scramble that hashes each tree node once.
     The shared-prefix and batched-row properties also draw base 3, which
@@ -494,18 +519,10 @@ class TestBase2TreeScramble:
         # whole net so that the node hashes go through the per-key table
         R, m, prec = 40_000, 4, 5
         digs = value_digits(np.arange(2**m), m)
-
-        def cells(out):
-            pairs = np.packbits(out[:, [x, y]], axis=-1, bitorder="little")[..., 0]
-            pairs = pairs.astype(np.int64)
-            return np.bincount(pairs[:, 0] * 2**prec + pairs[:, 1], minlength=4**prec)
-
-        new = cells(scramble_digit_matrix(digs, 2, key_array(1, R)[:, None], prec).digits())
-        oracle = cells(per_level_scramble_base2(digs.digits(), key_array(2, R)[:, None], prec))
-        seen = (new + oracle) > 0
-        assert np.array_equal(new > 0, oracle > 0)
-        stat = float(np.sum((new[seen] - oracle[seen]) ** 2 / (new[seen] + oracle[seen])))
-        assert scipy.stats.chi2.sf(stat, seen.sum() - 1) > 1e-4
+        new = scramble_digit_matrix(digs, 2, key_array(1, R)[:, None], prec).digits()
+        oracle = per_level_scramble_base2(digs.digits(), key_array(2, R)[:, None], prec)
+        assert_same_law(digit_cells(new[:, [x, y]].reshape(R, -1)),
+                        digit_cells(oracle[:, [x, y]].reshape(R, -1)))
 
     def test_more_than_32_input_digits_rejected(self):
         with pytest.raises(ValueError, match="at most 32"):
@@ -566,8 +583,8 @@ class TestScrambledRule:
         # whatever layout the rule keeps its streams in; the outputs are
         # C-contiguous (R, n, d[, digits]).  Each stream scrambled alone
         # gives the same digits: all of them in base 3, and in base 2 its m
-        # digits of the lattice (the digits past them come from a tail hash
-        # per output word, which depends on where interlacing puts them)
+        # digits of the lattice (the digits past them come from one tail
+        # hash per output word and coordinate, keyed by its first stream)
         m, n, R = 3, 11, 4
         nums = key_array(10 * b + d, n * d * alpha).reshape(n, d * alpha) % np.uint64(b**m)
         rule = ScrambledRule(b, m, nums, alpha)
@@ -632,6 +649,36 @@ class TestScrambledRule:
             heads = digs[..., r::alpha][..., :m].astype(np.int64) @ weights  # (R, n, d)
             assert np.array_equal(np.sort(heads, axis=1),
                                   np.broadcast_to(np.arange(2**m)[:, None], heads.shape))
+
+    @pytest.mark.parametrize("alpha,r", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("x,y", [(0, 1), (2, 7)])
+    def test_stream_pair_law_matches_per_level_oracle(self, alpha, r, x, y):
+        # stream r >= 1 of a full net takes its tail digits from the first
+        # stream's hash; two-sample chi-square on the joint law of a point
+        # pair's first m + 3 digits of that stream against the per-level
+        # nested scramble of the stream alone
+        R, m = 40_000, 3
+        nums = full_net_numerators(m, alpha)
+        digs = ScrambledRule(2, m, nums, alpha).digits(key_array(1, R))
+        new = digs[:, [x, y], 0, r::alpha][..., :m + 3]
+        stream = value_digits(nums[[x, y], r], m).digits()
+        oracle = per_level_scramble_base2(stream, key_array(2, R)[:, None], m + 3)
+        assert_same_law(digit_cells(new.reshape(R, -1)), digit_cells(oracle.reshape(R, -1)))
+
+    @pytest.mark.parametrize("alpha,r1,r2", [(2, 0, 1), (3, 0, 2), (3, 1, 2)])
+    def test_two_streams_tail_law_matches_per_level_oracle(self, alpha, r1, r2):
+        # one hash per point gives every stream's tail digits; two-sample
+        # chi-square on the joint law of two streams' digits m - 1..m + 2 of
+        # one point of a full net (the last node digit and three tail
+        # digits each) against per-level scrambles under independent keys
+        R, m, p = 40_000, 3, 5
+        nums = full_net_numerators(m, alpha)
+        digs = ScrambledRule(2, m, nums, alpha).digits(key_array(1, R))[:, p, 0]
+        new = np.concatenate([digs[:, r::alpha][:, m - 1:m + 3] for r in (r1, r2)], axis=1)
+        oracle = np.concatenate([per_level_scramble_base2(
+            value_digits(nums[p, r], m).digits(), key_array(2 + i, R), m + 3)[:, m - 1:]
+            for i, r in enumerate((r1, r2))], axis=1)
+        assert_same_law(digit_cells(new), digit_cells(oracle))
 
     def test_base2_points_never_unpack_words(self, monkeypatch):
         # base-2 rules hold packed words from the numerators on: building the
