@@ -23,7 +23,6 @@ from .decomp import (
     alt_sum_S,
     anchored_component,
     bias_squared,
-    psi_project,
 )
 from .harness import (
     BankFunction,

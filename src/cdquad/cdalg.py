@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Mapping
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
-from .quadrature import INTERLACED_PLR, RuleSpec, check_plr_base, run_rule_seeds
+from .quadrature import INTERLACED_PLR, MONTE_CARLO, RuleSpec, check_plr_base, run_rule_seeds
 from .weights import Truncation, WeightModel, _ProductFamily, downward_closure
 
 CoordSet = frozenset[int]
@@ -157,6 +157,8 @@ class RuleTemplate:
     b: int = 2
 
     def __post_init__(self):
+        if self.kind not in (INTERLACED_PLR, MONTE_CARLO):
+            raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.alpha < 1:
             raise ValueError(f"interlacing factor alpha must be >= 1, got {self.alpha}")
         if self.kind == INTERLACED_PLR:
@@ -436,7 +438,9 @@ def cd_estimate_many(
     terms = []
     for (size, n), us in groups.items():
         if not size:
-            terms.append(np.full((1, len(seeds)), float(f({}, anchor))))
+            # f at the anchor: the evaluator (not the hook) on no coordinates
+            at_anchor = f.evaluator([()], np.empty((1, 1, 0)), anchor.value)
+            terms.append(np.full((1, len(seeds)), at_anchor, dtype=np.float64))
             continue
         # every set shares seed 0: its key differs through u, and the master
         # seeds index that key's stream

@@ -1,16 +1,16 @@
 """Anchored decomposition machinery.
 
-Projections onto finitely many coordinates, anchored components via
-inclusion-exclusion, alternating sums over active-set families, and the
-worst-case squared bias bound of an active-set family, which the convergence
-study reports next to each plan.  Product-type weights enter only through
-their singleton sequence and order factors (weights._ProductFamily).
+Anchored components of groups of coordinate sets, by inclusion-exclusion or
+an integrand's analytic hook, alternating sums over active-set families, and
+the worst-case squared bias bound of a family, which each convergence-study
+row reports.  Product-type weights enter only through their singleton
+sequence and order factors (weights._ProductFamily).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,87 +46,62 @@ class BlackBoxIntegrand:
     """A function of countably many variables, queried at points that differ
     from the anchor in finitely many coordinates.
 
-    evaluator(assignment, anchor_value) receives a dict {coordinate: value}
-    (1-based coordinates; values may be scalars or aligned numpy arrays) and
-    must treat every unassigned coordinate as sitting at anchor_value.
+    evaluator(sets, x, anchor_value) takes K sorted coordinate tuples of one
+    size d (1-based coordinates) and points x of shape (K, N, d): column i
+    of row k sits at coordinate sets[k][i] and every other coordinate at
+    anchor_value.  It returns the values of f at those points, broadcastable
+    to (K, N); a constant may return a scalar.  For example,
+    f(x) = sum_{j >= 1} (x_j - 1/2) / j^2 is
+
+        def evaluator(sets, x, av):
+            w = 1.0 / np.asarray(sets, dtype=np.float64)[:, None, :] ** 2
+            # the coordinates at the anchor add (av - 1/2) sum_j 1/j^2
+            return ((x - 0.5) * w).sum(axis=2) + (av - 0.5) * (np.pi**2 / 6 - w.sum(axis=2))
     """
 
-    evaluator: Callable[[Mapping[int, object], float], object]
-    # optional analytic anchored components of a group of sets,
-    # (sets, x, anchor_value) -> values: sets holds K sorted coordinate tuples
-    # of one size d, x their points of shape (K, N, d) with column i at
-    # coordinate sets[k][i], and the result the (K, N) values of f_{u,a};
-    # bypasses the 2^|u| inclusion-exclusion when the integrand's structure
-    # admits a closed form
+    evaluator: Callable
+    # optional analytic anchored components of a group of sets, with the
+    # evaluator's signature and the (K, N) values of f_{u,a} as its result,
+    # in place of the 2^|u| inclusion-exclusion where they have a closed form
     anchored: Callable | None = None
 
-    def __call__(self, assignment: Mapping[int, object], anchor: Anchor):
-        return self.evaluator(dict(assignment), anchor.value)
 
+def anchored_component(f: BlackBoxIntegrand, sets, a: Anchor, x) -> np.ndarray:
+    """The anchored components f_{u,a} of a group of K coordinate sets of one
+    size d, at points x of shape (K, N, d) whose column i holds coordinate
+    sorted(sets[k])[i] of set k: the (K, N) values, row k those of
+    f_{sets[k],a}, the sum over v subseteq u of (-1)^{|u minus v|} f(x_v; a).
 
-def psi_project(f: BlackBoxIntegrand, v, a: Anchor, x: Mapping[int, object]):
-    """f at (x_v; a): coordinates in v from x, the rest at the anchor."""
-    v = frozenset(v)
-    missing = v - set(x)
-    if missing:
-        raise KeyError(f"assignment missing coordinates {sorted(missing)}")
-    return f({j: x[j] for j in v}, a)
-
-
-def _check_order(u) -> tuple[int, ...]:
-    u = tuple(sorted(frozenset(u)))
-    if len(u) > ORDER_CAP:
-        raise ValueError(f"|u| = {len(u)} exceeds the inclusion-exclusion cap {ORDER_CAP}")
-    return u
-
-
-def anchored_component(f: BlackBoxIntegrand, u, a: Anchor, x):
-    """The u-component of the anchored decomposition at x:
-    sum over v subseteq u of (-1)^{|u minus v|} f(x_v; a).
-
-    One set: u is a coordinate set and x a mapping {coordinate: value}
-    (scalars or aligned arrays); coordinates of u missing from x are taken
-    at the anchor, and the value is returned.  A group: u is a sequence of K
-    coordinate sets of one size d and x an array of shape (K, N, d) whose
-    column i holds coordinate sorted(u[k])[i] of set k; the (K, N) values are
-    returned, row k those of f_{u[k],a}.  The one-set form of an integrand
-    with the analytic hook (BlackBoxIntegrand.anchored) is the group of K = 1;
-    without it, each set runs the inclusion-exclusion on its own, and in the
-    group form a failure names the set.  The inclusion-exclusion evaluates
-    f once per subset of u.
+    With the analytic hook (BlackBoxIntegrand.anchored) that is one hook
+    call.  Without it, the inclusion-exclusion makes one evaluator call per
+    subset of the d columns, for the whole group, by |v| and then in
+    combinations order; an evaluator error is a RuntimeError that names the
+    call's coordinate tuples.
     """
-    if isinstance(x, Mapping):
-        u = _check_order(u)
-        x = {j: x.get(j, a.value) for j in u}
-        if f.anchored is None:
-            return _inclusion_exclusion(f, u, a, x)
-        cols = np.broadcast_arrays(*(np.asarray(x[j], dtype=np.float64) for j in u))
-        shape = cols[0].shape if cols else ()
-        pts = np.stack([c.reshape(-1) for c in cols], axis=-1) if cols else np.empty((1, 0))
-        return anchored_component(f, [u], a, pts[None])[0].reshape(shape)[()]
-    sets = [_check_order(s) for s in u]
+    sets = [tuple(sorted(frozenset(s))) for s in sets]
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 3 or len(pts) != len(sets) or any(len(s) != pts.shape[2] for s in sets):
         raise ValueError(f"a group of {len(sets)} sets needs points of shape "
                          f"(K, N, |u|) with K = {len(sets)} and one size |u|, got {pts.shape}")
+    d = pts.shape[2]
+    if d > ORDER_CAP:
+        raise ValueError(f"|u| = {d} exceeds the inclusion-exclusion cap {ORDER_CAP}")
     if f.anchored is not None:
         return f.anchored(sets, pts, a.value)
-    out = np.empty(pts.shape[:2])
-    for k, s in enumerate(sets):
-        try:
-            out[k] = _inclusion_exclusion(f, s, a, {j: pts[k, :, i] for i, j in enumerate(s)})
-        except Exception as exc:
-            raise RuntimeError(f"integrand failed on subset {list(s)}") from exc
-    return out
-
-
-def _inclusion_exclusion(f: BlackBoxIntegrand, u: tuple[int, ...], a: Anchor, x):
     total = None
-    for k in range(len(u) + 1):
-        sign = (-1) ** (len(u) - k)
-        for v in combinations(u, k):
-            term = psi_project(f, v, a, x)
-            total = sign * term if total is None else total + sign * term
+    for k in range(d + 1):
+        sign = (-1) ** (d - k)
+        for cols in combinations(range(d), k):
+            sub = [tuple(s[i] for i in cols) for s in sets]
+            try:
+                term = np.broadcast_to(np.asarray(
+                    f.evaluator(sub, pts[:, :, list(cols)], a.value), dtype=np.float64), pts.shape[:2])
+            except Exception as exc:
+                raise RuntimeError(f"integrand failed on coordinate subsets {sub}") from exc
+            if total is None:
+                total = sign * term
+            else:
+                total += sign * term
     return total
 
 

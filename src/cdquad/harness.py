@@ -52,7 +52,6 @@ from .lattice import GeneratingVector, plr_points
 from .prf import derive_seed
 from .quadrature import (
     INTERLACED_PLR,
-    MONTE_CARLO,
     RuleSpec,
     default_generating_vector,
     _scrambled_rule,
@@ -107,9 +106,18 @@ def _normalize_coeffs(coeffs: Mapping) -> dict[frozenset, float]:
     return out
 
 
-def _bank_eval(coeffs: Mapping[frozenset, float], assignment: Mapping, anchor_value):
-    # eta(x_j) once per coordinate; each product runs left to right in sorted
+def _bank_eval(coeffs: Mapping[frozenset, float], sets, x: np.ndarray, anchor_value):
+    # the bank's evaluator: eta of each point coordinate once, when its
+    # coordinate is first read.  A coordinate that every set holds is eta of
+    # its column, a fresh (K, N) array; one that no set holds is the scalar
+    # eta(a); one that only some rows hold is an eta(a)-filled array with
+    # those rows' etas written in.  Each product runs left to right in sorted
     # coordinate order, in place on its own fresh array
+    held: dict = {}  # coordinate -> {column: rows holding it there}
+    for k, s in enumerate(sets):
+        for i, j in enumerate(s):
+            held.setdefault(j, {}).setdefault(i, []).append(k)
+    eta_a = _eta(anchor_value)
     etas: dict = {}
     total = coeffs.get(frozenset(), 0.0)
     for u, c in coeffs.items():
@@ -118,8 +126,16 @@ def _bank_eval(coeffs: Mapping[frozenset, float], assignment: Mapping, anchor_va
         term = c
         for j in sorted(u):
             if j not in etas:
-                xj = assignment.get(j, anchor_value)
-                etas[j] = _eta(np.asarray(xj, dtype=float) if hasattr(xj, "__len__") else xj)
+                where = held.get(j, {})
+                i, rows = next(iter(where.items()), (0, ()))
+                if len(rows) == len(sets):  # every set holds j, so all in column i
+                    etas[j] = _eta(x[:, :, i])
+                elif not where:
+                    etas[j] = eta_a
+                else:
+                    etas[j] = np.full(x.shape[:2], eta_a)
+                    for i, rows in where.items():
+                        etas[j][rows] = _eta(x[rows, :, i])
             term *= etas[j]
         total += term
     return total
@@ -189,7 +205,7 @@ class BankFunction:
             return np.broadcast_to(term, x.shape[:2])
 
         return BlackBoxIntegrand(
-            evaluator=lambda assignment, av: _bank_eval(coeffs, assignment, av),
+            evaluator=lambda sets, x, av: _bank_eval(coeffs, sets, x, av),
             anchored=anchored,
         )
 
@@ -199,16 +215,6 @@ class BankFunction:
         I(f_{v,a}) = (-eta(a))^{|v|} kappa_v."""
         Q = {frozenset(q) for q in Q}
         return math.fsum(term for v, term in self._anchor_tables(anchor_value)[1] if v not in Q)
-
-    def on_points(self, coords: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized f over an (n, len(coords)) point array."""
-        coords = tuple(coords)
-
-        def g(pts: np.ndarray) -> np.ndarray:
-            x = {j: pts[:, i] for i, j in enumerate(coords)}
-            return np.asarray(_bank_eval(self.coeffs, x, 0.5), dtype=float)
-
-        return g
 
     def _validate(self, tol: float = 1e-10):
         # brute-force check of the analytic integral on the active cube;
@@ -230,11 +236,10 @@ class BankFunction:
         if not v:
             got = self.coeffs.get(frozenset(), 0.0)
         else:
-            grids = np.meshgrid(*([nodes] * len(v)), indexing="ij")
+            x = np.stack(np.meshgrid(*([nodes] * len(v)), indexing="ij"), axis=-1)
             wgrids = np.meshgrid(*([wts] * len(v)), indexing="ij")
-            x = {j: grids[i].ravel() for i, j in enumerate(v)}
             weight = np.prod([w.ravel() for w in wgrids], axis=0)
-            vals = np.asarray(_bank_eval(self.coeffs, x, 0.5), dtype=float)
+            vals = _bank_eval(self.coeffs, [v], x.reshape(1, -1, len(v)), 0.5)[0]
             got = float(np.sum(vals * weight))
         if abs(got - expected) > tol:
             raise ValueError(
@@ -369,8 +374,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise ValueError("need at least 2 replications")
-        if self.rule not in (INTERLACED_PLR, MONTE_CARLO):
-            raise ValueError(f"unknown rule kind {self.rule!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         # fail fast on bad preset names and rule parameters, before any
@@ -513,7 +516,11 @@ def run_variance_study(cfg: ExperimentConfig) -> StudyResult:
     coords = bank.active
     if not coords:
         raise ValueError("bank function has no active coordinates")
-    g = bank.on_points(coords)
+    evaluator = bank.integrand().evaluator
+
+    def g(pts):  # f on (n, |coords|) points, one set of K = 1
+        return evaluator([coords], pts[None], 0.5)[0]
+
     rows = []
     for n in cfg.n_grid:
         spec = RuleSpec(cfg.rule, coords, int(n),
@@ -658,16 +665,18 @@ def selftest(verbose: bool = True) -> bool:
     ok = all(alt_sum_S(q, u) == 0 for u in q if u)
     checks.append(("alternating sum vanishes", ok))
 
-    # anchored decomposition completeness on a small bank function
-    bank = bank_preset("pair")
-    f = bank.integrand()
+    # anchored decomposition completeness on a small bank function, through
+    # its analytic hook and through the inclusion-exclusion without it
+    f = bank_preset("pair").integrand()
     a = Anchor()
-    x = {1: 0.3, 2: 0.8}
-    total = math.fsum(
-        float(anchored_component(f, u, a, x))
-        for u in [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    )
-    checks.append(("decomposition completeness", abs(total - float(f(x, a))) < 1e-12))
+    x = np.array([[[0.3, 0.8]]])
+    full = float(f.evaluator([(1, 2)], x, a.value)[0, 0])
+    for name, g in (("", f), (" without hook", BlackBoxIntegrand(f.evaluator))):
+        total = math.fsum(
+            float(anchored_component(g, [u], a, x[:, :, list(cols)])[0, 0])
+            for u, cols in [((), ()), ((1,), (0,)), ((2,), (1,)), ((1, 2), (0, 1))]
+        )
+        checks.append((f"decomposition completeness{name}", abs(total - full) < 1e-12))
 
     # constant function integrates exactly under any plan
     cfg = ExperimentConfig(

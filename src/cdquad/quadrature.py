@@ -34,7 +34,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gfpoly import FieldBase
-from .lattice import GeneratingVector, plr_points, search_generating_vector
+from .lattice import (GeneratingVector, _check_search_size, _check_size, plr_points,
+                      search_generating_vector)
 from .prf import counters_uniform, derive_seed, mix64_array
 from .scramble import ScrambledRule, check_base, key_chunks
 
@@ -77,6 +78,9 @@ class RuleSpec:
             check_plr_base(self.b)
             if self.b**self.m != self.n:
                 raise ValueError("PLR rules need n = b^m")
+            if self.n > 1:  # refuse the vector search's shape now, not in .vector
+                _check_size(self.b, self.m)
+                _check_search_size(self.b, self.m)
 
     @property
     def m(self) -> int:

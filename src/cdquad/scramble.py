@@ -491,11 +491,11 @@ class ScrambledRule:
         # stream u = j * alpha + r of each key gets its own key
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
-    def _chunks(self, R: int):
+    def _chunks(self, R: int, words: float = _WORD_TEMPS):
         # per stream and point a chunk holds its packed working words, or
         # its scrambled uint8 digits and their interlaced copy
-        per_point = 8 * _WORD_TEMPS if self.b == 2 else 2 * self.prec
-        return key_chunks(R, per_point * self._stream_salt.size * self.n)
+        per_point = 8 * words if self.b == 2 else 2 * self.prec
+        return key_chunks(R, math.ceil(per_point * self._stream_salt.size * self.n))
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
@@ -516,7 +516,14 @@ class ScrambledRule:
             return np.ascontiguousarray(_unpacked(self._net.net).transpose(0, 2, 1, 3))
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
-        for rows in self._chunks(len(keys)):
+        # a base-2 chunk holds per stream and point a node-bit table and
+        # gathered flips for each of its W output words and their offsets
+        # (2W + 1 words, _WORD_TEMPS at W = 1), or W packed words per
+        # coordinate, their big-endian copy and prec uint8 digits, as
+        # tracemalloc reads them to 0.05 words from n = 64 points up
+        W = -(-self.alpha * self.prec // 64)
+        words = max(2 * W + 1, 2 * W / self.alpha + self.prec / 8)
+        for rows in self._chunks(len(keys), words):
             out[rows] = _unpacked(self._scrambled(keys[rows], self.prec)).transpose(0, 2, 1, 3)
         return out
 

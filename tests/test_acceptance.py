@@ -41,7 +41,7 @@ from cdquad.weights import (
     disjoint_pair_weights,
     downward_closure,
 )
-from oracles import psi_Q_project
+from oracles import at, component, coordinate, pointwise, psi_Q_project
 
 fs = frozenset
 
@@ -132,17 +132,20 @@ def test_criterion_1_exact_algebra(capsys):
         for u in combinations(range(1, 5), k):
             coeffs[fs(u)] = float(rng.uniform(-1, 1))
 
-    def ev(x, a):
-        return math.fsum(
-            c * math.prod(bernoulli(2, x.get(j, a)) for j in u)
-            for u, c in coeffs.items()
-        )
+    def ev(sets, x, a):
+        total = 0.0
+        for u, c in coeffs.items():
+            term = c
+            for j in sorted(u):
+                term = term * bernoulli(2, coordinate(sets, x, j, a))
+            total = total + term
+        return total
 
     f = BlackBoxIntegrand(ev)
 
     def recursion(u, x):
         u = tuple(sorted(u))
-        total = ev({j: x[j] for j in u}, A.value)
+        total = at(f, {j: x[j] for j in u}, A)
         for k in range(len(u)):
             for v in combinations(u, k):
                 total -= recursion(v, x)
@@ -151,16 +154,16 @@ def test_criterion_1_exact_algebra(capsys):
     x = {j: float(rng.random()) for j in range(1, 5)}
     for k in range(5):
         for u in combinations(range(1, 5), k):
-            got = anchored_component(f, u, A, {j: x[j] for j in u})
+            got = component(f, u, A, x)
             ok &= abs(got - recursion(u, x)) < 1e-12
 
     # decomposition completeness: sum of all components reproduces f
     total = sum(
-        anchored_component(f, u, A, x)
+        component(f, u, A, x)
         for k in range(5)
         for u in combinations(range(1, 5), k)
     )
-    ok &= abs(total - ev(x, A.value)) < 1e-12
+    ok &= abs(total - at(f, x, A)) < 1e-12
 
     # bias_squared closed form == brute force over 2^[5]
     rng2 = np.random.default_rng(1)
@@ -183,9 +186,9 @@ def test_criterion_1_exact_algebra(capsys):
     consts = PlannerConstants.for_weights(wp, 0.2, 1.0)
     plan = plan_build(wp, consts, RuleTemplate(kind="mc"))
     g = BlackBoxIntegrand(
-        lambda x, a: 1.0
-        + bernoulli(2, x.get(1, a))
-        + 0.5 * bernoulli(2, x.get(1, a)) * bernoulli(2, x.get(2, a))
+        lambda sets, x, a: 1.0
+        + bernoulli(2, coordinate(sets, x, 1, a))
+        + 0.5 * bernoulli(2, coordinate(sets, x, 1, a)) * bernoulli(2, coordinate(sets, x, 2, a))
     )
     est1, ledger = cd_estimate(g, plan, 7)
     ok &= ledger.total == plan_cost(plan, cost_model("linear"))
@@ -207,7 +210,7 @@ def test_criterion_2_unbiasedness(capsys):
     for bname in ("constant", "single", "orthogonal2", "pair"):
         bank = bank_preset(bname)
         coords = bank.active or (1,)
-        g = bank.on_points(coords)
+        g = pointwise(bank.integrand(), coords)
         for kind, alpha in (("mc", 1), ("plr", 2)):
             spec = RuleSpec(kind, coords, 32, seed=11, alpha=alpha)
             est = empirical_variance(spec, g, 2000)

@@ -31,7 +31,13 @@ from cdquad.decomp import (
     BlackBoxIntegrand,
     anchored_component,
 )
-from cdquad.harness import bank_from_weights, bank_preset, eps_grid_for_costs, weight_preset
+from cdquad.harness import (
+    ExperimentConfig,
+    bank_from_weights,
+    bank_preset,
+    eps_grid_for_costs,
+    weight_preset,
+)
 from cdquad.kernels import bernoulli
 from cdquad.quadrature import RuleSpec, rule_points_seeds, run_rule_batch
 from cdquad.weights import (
@@ -43,7 +49,7 @@ from cdquad.weights import (
     disjoint_pair_weights,
     downward_closure,
 )
-from oracles import psi_Q_project
+from oracles import coordinate, psi_Q_project
 
 fs = frozenset
 MC = RuleTemplate(kind="mc")
@@ -213,6 +219,13 @@ class TestPlanStructure:
         # Monte Carlo rules have no base to check
         assert RuleTemplate(kind="mc", b=b).b == b
 
+    def test_template_kind_checked_at_construction(self):
+        # an unknown kind once passed until cd_estimate built its first rule
+        with pytest.raises(ValueError, match="unknown rule kind 'foo'"):
+            RuleTemplate(kind="foo")
+        with pytest.raises(ValueError, match="unknown rule kind 'foo'"):
+            ExperimentConfig(rule="foo")
+
     def test_descriptor_default_names_the_class(self):
         w = TwoCoordinates()
         plan = plan_build(w, PlannerConstants.for_weights(w, 0.1, 1.0))
@@ -277,7 +290,7 @@ class TestCost:
     def test_ledger_matches_plan_cost(self):
         w = ProductWeights.polynomial(3.0)
         plan = plan_build(w, consts(0.05), MC)
-        f = BlackBoxIntegrand(lambda x, a: 1.0)
+        f = BlackBoxIntegrand(lambda sets, x, a: 1.0)
         _, ledger = cd_estimate(f, plan, 0)
         assert ledger.total == plan_cost(plan, cost_model("linear"))
         assert set(ledger.per_u) == plan.Q
@@ -308,8 +321,9 @@ class TestCost:
 
 
 def pair_integrand():
-    def ev(x, a):
-        return 1.0 + bernoulli(2, x.get(1, a)) + 0.5 * bernoulli(2, x.get(1, a)) * bernoulli(2, x.get(2, a))
+    def ev(sets, x, a):
+        x1, x2 = coordinate(sets, x, 1, a), coordinate(sets, x, 2, a)
+        return 1.0 + bernoulli(2, x1) + 0.5 * bernoulli(2, x1) * bernoulli(2, x2)
 
     return BlackBoxIntegrand(ev)
 
@@ -317,7 +331,7 @@ def pair_integrand():
 class TestEstimator:
     def test_constant_exact(self):
         plan = plan_build(ProductWeights.polynomial(3.0), consts(0.05))
-        f = BlackBoxIntegrand(lambda x, a: 3.25)
+        f = BlackBoxIntegrand(lambda sets, x, a: 3.25)
         for seed in (0, 1, 99):
             est, _ = cd_estimate(f, plan, seed)
             assert est == 3.25
@@ -363,8 +377,8 @@ class TestEstimator:
     def test_integrand_failure_wrapped(self):
         plan = plan_build(ProductWeights.polynomial(3.0), consts(0.1))
 
-        def bad(x, a):
-            if x:
+        def bad(sets, x, a):
+            if x.shape[2]:
                 raise RuntimeError("boom")
             return 0.0
 
@@ -381,13 +395,14 @@ def cd_estimate_per_set(f, plan, master_seeds):
     terms = []
     for u, n in sorted(plan.allocations.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         if not u:
-            terms.append(np.full(len(seeds), float(f({}, anchor))))
+            at_anchor = f.evaluator([()], np.empty((1, 1, 0)), anchor.value)
+            terms.append(np.full(len(seeds), float(np.reshape(at_anchor, -1)[0])))
             continue
         coords = tuple(sorted(u))
         spec = RuleSpec(tpl.kind, coords, n, seed=0, alpha=tpl.alpha, b=tpl.b)
 
-        def g(pts, coords=coords, u=u):
-            return anchored_component(f, u, anchor, {j: pts[:, i] for i, j in enumerate(coords)})
+        def g(pts, coords=coords):
+            return anchored_component(f, [coords], anchor, pts[None])[0]
 
         terms.append(run_rule_batch(spec, g, seeds))
     cols = np.stack(terms, axis=1)
@@ -433,10 +448,10 @@ class TestGroupedEstimator:
             f = bank_from_weights(w, max_index=6, max_order=5).integrand()
         else:
             # prod over j <= 8 of (1 + B2(x_j)/j^2): components of every order
-            def ev(assignment, av):
+            def ev(sets, x, av):
                 total = 1.0
                 for j in range(1, 9):
-                    total = total * (1.0 + bernoulli(2, assignment.get(j, av)) / j**2)
+                    total = total * (1.0 + bernoulli(2, coordinate(sets, x, j, av)) / j**2)
                 return total
 
             f = BlackBoxIntegrand(ev)
@@ -446,6 +461,22 @@ class TestGroupedEstimator:
             monkeypatch.setattr(scramble, "CHUNK_BYTES", chunk_bytes)
         many, _ = cd_estimate_many(f, plan, seeds)
         assert np.array_equal(many, expect)
+
+    @pytest.mark.parametrize("eps,q_size", [
+        (4.623151733778193, 10), (1.5660957112813996, 44), (0.4480823641111336, 240),
+    ])
+    def test_black_box_path_matches_hook(self, eps, q_size):
+        # the product-poly a = 3 plans of the benchmark's convergence study:
+        # the bank's evaluator through the inclusion-exclusion gives the
+        # estimates of its analytic hook
+        w = ProductWeights.polynomial(3.0)
+        plan = plan_build(w, PlannerConstants.for_weights(w, eps, 2.5), RuleTemplate(alpha=2))
+        assert len(plan.Q) == q_size
+        f = bank_from_weights(w).integrand()
+        seeds = range(20)
+        hook, _ = cd_estimate_many(f, plan, seeds)
+        black_box, _ = cd_estimate_many(BlackBoxIntegrand(f.evaluator), plan, seeds)
+        assert np.allclose(black_box, hook, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("chunk_bytes", [None, 200], ids=["whole-groups", "split-groups"])
     def test_one_anchored_call_per_group_chunk(self, monkeypatch, chunk_bytes):

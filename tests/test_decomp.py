@@ -18,7 +18,6 @@ from cdquad.decomp import (
     alt_sum_S,
     anchored_component,
     bias_squared,
-    psi_project,
 )
 from cdquad.kernels import bernoulli
 from cdquad.weights import (
@@ -30,7 +29,7 @@ from cdquad.weights import (
     downward_closure,
     esym,
 )
-from oracles import psi_Q_project
+from oracles import at, component, coordinate, psi_Q_project
 
 fs = frozenset
 A = Anchor(0.5)
@@ -39,12 +38,12 @@ A = Anchor(0.5)
 def b2_product(coeffs):
     """f(x) = sum_u c_u prod_{j in u} B2(x_j), as a plain black box."""
 
-    def ev(assignment, anchor_value):
+    def ev(sets, x, anchor_value):
         total = None
         for u, c in coeffs.items():
             term = c
-            for j in u:
-                term = term * bernoulli(2, assignment.get(j, anchor_value))
+            for j in sorted(u):
+                term = term * bernoulli(2, coordinate(sets, x, j, anchor_value))
             total = term if total is None else total + term
         return total
 
@@ -57,40 +56,62 @@ F_PAIR = b2_product({fs(): 1.0, fs({1}): 1.0, fs({2}): 0.7, fs({1, 2}): 0.5})
 def recursive_component(f, u, a, x, _cache=None):
     # the defining recursion f_{u,a} = Psi_u f - sum over proper subsets
     u = tuple(sorted(fs(u)))
-    total = psi_project(f, u, a, {j: x.get(j, a.value) for j in u})
+    total = at(f, {j: x.get(j, a.value) for j in u}, a)
     for k in range(len(u)):
         for v in combinations(u, k):
             total -= recursive_component(f, v, a, x)
     return total
 
 
+def recorded(f):
+    """f as a black box that records the (sets, points) of each evaluator call."""
+    calls = []
+
+    def ev(sets, x, av):
+        calls.append((list(sets), x.copy()))
+        return f.evaluator(sets, x, av)
+
+    return BlackBoxIntegrand(ev), calls
+
+
 class TestPsiProject:
+    """The projections f(x_v; a) that the inclusion-exclusion evaluates: one
+    evaluator call per column subset v, whose points are those columns."""
+
     def test_empty_projection_hits_anchor(self):
-        assert psi_project(F_PAIR, (), A, {}) == F_PAIR({}, A)
+        f, calls = recorded(F_PAIR)
+        anchored_component(f, [(1, 2)], A, np.full((1, 3, 2), 0.3))
+        sets, x = calls[0]
+        assert sets == [()] and x.shape == (1, 3, 0)
+        assert at(F_PAIR, {}) == at(F_PAIR, {1: A.value, 2: A.value})
 
     def test_superset_of_active_identity(self):
-        x = {1: 0.3, 2: 0.8, 3: 0.1}
-        assert psi_project(F_PAIR, (1, 2, 3), A, x) == F_PAIR(x, A)
+        pts = np.array([[[0.3, 0.8, 0.1]]])
+        f, calls = recorded(F_PAIR)
+        anchored_component(f, [(1, 2, 3)], A, pts)
+        sets, x = calls[-1]
+        assert sets == [(1, 2, 3)] and np.array_equal(x, pts)
+        assert at(F_PAIR, {1: 0.3, 2: 0.8, 3: 0.1}) == at(F_PAIR, {1: 0.3, 2: 0.8})
 
     def test_b1_projected_away(self):
-        f = BlackBoxIntegrand(lambda x, a: bernoulli(1, x.get(1, a)))
-        assert psi_project(f, (2,), A, {2: 0.9}) == 0.0
+        f = BlackBoxIntegrand(lambda sets, x, a: bernoulli(1, coordinate(sets, x, 1, a)))
+        assert at(f, {2: 0.9}) == 0.0
+        assert component(f, (2,), A, {2: 0.9}) == 0.0
 
     def test_missing_coordinate(self):
-        with pytest.raises(KeyError):
-            psi_project(F_PAIR, (1, 2), A, {1: 0.5})
+        with pytest.raises(ValueError, match="group of"):
+            anchored_component(F_PAIR, [(1, 2)], A, np.full((1, 3, 1), 0.5))
 
 
 class TestAnchoredComponent:
     def test_empty_set(self):
-        assert anchored_component(F_PAIR, (), A, {}) == F_PAIR({}, A)
+        got = anchored_component(F_PAIR, [()], A, np.empty((1, 1, 0)))
+        assert got.shape == (1, 1) and got[0, 0] == at(F_PAIR, {})
 
     def test_b1_example(self):
-        f = BlackBoxIntegrand(lambda x, a: bernoulli(1, x.get(1, a)))
-        assert anchored_component(f, (), A, {}) == 0.0
-        assert anchored_component(f, (1,), A, {1: 0.3}) == pytest.approx(
-            bernoulli(1, 0.3), abs=1e-15
-        )
+        f = BlackBoxIntegrand(lambda sets, x, a: bernoulli(1, coordinate(sets, x, 1, a)))
+        assert component(f, (), A, {}) == 0.0
+        assert component(f, (1,), A, {1: 0.3}) == pytest.approx(bernoulli(1, 0.3), abs=1e-15)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_matches_recursion(self, size):
@@ -103,7 +124,7 @@ class TestAnchoredComponent:
         for _ in range(3):
             x = {j: float(rng.random()) for j in range(1, size + 1)}
             u = tuple(range(1, size + 1))
-            assert anchored_component(f, u, A, x) == pytest.approx(
+            assert component(f, u, A, x) == pytest.approx(
                 recursive_component(f, u, A, x), abs=1e-12
             )
 
@@ -112,27 +133,27 @@ class TestAnchoredComponent:
         for _ in range(5):
             x = {1: float(rng.random()), 2: float(rng.random())}
             total = sum(
-                anchored_component(F_PAIR, u, A, x)
+                component(F_PAIR, u, A, x)
                 for u in [(), (1,), (2,), (1, 2)]
             )
-            assert total == pytest.approx(F_PAIR(x, A), abs=1e-12)
+            assert total == pytest.approx(at(F_PAIR, x), abs=1e-12)
 
     def test_vanishing_projection(self):
         # Psi_w(f_{u,a}) = 0 whenever u is not inside w
         rng = np.random.default_rng(11)
         x = {2: float(rng.random())}
         # project the {1,2}-component onto w = {2}: coordinate 1 sits at a
-        val = anchored_component(F_PAIR, (1, 2), A, {1: A.value, 2: x[2]})
+        val = component(F_PAIR, (1, 2), A, {1: A.value, 2: x[2]})
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_component_vanishes_at_anchor(self):
         for u in [(1,), (2,), (1, 2)]:
             x = {j: A.value for j in u}
-            assert anchored_component(F_PAIR, u, A, x) == pytest.approx(0, abs=1e-14)
+            assert component(F_PAIR, u, A, x) == pytest.approx(0, abs=1e-14)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            anchored_component(F_PAIR, tuple(range(1, 25)), A, {})
+        with pytest.raises(ValueError, match="cap"):
+            anchored_component(F_PAIR, [tuple(range(1, 25))], A, np.zeros((1, 0, 24)))
 
     def test_analytic_fast_path_agrees(self):
         # a bank integrand carries closed-form components; they must equal
@@ -145,14 +166,14 @@ class TestAnchoredComponent:
         rng = np.random.default_rng(3)
         for u in [(1,), (2,), (1, 2)]:
             x = {j: float(rng.random()) for j in u}
-            assert anchored_component(fast, u, A, x) == pytest.approx(
-                anchored_component(slow, u, A, x), abs=1e-12
+            assert component(fast, u, A, x) == pytest.approx(
+                component(slow, u, A, x), abs=1e-12
             )
 
 
 class TestGroupForm:
     """A group of K sets of one size with (K, N, |u|) points gives the (K, N)
-    values of the one-set mapping form, row by row."""
+    values of the groups of one set, row by row."""
 
     @staticmethod
     def integrands():
@@ -171,8 +192,9 @@ class TestGroupForm:
         got = anchored_component(f, sets, A, pts)
         assert got.shape == (len(sets), 9)
         for k, u in enumerate(sets):
-            row = anchored_component(f, u, A, {j: pts[k, :, i] for i, j in enumerate(u)})
-            assert np.array_equal(got[k], row)
+            row = anchored_component(f, [u], A, pts[k:k + 1])
+            assert row.shape == (1, 9)
+            assert np.array_equal(got[k], row[0])
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_bank_hook_equals_inclusion_exclusion(self, size):
@@ -184,15 +206,46 @@ class TestGroupForm:
                            rtol=0, atol=1e-13)
 
     def test_one_set_form_keeps_scalars_and_shapes(self):
-        f = self.integrands()["bank"]
-        x = {1: 0.3, 2: np.array([[0.1, 0.2], [0.9, 0.4]])}
-        got = anchored_component(f, (1, 2), A, x)
-        assert got.shape == (2, 2)
-        assert np.array_equal(got[1], anchored_component(
-            f, [(1, 2)], A, np.stack([np.full(2, 0.3), x[2][1]], axis=-1)[None])[0])
-        assert np.ndim(anchored_component(f, (1, 3), A, {1: 0.3, 3: 0.7})) == 0
-        # a coordinate missing from x sits at the anchor, where f_{u,a} is 0
-        assert anchored_component(f, (1, 3), A, {1: 0.3}) == 0.0
+        # unsorted sets are sorted; their columns follow the sorted order
+        for f in self.integrands().values():
+            x = np.array([[[0.3, 0.1], [0.3, 0.2]]])
+            got = anchored_component(f, [(2, 1)], A, x)
+            assert got.shape == (1, 2)
+            assert np.array_equal(got, anchored_component(f, [(1, 2)], A, x))
+            # a coordinate at the anchor, where f_{u,a} is 0
+            at_anchor = anchored_component(f, [(1, 3)], A, np.array([[[0.3, A.value]]]))
+            assert np.allclose(at_anchor, 0.0, rtol=0, atol=1e-15)
+
+    def test_scalar_evaluator_broadcasts(self):
+        # a constant evaluator may return a scalar: its component of the
+        # empty set is the constant in every row and point, the others 0
+        f = BlackBoxIntegrand(lambda sets, x, av: 2.5)
+        assert np.array_equal(anchored_component(f, [(), ()], A, np.empty((2, 3, 0))),
+                              np.full((2, 3), 2.5))
+        assert np.array_equal(anchored_component(f, [(1,), (4,)], A, np.zeros((2, 3, 1))),
+                              np.zeros((2, 3)))
+        # as may one whose values vary only along the sets, shape (K, 1)
+        g = BlackBoxIntegrand(
+            lambda sets, x, av: np.array([[float(sum(s))] for s in sets]))
+        assert np.array_equal(anchored_component(g, [(1,), (4,)], A, np.zeros((2, 3, 1))),
+                              np.repeat([[1.0], [4.0]], 3, axis=1))
+
+    def test_docstring_example(self):
+        # the BlackBoxIntegrand docstring's f(x) = sum_j (x_j - 1/2) / j^2:
+        # f_{u,a} of one coordinate is (x_j - a) / j^2, of two or more 0
+        def evaluator(sets, x, av):
+            w = 1.0 / np.asarray(sets, dtype=np.float64)[:, None, :] ** 2
+            return ((x - 0.5) * w).sum(axis=2) + (av - 0.5) * (np.pi**2 / 6 - w.sum(axis=2))
+
+        f = BlackBoxIntegrand(evaluator)
+        a = Anchor(0.3)
+        pts = np.random.default_rng(2).random((2, 4, 1))
+        assert np.allclose(anchored_component(f, [(1,), (3,)], a, pts),
+                           (pts[:, :, 0] - a.value) / np.array([[1.0], [9.0]]), rtol=0, atol=1e-15)
+        assert np.allclose(anchored_component(f, [(1, 2)], a, pts.reshape(1, 4, 2)), 0.0,
+                           rtol=0, atol=1e-15)
+        assert anchored_component(f, [()], a, np.empty((1, 1, 0)))[0, 0] == pytest.approx(
+            (a.value - 0.5) * np.pi**2 / 6, abs=1e-15)
 
     @pytest.mark.parametrize("sets,shape", [
         ([(1, 2), (3,)], (2, 4, 2)),  # mixed sizes
@@ -210,15 +263,22 @@ class TestGroupForm:
             anchored_component(F_PAIR, [tuple(range(1, 25))], A, np.zeros((1, 2, 24)))
 
     def test_hookless_failure_names_the_set(self):
-        def bad(x, a):
-            if 5 in x:
+        def bad(sets, x, a):
+            if any(5 in s for s in sets):
                 raise ArithmeticError("boom")
             return 1.0
 
         f = BlackBoxIntegrand(bad)
-        with pytest.raises(RuntimeError, match=r"subset \[4, 5\]") as info:
+        # the first call that fails is that of the second columns
+        with pytest.raises(RuntimeError, match=r"subsets \[\(2,\), \(5,\)\]") as info:
             anchored_component(f, [(1, 2), (4, 5)], A, np.zeros((2, 3, 2)))
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_evaluator_of_wrong_shape_names_the_sets(self):
+        f = BlackBoxIntegrand(lambda sets, x, av: np.zeros((len(sets) + 1, x.shape[1])))
+        with pytest.raises(RuntimeError, match=r"subsets \[\(\), \(\)\]") as info:
+            anchored_component(f, [(1,), (2,)], A, np.zeros((2, 3, 1)))
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 def all_downward_closed_families(ground):
@@ -422,13 +482,13 @@ class TestOperatorNorm:
 class TestPsiQProject:
     def test_identity_on_sampled_subspaces(self):
         proj = psi_Q_project(F_PAIR, {fs(), fs({1})}, A)
-        # assignments supported inside the closure agree bit-exactly
-        assert proj({1: 0.3}, A) == F_PAIR({1: 0.3}, A)
-        assert proj({}, A) == F_PAIR({}, A)
+        # points supported inside the closure agree bit-exactly
+        assert at(proj, {1: 0.3}) == at(F_PAIR, {1: 0.3})
+        assert at(proj, {}) == at(F_PAIR, {})
 
     def test_kills_unsampled_components(self):
         proj = psi_Q_project(F_PAIR, {fs(), fs({1})}, A)
         # the {2} and {1,2} components must vanish from the projection
         x = {1: 0.3, 2: 0.9}
-        expect = sum(anchored_component(F_PAIR, u, A, x) for u in [(), (1,)])
-        assert proj(x, A) == pytest.approx(expect, abs=1e-12)
+        expect = sum(component(F_PAIR, u, A, x) for u in [(), (1,)])
+        assert at(proj, x) == pytest.approx(expect, abs=1e-12)

@@ -14,7 +14,6 @@ import pytest
 from cdquad import cdalg, harness
 from cdquad.cdalg import PlanningError
 from cdquad.cli import main
-from cdquad.decomp import Anchor
 from cdquad.harness import (
     BankFunction,
     ExperimentConfig,
@@ -37,6 +36,7 @@ from cdquad.weights import (
     disjoint_pair_weights,
     downward_closure,
 )
+from oracles import at
 
 fs = frozenset
 
@@ -57,7 +57,7 @@ class TestBankFunction:
         f = bank_preset("pair")
         eta_a = bernoulli(2, 0.5) / 2
         expect = 1.0 + eta_a + 0.7 * eta_a + 0.5 * eta_a**2
-        assert f.integrand()({}, Anchor()) == pytest.approx(expect, abs=1e-15)
+        assert at(f.integrand(), {}) == pytest.approx(expect, abs=1e-15)
 
     def test_plan_bias_full_closure_zero(self):
         f = bank_preset("pair")
@@ -68,7 +68,7 @@ class TestBankFunction:
         f = bank_preset("pair")
         # sampling only the empty set leaves bias I(f) - f(a)
         got = f.plan_bias({fs()})
-        assert got == pytest.approx(f.integral - f.integrand()({}, Anchor()), abs=1e-14)
+        assert got == pytest.approx(f.integral - at(f.integrand(), {}), abs=1e-14)
 
     def test_plan_bias_partial(self):
         f = bank_preset("pair")
@@ -97,11 +97,30 @@ class TestBankFunction:
             assert np.array_equal(got[k], np.broadcast_to(term, (11,)))
 
     def test_on_points_matches_evaluate(self):
-        f = bank_preset("pair")
-        g = f.on_points((1, 2))
-        pts = np.array([[0.1, 0.9], [0.5, 0.5]])
-        for row, expect in zip(pts, g(pts)):
-            assert f.integrand()({1: row[0], 2: row[1]}, Anchor()) == pytest.approx(expect)
+        # the evaluator on a group of K = 1 set and N points (as the variance
+        # study calls it) equals its one-point calls and the bank's formula
+        bank = bank_preset("pair")
+        ev = bank.integrand().evaluator
+        pts = np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.2]])
+        got = ev([(1, 2)], pts[None], 0.5)
+        assert got.shape == (1, 3)
+        eta = bernoulli(2, pts) / 2
+        assert np.allclose(got[0], 1 + eta[:, 0] + 0.7 * eta[:, 1] + 0.5 * eta[:, 0] * eta[:, 1],
+                           rtol=0, atol=1e-15)
+        for row, expect in zip(pts, got[0]):
+            assert ev([(1, 2)], row.reshape(1, 1, 2), 0.5)[0, 0] == expect
+
+    def test_evaluator_takes_mixed_groups(self):
+        # rows whose sets hold a coordinate in other columns, or not at all,
+        # give the values of their own one-set groups, bit for bit
+        bank = bank_from_weights(ProductWeights.polynomial(2.0), max_index=6, max_order=3)
+        ev = bank.integrand().evaluator
+        sets = [(1, 2), (2, 3), (1, 3), (4, 5), (1, 2)]
+        x = np.random.default_rng(4).random((len(sets), 7, 2))
+        got = ev(sets, x, 0.3)
+        assert got.shape == (len(sets), 7)
+        for k, s in enumerate(sets):
+            assert np.array_equal(got[k], ev([s], x[k:k + 1], 0.3)[0])
 
 
 class TestPresets:

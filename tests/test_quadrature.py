@@ -1,5 +1,7 @@
 """Randomized rule execution: determinism, unbiasedness, variance behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -76,6 +78,23 @@ class TestRuleSpecValidation:
             RuleSpec(INTERLACED_PLR, (1,), 4, 0, b=b)
         # Monte Carlo rules have no base to check
         assert RuleSpec(MONTE_CARLO, (1,), 4, 0, b=b).b == b
+
+
+    @pytest.mark.parametrize("b,m,message", [
+        (2, 40, "lattice size b^m = 2^40 exceeds the 2^32 points"),
+        (2, 33, "lattice size b^m = 2^33 exceeds the 2^32 points"),
+        (2, 25, "past the 128 MiB limit on a search table"),
+        (3, 16, "past the 128 MiB limit on a search table"),
+    ])
+    def test_oversized_plr_rejected_when_built(self, b, m, message):
+        # such a spec was once accepted, and its vector search refused it
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RuleSpec(INTERLACED_PLR, (1,), b**m, 0, b=b)
+        # Monte Carlo rules search no vector
+        assert RuleSpec(MONTE_CARLO, (1,), b**m, 0).n == b**m
+
+    def test_largest_searchable_plr_accepted(self):
+        assert RuleSpec(INTERLACED_PLR, (1, 2), 2**24, 0).m == 24
 
 
 class TestDeterminism:

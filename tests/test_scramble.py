@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -703,6 +704,25 @@ class TestScrambledRule:
         assert rule.digits(None).shape == (1, 16, 2, 3 * 4)
         assert calls == [4, 3 * rule.prec, 3 * 4]
 
+    @pytest.mark.parametrize("m,alpha", [(10, 7), (10, 1)])
+    def test_digits_chunks_hold_at_most_chunk_bytes(self, m, alpha):
+        # digits() at 70 digits a coordinate (two output words of flips) and
+        # at 53 (whose uint8 digits outweigh the packed words): apart from
+        # the output array, the peak of a call whose keys span several
+        # chunks stays within the chunk budget
+        gv = GeneratingVector(FieldBase(2), m, irreducible_modulus(2, m),
+                              tuple(range(1, 2 * alpha, 2)))
+        rule = ScrambledRule(2, m, plr_points(gv).coords, alpha)
+        rule.digits(key_array(3, 2))  # warm up
+        tracemalloc.start()
+        try:
+            # 48 keys: 4 chunks at alpha = 1, 16 at alpha = 7
+            out = rule.digits(key_array(4, 48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= scramble.CHUNK_BYTES
+
     def test_criterion4_shape_memory(self):
         # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),
         # vector search included, in a fresh interpreter: chunked scrambling
@@ -735,7 +755,8 @@ class TestScrambledRule:
             "from cdquad.quadrature import RuleSpec, empirical_variance\n"
             "bank = bank_preset('pair')\n"
             "spec = RuleSpec('plr', bank.active, 2**13, 7, alpha=3)\n"
-            "est = empirical_variance(spec, bank.on_points(bank.active), 500)\n"
+            "ev = bank.integrand().evaluator\n"
+            "est = empirical_variance(spec, lambda x: ev([bank.active], x[None], 0.5)[0], 500)\n"
             "assert est.replications == 500 and est.variance > 0\n"
             "status = open('/proc/self/status').read()\n"
             "print(int(status.split('VmHWM:')[1].split()[0]) / 1024)\n"
