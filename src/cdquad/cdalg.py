@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Mapping
 
 from .decomp import Anchor, BlackBoxIntegrand, anchored_component
 from .kernels import kernel_diag
-from .quadrature import INTERLACED_PLR, MONTE_CARLO, RuleSpec, check_plr_base, run_rule_seeds
+from .quadrature import INTERLACED_PLR, MONTE_CARLO, RuleGroup, check_plr_base, run_rule_seeds
 from .weights import Truncation, WeightModel, _ProductFamily, downward_closure
 
 CoordSet = frozenset[int]
@@ -417,9 +417,10 @@ def cd_estimate_many(
     """Run the plan under R master seeds: for each, the sum over active u of
     an independent randomized rule applied to the anchored component
     f_{u,a}.  The active sets are grouped by rule shape (|u|, n); each group
-    draws the R randomizations of its sets, indexed by the master seeds, and
-    integrates them with one decomp.anchored_component call per chunk of
-    sets (see quadrature.run_rule_seeds)."""
+    is checked and keyed once (quadrature.RuleGroup.of), draws the R
+    randomizations of its sets, indexed by the master seeds, and integrates
+    them with one decomp.anchored_component call per chunk of sets (see
+    quadrature.run_rule_seeds)."""
     import numpy as np
 
     dollar = dollar or cost_model("linear")
@@ -435,18 +436,16 @@ def cd_estimate_many(
     def components(sets, pts):
         return anchored_component(f, sets, anchor, pts)
 
-    terms = []
-    for (size, n), us in groups.items():
-        if not size:
-            # f at the anchor: the evaluator (not the hook) on no coordinates
-            at_anchor = f.evaluator([()], np.empty((1, 1, 0)), anchor.value)
-            terms.append(np.full((1, len(seeds)), at_anchor, dtype=np.float64))
-            continue
-        # every set shares seed 0: its key differs through u, and the master
-        # seeds index that key's stream
-        specs = [RuleSpec(tpl.kind, tuple(sorted(u)), n, seed=0, alpha=tpl.alpha, b=tpl.b)
-                 for u in us]
-        terms.append(run_rule_seeds(specs, components, seeds))
+    # every group's shape is checked and its sets keyed before any is drawn.
+    # Every set shares seed 0: its key differs through u, and the master
+    # seeds index that key's stream
+    rules = [RuleGroup.of(tpl.kind, us, n, seed=0, alpha=tpl.alpha, b=tpl.b)
+             for (size, n), us in groups.items() if size]
+    # every plan holds the empty set, whose term is f at the anchor: the
+    # evaluator (not the hook) on no coordinates
+    at_anchor = f.evaluator([()], np.empty((1, 1, 0)), anchor.value)
+    terms = [np.full((1, len(seeds)), at_anchor, dtype=np.float64)]
+    terms += [run_rule_seeds(group, components, seeds) for group in rules]
     # fsum is exact, so the sum does not depend on the order of the sets; it
     # reads a list of floats faster than numpy scalars, and one column's list
     # at a time keeps the floats of all seeds from being held at once

@@ -13,7 +13,9 @@ keyed path.  It draws the point sets of K rules of one shape (kind, n, |u|,
 alpha, b; the generating vector follows from these) under R indices in a
 single call, since every scramble is a per-key function; the
 changing-dimension estimator uses this to draw each group of active sets of
-equal (|u|, n) at once.
+equal (|u|, n) at once.  A group (RuleGroup) is checked and keyed once: one
+RuleSpec checks its shape and looks up its vector, and each set's blake2b
+key is derived once, however many chunks draw from it.
 
 Memory contract: the estimators (run_rule_batch, run_rule_seeds and so
 empirical_variance) stream.  They draw, integrate and reduce one chunk of
@@ -131,36 +133,59 @@ def _shape(spec: RuleSpec) -> tuple:
     return (spec.kind, spec.n, len(spec.u), spec.alpha, spec.b)
 
 
-class _Group(tuple):
-    """Rule specs checked to share one shape; a slice of a group is a group."""
+class RuleGroup:
+    """K rules of one shape, the form in which the keyed path draws them:
+    spec, a RuleSpec whose checks passed for the shape (kind, n, |u|,
+    alpha, b) and whose vector is looked up once for the group, and the
+    sorted coordinate tuples `sets` of the K rules, each of |u| coordinates,
+    with their blake2b keys.  A slice of a group is a group."""
 
-    def __getitem__(self, key):
-        out = super().__getitem__(key)
-        return _Group(out) if isinstance(key, slice) else out
+    __slots__ = ("spec", "sets", "keys")
+
+    def __init__(self, spec: RuleSpec, sets: tuple, keys: np.ndarray):
+        self.spec = spec
+        self.sets = sets
+        self.keys = keys
+
+    @classmethod
+    def of(cls, kind: str, sets, n: int, seed: int, alpha: int = 1, b: int = 2) -> RuleGroup:
+        """The rules RuleSpec(kind, u, n, seed, alpha, b) for the sets u,
+        all of one size: the shape is checked once, by the RuleSpec of the
+        first set, and each set's key is derive_seed(seed, "rule", u), as
+        RuleSpec.key derives it."""
+        sets = tuple(tuple(sorted(u)) for u in sets)
+        return cls(RuleSpec(kind, sets[0], n, seed, alpha, b), sets,
+                   np.array([derive_seed(seed, "rule", u) for u in sets], dtype=np.uint64))
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def __getitem__(self, rows: slice) -> RuleGroup:
+        return RuleGroup(self.spec, self.sets[rows], self.keys[rows])
 
 
-def _group(specs) -> _Group:
-    """specs as a group of one shape, or a ValueError.  A group passes as it
-    is, so the shapes are checked once, where the specs enter the keyed path,
-    and not again for each chunk drawn from them."""
-    if isinstance(specs, _Group):
+def _group(specs) -> RuleGroup:
+    """specs, a list of RuleSpec, as a group of one shape, or a ValueError.
+    A group passes as it is, so the shapes are checked once, where the specs
+    enter the keyed path, and not again for each chunk drawn from them."""
+    if isinstance(specs, RuleGroup):
         return specs
-    specs = _Group(specs)
     first = _shape(specs[0])
     if any(_shape(other) != first for other in specs[1:]):
         raise ValueError("rules drawn together must share kind, n, |u|, alpha and b")
-    return specs
+    return RuleGroup(specs[0], tuple(spec.u for spec in specs),
+                     np.array([spec.key for spec in specs], dtype=np.uint64))
 
 
-def _draw(specs, index) -> np.ndarray:
-    """Point arrays of shape (K*R, n, |u|) for K specs of one shape; row
-    k*R + r is randomization index[r] of specs[k]."""
+def _draw(group: RuleGroup, index) -> np.ndarray:
+    """Point arrays of shape (K*R, n, |u|) for a group of K rules; row
+    k*R + r is randomization index[r] of rule k."""
     index = np.atleast_1d(index)
-    spec = specs[0]
+    spec = group.spec
     d = len(spec.u)
     if d == 0:
-        return np.empty((len(specs) * len(index), spec.n, 0))
-    keys = _keys([other.key for other in specs], index).reshape(-1)
+        return np.empty((len(group) * len(index), spec.n, 0))
+    keys = _keys(group.keys, index).reshape(-1)
     if spec.kind == MONTE_CARLO or spec.n == 1:
         # an n = 1 scrambled rule is the Owen scramble of one point, which is
         # a uniform draw: take its 53 bits per coordinate in one PRF call
@@ -168,40 +193,40 @@ def _draw(specs, index) -> np.ndarray:
     return _scrambled_rule(spec.vector, spec.alpha).points(keys)
 
 
-def _block_means(specs, g, pts: np.ndarray) -> np.ndarray:
-    """Means of shape (K, r) of K rules whose r point sets each fill
-    consecutive blocks of pts.  g(sets, x) is called once, with the K
+def _block_means(group: RuleGroup, g, pts: np.ndarray) -> np.ndarray:
+    """Means of shape (K, r) of a group of K rules whose r point sets each
+    fill consecutive blocks of pts.  g(sets, x) is called once, with the K
     coordinate sets and their points x of shape (K, r*n, |u|), and must
     return the (K, r*n) values.  Each row of r*n values is reduced per point
     set, so a mean does not depend on the sets or point sets drawn with it."""
-    K, n, d = len(specs), specs[0].n, len(specs[0].u)
+    K, n, d = len(group), group.spec.n, len(group.spec.u)
     r = len(pts) // K
-    vals = np.asarray(g([spec.u for spec in specs], pts.reshape(K, r * n, d)), dtype=np.float64)
+    vals = np.asarray(g(list(group.sets), pts.reshape(K, r * n, d)), dtype=np.float64)
     if vals.shape != (K, r * n):
         raise ValueError(f"group integrand returned shape {vals.shape} for {K} sets of "
                          f"{r * n} points; expected {(K, r * n)}")
     return vals.reshape(K, r, n).mean(axis=2)
 
 
-def _run(specs, g, index, draw) -> np.ndarray:
-    """Means of shape (K, R): rule specs[k] on the group integrand g under
-    index[r].
+def _run(group: RuleGroup, g, index, draw) -> np.ndarray:
+    """Means of shape (K, R): rule k of the group on the group integrand g
+    under index[r].
 
     The work streams over chunks of the (set, index) grid, sets first: each
-    chunk is drawn by draw(specs, index), integrated by one call of g and
-    reduced before the next.  A chunk holds as many whole sets as fit
+    chunk is drawn by draw(group[sets], index), integrated by one call of g
+    and reduced before the next.  A chunk holds as many whole sets as fit
     CHUNK_BYTES of points, and a set that alone overflows it is split along
-    its indices.  Each spec derives its key and looks up its vector once
-    (RuleSpec.key, RuleSpec.vector), whatever its chunks."""
+    its indices.  The group holds its keys and its spec's vector, so no
+    chunk derives a key or looks up a vector again."""
     index = np.atleast_1d(index)
     R = len(index)
-    row_bytes = 8 * specs[0].n * len(specs[0].u)  # one float64 point set
-    out = np.empty((len(specs), R))
-    for sets in key_chunks(len(specs), R * row_bytes):
+    row_bytes = 8 * group.spec.n * len(group.spec.u)  # one float64 point set
+    out = np.empty((len(group), R))
+    for sets in key_chunks(len(group), R * row_bytes):
         # only a chunk of one set can overflow, and only it splits its index;
         # a chunk's points are a temporary, freed before the next is drawn
         for rows in key_chunks(R, row_bytes):
-            out[sets, rows] = _block_means(specs[sets], g, draw(specs[sets], index[rows]))
+            out[sets, rows] = _block_means(group[sets], g, draw(group[sets], index[rows]))
     return out
 
 
@@ -211,14 +236,15 @@ def rule_points(spec: RuleSpec, index=0) -> np.ndarray:
     A scalar index gives shape (n, |u|); an index array gives (R, n, |u|)
     whose row i equals rule_points(spec, index[i]).
     """
-    pts = _draw([spec], index)
+    pts = _draw(_group([spec]), index)
     return pts[0] if np.ndim(index) == 0 else pts
 
 
 def rule_points_seeds(specs, seeds) -> np.ndarray:
     """The point sets of K rules of one shape under R master seeds, drawn
     together, in full: shape (K*R, n, |u|), row k*R + r equal to
-    rule_points(specs[k], seeds[r])."""
+    rule_points(specs[k], seeds[r]).  specs is a list of RuleSpec or a
+    RuleGroup."""
     return _draw(_group(specs), seeds)
 
 
@@ -230,7 +256,7 @@ def run_rule_batch(spec: RuleSpec, g, reps) -> np.ndarray:
     def group(_, x):
         return np.broadcast_to(np.asarray(g(x[0]), dtype=np.float64), x.shape[1:2])[None]
 
-    return _run([spec], group, reps, lambda _, index: rule_points(spec, index))[0]
+    return _run(_group([spec]), group, reps, lambda _, index: rule_points(spec, index))[0]
 
 
 def run_rule_seeds(specs, g, seeds) -> np.ndarray:
@@ -242,8 +268,9 @@ def run_rule_seeds(specs, g, seeds) -> np.ndarray:
     each chunk: sets holds the chunk's K' coordinate tuples (RuleSpec.u) and
     x their points, shape (K', r*n, |u|), the r point sets of set k filling
     x[k] in seed order.  It returns the (K', r*n) values, row k those of set
-    k; any other shape is a ValueError.  Each chunk of rules is drawn by one
-    rule_points_seeds call and integrated by one call of g."""
+    k; any other shape is a ValueError.  specs is a list of RuleSpec or a
+    RuleGroup.  Each chunk of rules is drawn by one rule_points_seeds call,
+    on a RuleGroup, and integrated by one call of g."""
     return _run(_group(specs), g, seeds, rule_points_seeds)
 
 

@@ -58,14 +58,21 @@ per tree node:
 Other bases draw a permutation of F_b per digit and prefix, level by level,
 and interlace the scrambled digits.
 
-ScrambledRule keeps its streams as (r, rep, j, point) arrays: interlacing
-depth r, replication, output coordinate j, and the points last, so that
-every key-against-point broadcast runs numpy's inner loop along the points;
-the base-2 tail hashes, one per output coordinate, run on (rep, j, point).
-With the 2-3 coordinates last, a (3, 4, 1, 2) + (3, 1, 1024, 2) uint64 add
-took 5.5-6.9 ns an element on a 2-vCPU Xeon VM, against 0.98 ns for the same
-add with the points last.  The public (R, n, d) and (R, n, d, digits) shapes
-are made once per chunk of keys.
+ScrambledRule lays each base-2 chunk of keys out with the longer of its
+two axes, keys or points, last, so that every key-against-point broadcast
+(the flip-table offsets, the tail hash's input) runs numpy's inner loop
+along it: (r, rep, j, point) (interlacing depth r, replication, output
+coordinate j) when the chunk has at least as many points as keys, (r, j,
+point, rep) when it has more keys; the tail hashes, one per output
+coordinate, drop the r axis.  Both layouts are views of one Net, and a
+key's rows do not depend on the layout.  On a 2-vCPU Xeon VM a uint64 add
+of keys against points, (2, R, 4, 1) + (2, 1, 4, n) with the points last,
+took 6.1, 3.6 and 2.3 ns an element at n = 2, 4 and 8 (R = 3300, 3000 and
+2000), against 0.28, 0.31 and 0.95 ns with the keys last; at n = 1024 and
+R = 40 it took 1.07 ns with the points last and 1.30 ns with the keys last.
+Other bases keep the points last, as their floats are a matrix product
+whose rounding depends on the matrix shape.  Each chunk's output is
+transposed once into the public (R, n, d) and (R, n, d, digits) shapes.
 """
 
 from __future__ import annotations
@@ -275,8 +282,8 @@ def _node_flips(node_key: np.ndarray, index: np.ndarray, alpha: int, m: int, pre
     # lands on both halves of a level
     rest = node_key.shape[1:]
     words = np.arange(-(-2**m // 64), dtype=np.uint64).reshape((1, -1, 1) + (1,) * len(rest))
-    words = _mix64_inplace(node_key[:, None, None] ^ words)
-    bits = words >> np.arange(min(64, 2**m), dtype=np.uint64).reshape((-1,) + (1,) * len(rest))
+    bits = _mix64_inplace(node_key[:, None, None] ^ words) >> np.arange(
+        min(64, 2**m), dtype=np.uint64).reshape((-1,) + (1,) * len(rest))
     bits = bits.reshape((alpha, 2**m) + rest)
     bits &= np.uint64(1)
     lifts = _node_lifts(alpha, m, prec)
@@ -316,7 +323,7 @@ def _scramble_net(net: Net, key: np.ndarray, out_prec: int) -> PackedDigits:
     heads, tails, nets = _layout(alpha, m, out_prec)
     parts = [None] * len(tails)  # per output word, each stream's node flips
     if any(h is not None for h in heads):
-        parts = _node_flips(mix64_array(key ^ _NODE), net.index.reshape(values.shape),
+        parts = _node_flips(_mix64_inplace(key ^ _NODE), net.index.reshape(values.shape),
                             alpha, m, out_prec)
     words = []
     for k, (part, mask) in enumerate(zip(parts, tails)):
@@ -443,11 +450,33 @@ class Net:
                 index |= (words >> np.uint64(63 - t) & np.uint64(1)) << np.uint64(t)
             self.index = index.astype(np.intp)
 
+    def view(self, shape: tuple) -> Net:
+        """The same net with the point axes of its arrays (the ... of
+        (alpha, ..., m)) reshaped to shape: views of the same memory."""
+        out = object.__new__(Net)
+        out.streams = _reshaped(self.streams, (self.streams.shape[0],) + shape)
+        out.net = _reshaped(self.net, shape)
+        out.index = None if self.index is None else self.index.reshape(out.streams.shape[:-1])
+        return out
+
+
+def _reshaped(digits: np.ndarray | PackedDigits, shape: tuple) -> np.ndarray | PackedDigits:
+    """Digit strings with their leading axes reshaped to shape, in the same
+    form and, for contiguous strings, the same memory."""
+    if isinstance(digits, PackedDigits):
+        return PackedDigits(digits.words.reshape(shape + digits.words.shape[-1:]), digits.count)
+    return digits.reshape(shape + digits.shape[-1:])
+
 
 #: uint64 temporaries per stream and point that a packed base-2 chunk holds
 #: at its peak: the node-bit table, the offsets into it and the gathered
 #: flips, or the flips, the tail hash and the hash's working word
 _WORD_TEMPS = 3
+#: uint64 words per stream and key that a chunk holds besides those: its
+#: stream key and node key at the peak (3n + 2 words a stream of n points
+#: in a base-2 points() chunk), and one more, which keeps the chunk's few KB
+#: of fixed-size temporaries inside the budget when n is small
+_KEY_TEMPS = 3
 
 
 class ScrambledRule:
@@ -466,8 +495,9 @@ class ScrambledRule:
     interlace them.  points() makes only the digits its floats keep (one
     output word in base 2), digits() all alpha*prec; base-2 digits unpack
     only at the end of digits().
-    Streams and keys hold the points last; each chunk's output goes to the
-    (R, n, d[, digits]) arrays as it is written.
+    A base-2 chunk holds the longer of its keys and its points last, the
+    others the points (see the module docstring); each chunk's output goes
+    to the (R, n, d[, digits]) arrays, transposed once, as it is written.
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
@@ -481,21 +511,25 @@ class ScrambledRule:
         self.n, S = num.shape
         self.d = S // alpha
         self.prec = max(m, -(-float_digit_cap(b) // alpha))
-        # the stream digits (r, 1, j, point), C-contiguous, against stream
-        # keys (r, rep, j, 1): the points last (see the module docstring),
-        # and the alpha streams of an output coordinate first, as
-        # interlacing takes them.  numerators_to_digits keeps the memory
-        # order it is given, so the transposed view is copied first
-        self._net = Net(numerators_to_digits(np.ascontiguousarray(
-            num.reshape(self.n, self.d, alpha).transpose(2, 1, 0)[:, None]), b, m))
+        # the stream digits (r, j, point), C-contiguous, the alpha streams
+        # of an output coordinate first, as interlacing takes them;
+        # numerators_to_digits keeps the memory order it is given, so the
+        # transposed view is copied first.  A chunk reads them through one
+        # of two views with a replication axis: (r, rep, j, point) or (r, j,
+        # point, rep), whichever puts its longer axis last (see _scrambled)
+        net = Net(numerators_to_digits(np.ascontiguousarray(
+            num.reshape(self.n, self.d, alpha).transpose(2, 1, 0)), b, m))
+        self._nets = (net.view((1, self.d, self.n)), net.view((self.d, self.n, 1)))
         # stream u = j * alpha + r of each key gets its own key
         self._stream_salt = np.array([_const(_VALUE, u + 1) for u in range(S)])
 
     def _chunks(self, R: int, words: float = _WORD_TEMPS):
         # per stream and point a chunk holds its packed working words, or
-        # its scrambled uint8 digits and their interlaced copy
+        # its scrambled uint8 digits and their interlaced copy, and per
+        # stream and key _KEY_TEMPS words
         per_point = 8 * words if self.b == 2 else 2 * self.prec
-        return key_chunks(R, math.ceil(per_point * self._stream_salt.size * self.n))
+        return key_chunks(R, math.ceil((per_point * self.n + 8 * _KEY_TEMPS)
+                                       * self._stream_salt.size))
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
@@ -504,8 +538,8 @@ class ScrambledRule:
         # only the digits that the floats keep: one output word in base 2
         prec = -(-float_digit_cap(self.b) // self.alpha)
         for rows in self._chunks(len(keys)):
-            digs = self._scrambled(keys[rows], prec)
-            out[rows] = digits_to_floats(digs, self.b).transpose(0, 2, 1)
+            digs, axes = self._scrambled(keys[rows], prec)
+            out[rows] = digits_to_floats(digs, self.b).transpose(axes)
             del digs  # free this chunk's digits before the next is scrambled
         return out
 
@@ -513,7 +547,7 @@ class ScrambledRule:
         """Exact interlaced output digits, shape (R, n, d, alpha*prec); keys
         None gives the unscrambled net, shape (1, n, d, alpha*m)."""
         if keys is None:
-            return np.ascontiguousarray(_unpacked(self._net.net).transpose(0, 2, 1, 3))
+            return np.ascontiguousarray(_unpacked(self._nets[0].net).transpose(0, 2, 1, 3))
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.empty((len(keys), self.n, self.d, self.alpha * self.prec), dtype=np.uint8)
         # a base-2 chunk holds per stream and point a node-bit table and
@@ -524,17 +558,26 @@ class ScrambledRule:
         W = -(-self.alpha * self.prec // 64)
         words = max(2 * W + 1, 2 * W / self.alpha + self.prec / 8)
         for rows in self._chunks(len(keys), words):
-            out[rows] = _unpacked(self._scrambled(keys[rows], self.prec)).transpose(0, 2, 1, 3)
+            digs, axes = self._scrambled(keys[rows], self.prec)
+            out[rows] = _unpacked(digs).transpose(axes + (3,))
+            del digs  # free this chunk's digits before the next is scrambled
         return out
 
-    def _scrambled(self, keys: np.ndarray, prec: int) -> np.ndarray | PackedDigits:
+    def _scrambled(self, keys: np.ndarray, prec: int) -> tuple:
         # the interlaced digits of the streams scrambled by each key to prec
-        # digits a stream, axes (rep, j, point); one key per replication and
-        # stream, axes (r, rep, j, 1)
-        stream_keys = np.ascontiguousarray(mix64_array(keys[:, None] ^ self._stream_salt)
-                                           .reshape(len(keys), self.d, self.alpha)
-                                           .transpose(2, 0, 1)[..., None])
-        return scramble_digit_matrix(self._net, self.b, stream_keys, prec)
+        # digits a stream, and the axes that take their first three to (rep,
+        # point, j).  In base 2 the longer of the chunk's keys and points
+        # goes last: digits (rep, j, point) from stream keys (r, rep, j, 1),
+        # or (j, point, rep) from stream keys (r, j, 1, rep).  Other bases
+        # keep the points last: their floats are a matrix product, whose
+        # rounding depends on the matrix shape
+        keys_last = self.b == 2 and len(keys) > self.n
+        stream_keys = _mix64_inplace(keys[:, None] ^ self._stream_salt).reshape(
+            len(keys), self.d, self.alpha)
+        stream_keys = np.ascontiguousarray(stream_keys.transpose(2, 1, 0)[:, :, None] if keys_last
+                                           else stream_keys.transpose(2, 0, 1)[..., None])
+        digs = scramble_digit_matrix(self._nets[keys_last], self.b, stream_keys, prec)
+        return digs, ((2, 1, 0) if keys_last else (0, 2, 1))
 
 
 def _unpacked(digits: np.ndarray | PackedDigits) -> np.ndarray:

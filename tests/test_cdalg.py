@@ -490,9 +490,9 @@ class TestGroupedEstimator:
             monkeypatch.setattr(scramble, "CHUNK_BYTES", chunk_bytes)
         draws, calls = [], []
 
-        def draw(specs, index):
-            draws.append(([s.u for s in specs], list(index), specs[0].n))
-            return rule_points_seeds(specs, index)
+        def draw(group, index):
+            draws.append((list(group.sets), list(index), group.spec.n))
+            return rule_points_seeds(group, index)
 
         def component(g, sets, a, pts):
             calls.append((list(sets), pts.shape))
@@ -511,6 +511,19 @@ class TestGroupedEstimator:
             assert len(calls) == len(groups) and len(covered) == len(plan.allocations) - 1
         else:
             assert len(calls) > len(groups)
+
+    def test_unbuildable_group_fails_before_any_draw(self, monkeypatch):
+        # a plan whose last group has n = 3 points in base 2: cd_estimate_many
+        # checks every group before it draws the first
+        one, two = frozenset({1}), frozenset({2})
+        plan = Plan(consts(0.5), {frozenset(): 1, one: 4, two: 4, one | two: 3},
+                    RuleTemplate(alpha=2))
+        draws = []
+        monkeypatch.setattr(quadrature, "rule_points_seeds",
+                            lambda *args: draws.append(args) or rule_points_seeds(*args))
+        with pytest.raises(ValueError, match="PLR rules need n = b"):
+            cd_estimate_many(pair_integrand(), plan, [0, 1])
+        assert draws == []
 
     @pytest.mark.parametrize("values", [
         lambda sets, x, av: np.zeros(x.shape[1:2]),  # one row for the group

@@ -12,6 +12,7 @@ from cdquad.lattice import plr_points
 from cdquad.quadrature import (
     INTERLACED_PLR,
     MONTE_CARLO,
+    RuleGroup,
     RuleSpec,
     empirical_variance,
     rule_keys,
@@ -327,6 +328,34 @@ class TestGroupDraw:
         rule_points_seeds(specs, seeds)
         assert len(shaped) == 6
 
+    @pytest.mark.parametrize("kind,b", [(INTERLACED_PLR, 2), (INTERLACED_PLR, 3), (MONTE_CARLO, 2)])
+    def test_group_keys_are_rule_keys(self, kind, b):
+        # a group built from its shape keys each set as RuleSpec does, and
+        # draws what the list of specs draws
+        sets = [frozenset({4, 1}), (2, 7), [9, 3]]
+        seeds = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+        group = RuleGroup.of(kind, sets, b**2, 0, alpha=2, b=b)
+        assert group.sets == ((1, 4), (2, 7), (3, 9))
+        for u, key in zip(group.sets, quadrature._keys(group.keys, seeds)):
+            assert np.array_equal(key, rule_keys(0, u, seeds))
+        specs = [RuleSpec(kind, u, b**2, 0, alpha=2, b=b) for u in sets]
+        assert np.array_equal(rule_points_seeds(group, seeds), rule_points_seeds(specs, seeds))
+        assert np.array_equal(rule_points_seeds(group[1:], seeds[:2]),
+                              rule_points_seeds(specs[1:], seeds[:2]))
+
+    @pytest.mark.parametrize("n,b", [(16, 4), (12, 2), (8, 3)],
+                             ids=["base-4", "n-12-base-2", "n-8-base-3"])
+    def test_unbuildable_group_fails_like_rulespec(self, monkeypatch, n, b):
+        # a group's shape goes through the RuleSpec checks, once, before any
+        # key is derived
+        with pytest.raises(ValueError) as expected:
+            RuleSpec(INTERLACED_PLR, (1, 2), n, 0, alpha=2, b=b)
+        derived = []
+        monkeypatch.setattr(quadrature, "derive_seed", counted(quadrature.derive_seed, derived))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            RuleGroup.of(INTERLACED_PLR, [(1, 2), (3, 4)], n, 0, alpha=2, b=b)
+        assert derived == []
+
     @pytest.mark.parametrize("values", [
         lambda sets, x: x[:-1, :, 0],  # a row short
         lambda sets, x: x[:, :-1, 0],  # a point short
@@ -443,8 +472,9 @@ class TestStreaming:
         assert [x.shape for _, x in evals] == [(1, 3 * 8, 2), (1, 8, 2)] * 2
 
     def test_key_and_vector_once_per_set(self, monkeypatch):
-        # one point set per chunk: each set still derives its blake2b key and
-        # looks up its default vector once, not once per chunk
+        # one point set per chunk: each set still derives its blake2b key
+        # once, not once per chunk, and the group looks up its default
+        # vector once, not once per set
         seeds = np.arange(3, dtype=np.uint64)
         expect = run_rule_seeds([RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2)
                                  for k in (1, 3, 5)], pointwise(smooth_pair), seeds)
@@ -455,9 +485,9 @@ class TestStreaming:
                             counted(quadrature.default_generating_vector, looked_up))
         specs = [RuleSpec(INTERLACED_PLR, (k, k + 1), 8, 0, alpha=2) for k in (1, 3, 5)]
         assert np.array_equal(run_rule_seeds(specs, pointwise(smooth_pair), seeds), expect)
-        assert (len(derived), len(looked_up)) == (3, 3)
+        assert (len(derived), len(looked_up)) == (3, 1)
         run_rule_batch(RuleSpec(INTERLACED_PLR, (1, 2), 8, 4, alpha=2), smooth_pair, seeds)
-        assert (len(derived), len(looked_up)) == (4, 4)
+        assert (len(derived), len(looked_up)) == (4, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.one_of(st.tuples(st.just(MONTE_CARLO), st.integers(0, 15), st.integers(1, 5)),

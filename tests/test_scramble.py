@@ -723,6 +723,47 @@ class TestScrambledRule:
             tracemalloc.stop()
         assert peak - out.nbytes <= scramble.CHUNK_BYTES
 
+    @pytest.mark.parametrize("method", ["points", "digits"])
+    def test_keys_last_chunks_hold_at_most_chunk_bytes(self, method):
+        # four points a stream against 20,000 keys: every chunk scrambles
+        # with the keys last, and apart from the output array the peak stays
+        # within the chunk budget
+        rule = ScrambledRule(2, 2, key_array(5, 4 * 6).reshape(4, 6) % np.uint64(4), alpha=2)
+        call = getattr(rule, method)
+        call(key_array(3, 2000))  # warm up
+        keys_ = key_array(4, 20_000)
+        tracemalloc.start()
+        try:
+            out = call(keys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rule._chunks(20_000)) > 1
+        assert peak - out.nbytes <= scramble.CHUNK_BYTES
+
+    @pytest.mark.parametrize("b,m,d,alpha,R", [
+        (2, 1, 1, 1, 3000), (2, 1, 4, 3, 5), (2, 1, 3, 2, 700), (2, 2, 4, 2, 3000),
+        (2, 2, 2, 3, 4), (2, 3, 1, 1, 9), (2, 3, 3, 3, 1500), (2, 8, 1, 2, 40),
+        (2, 9, 4, 1, 1), (2, 10, 2, 3, 7), (2, 10, 3, 2, 40), (3, 1, 2, 2, 500),
+    ])
+    def test_layout_switch_keeps_rows(self, monkeypatch, b, m, d, alpha, R):
+        # a base-2 chunk with more keys than points scrambles with the keys
+        # last, one with fewer with the points last; each row still equals
+        # its key's single-key call, and so does a call whose chunks hold one
+        # key each.  Base 3 keeps the points last in every chunk: its floats
+        # are a matrix product, whose rounding depends on the matrix shape
+        n = b**m
+        nums = key_array(100 * m + d, n * d * alpha).reshape(n, d * alpha) % np.uint64(n)
+        rule = ScrambledRule(b, m, nums, alpha)
+        keys_ = key_array(R, R)
+        pts, digs = rule.points(keys_), rule.digits(keys_)
+        for i in range(R):
+            assert np.array_equal(pts[i], rule.points(keys_[i:i + 1])[0])
+            assert np.array_equal(digs[i], rule.digits(keys_[i:i + 1])[0])
+        monkeypatch.setattr(scramble, "CHUNK_BYTES", 1)
+        assert np.array_equal(rule.points(keys_), pts)
+        assert np.array_equal(rule.digits(keys_), digs)
+
     def test_criterion4_shape_memory(self):
         # one draw at the criterion-4 shape (alpha 3, d 2, n = 2^13, R 500),
         # vector search included, in a fresh interpreter: chunked scrambling
