@@ -13,7 +13,9 @@ b^m (those of `PointSet`), built by one function, so everything downstream
 (scrambling, digit dumps) stays bit-exact.  The CBC search builds no column
 at all: it needs only where each point of the q = 1 column has its first
 nonzero digit, and h/p has its first nonzero Laurent digit at x^(deg h - m),
-which the digit count of h gives exactly.
+which the digit count of h gives exactly.  The variance search keeps each
+point's leading zeros per column, and evaluates the exact scramble
+covariance only at the depth tuples that its points reach.
 """
 
 from __future__ import annotations
@@ -228,16 +230,12 @@ def _phi_table(b: int, m: int, rate: float = 2.0) -> np.ndarray:
     return tab
 
 
-#: the rho table's exact sums run over this many trailing axes at a time, so
-#: a slice holds (m+1)^4 Python ints
-_RHO_SLICE_AXES = 4
-
-
-def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
-    """rho[t_1, ..., t_alpha] = E[B2(X) B2(X')] for one output coordinate of a
-    stream-scrambled interlaced pair whose underlying streams share exactly
-    t_r leading base-2 digits (t_r = m meaning the stream values coincide, in
-    which case the scrambled dust coincides too).
+def _scramble_rho(m: int, alpha: int, flat: np.ndarray) -> np.ndarray:
+    """rho(t_1, ..., t_alpha) = E[B2(X) B2(X')] at the given flat indices of
+    the depth tuples, read row-major over (m+1)^alpha, for one output
+    coordinate of a stream-scrambled interlaced pair whose underlying
+    streams share exactly t_r leading base-2 digits (t_r = m meaning the
+    stream values coincide, in which case the scrambled dust coincides too).
 
     Base 2 only.  Digit a >= 0 of stream r fills output digit position
     p = alpha a + r.  Write scrambled digit p as (1 - e_p)/2 with e_p = +-1 a
@@ -250,46 +248,32 @@ def _scramble_rho_table(m: int, alpha: int) -> np.ndarray:
 
         rho = (C^2 - K) / 8,  C = sum_p s_p 4^-p,  K = sum_p s_p^2 16^-p.
 
-    Both sums split over the streams: for t_r < m, stream r adds the 4^-p
-    of its digits a < t_r minus that of digit t_r to C, and the 16^-p of its
-    digits a <= t_r to K; for t_r = m it adds its whole geometric series.
-    The deep-match entries are tiny residues of near-total cancellation, so
-    the sums run exactly, as integers over the common denominators
-    4^{alpha m} (4^alpha - 1) for C and 16^{alpha m} (16^alpha - 1) for K,
-    and each entry is rounded once, by one correctly rounded int / int.
-    These Python-int sums go one slice at a time: a slice fixes the leading
-    axes and spans the last _RHO_SLICE_AXES of them.
+    Both sums split over the streams, and the deep-match entries are tiny
+    residues of near-total cancellation, so they run exactly, as integers
+    over the common denominators 4^{alpha m} (4^alpha - 1) for C and
+    16^{alpha m} (16^alpha - 1) for K.  There stream r adds its whole series
+    W_r = 4^{alpha m + alpha - r} to C and W_r^2 to K for t_r = m; for t_r <
+    m (digits a < t_r shared, digit t_r complementary) it falls short of
+    them by (2 4^alpha - 1) 4^e and 16^e, e = alpha (m - t_r) - r.  Each
+    entry is rounded once, by one correctly rounded int / int.
     """
-    g4, g16 = 4**alpha - 1, 16**alpha - 1
     top = alpha * m  # the deepest digit position of a finite stream prefix
-    cs, ks = [], []  # stream r's terms of C and K, by t_r
-    for r in range(1, alpha + 1):
-        c, k = [], []
-        shared4 = shared16 = 0
-        for a in range(m):
-            w4 = 4 ** (top - alpha * a - r) * g4  # 4^-p with p = alpha a + r
-            w16 = 16 ** (top - alpha * a - r) * g16
-            c.append(shared4 - w4)
-            shared4 += w4
-            shared16 += w16
-            k.append(shared16)
-        c.append(4 ** (top + alpha - r))  # 4^-r / (1 - 4^-alpha)
-        k.append(16 ** (top + alpha - r))
-        cs.append(np.array(c, dtype=object))
-        ks.append(np.array(k, dtype=object))
+    g4 = 4**alpha - 1
+    # [r - 1, t]: the shortfall 4^e of stream r at t_r = t, none at t = m
+    short = np.array([[4 ** (top - alpha * a - r) for a in range(m)] + [0]
+                      for r in range(1, alpha + 1)], dtype=object)
+    short = short[np.arange(alpha)[:, None], np.unravel_index(flat, (m + 1,) * alpha)]
+    whole = [4 ** (top + alpha - r) for r in range(1, alpha + 1)]
+    C = sum(whole) - (2 * g4 + 1) * short.sum(axis=0)
+    K = sum(w * w for w in whole) - (short * short).sum(axis=0)
     # over 16^{alpha m} g4^2 (4^alpha + 1), as 16^alpha - 1 = g4 (4^alpha + 1)
     den = 8 * 16**top * g4 * g4 * (4**alpha + 1)
-    lead = max(alpha - _RHO_SLICE_AXES, 0)  # the axes fixed within a slice
-    out = np.empty((m + 1,) * alpha)
-    for ts in np.ndindex(*(m + 1,) * lead):
-        C = sum(cs[r][t] for r, t in enumerate(ts))
-        K = sum(ks[r][t] for r, t in enumerate(ts))
-        for r in range(lead, alpha):
-            axis = (1,) * (r - lead) + (m + 1,) + (1,) * (alpha - 1 - r)
-            C = C + cs[r].reshape(axis)
-            K = K + ks[r].reshape(axis)
-        out[ts] = (C * C * (4**alpha + 1) - K * g4) / den
-    return out
+    return ((C * C * (4**alpha + 1) - K * g4) / den).astype(np.float64)
+
+
+#: scramble_variance holds rho and a flag, 9 bytes, per depth tuple, and refuses
+#: (m+1)^alpha tuples past this many bytes before it allocates them ((10, 7) fits)
+MAX_RHO_BYTES = 1 << 28
 
 
 #: the variance search builds columns and scores candidates in chunks whose
@@ -327,14 +311,22 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
 
     The points form a group under digitwise XOR, so pair covariances reduce
     to a sum over the point set itself: each point's per-stream leading-zero
-    depths index the rho table, covariances multiply across independently
-    scrambled output coordinates, and the zero point supplies the diagonal
-    Var(f)/n term.  The depths of each distinct column are built once, as
-    one uint8 per point; the (vectors, points) float arrays go a chunk of
-    vectors at a time.
+    depths pick a depth tuple, whose exact covariance rho is a factor,
+    covariances multiply across independently scrambled output coordinates,
+    and the zero point supplies the diagonal Var(f)/n term.  The depths of
+    each distinct column are built once, as one uint8 per point; the
+    (vectors, points) float arrays go a chunk of vectors at a time.  rho is
+    evaluated once per call, at the depth tuples that the chunks reach (at
+    m = 10, alpha = 7, 34,422 of 11^7), into zero-filled arrays.
     """
     if base.b != 2:
         raise ValueError("exact scramble variance is implemented for base 2")
+    if alpha < 1:
+        raise ValueError(f"interlacing factor alpha must be >= 1, got {alpha}")
+    if 9 * (m + 1) ** alpha > MAX_RHO_BYTES:  # which also keeps flat indices in intp
+        raise ValueError(
+            f"an exact scramble variance at m = {m}, alpha = {alpha} needs {9 * (m + 1) ** alpha} "
+            f"bytes for its (m+1)^alpha depth tuples, past the {MAX_RHO_BYTES} byte limit")
     _check_modulus(2, m, modulus)
     n = 2**m
     q = np.asarray(q, dtype=np.int64)
@@ -351,12 +343,13 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
     qs, cols = np.unique(q, return_inverse=True)
     cols = cols.reshape(q.shape)
     depths = _depths(m, modulus, qs.tolist())
-    tab = _scramble_rho_table(m, alpha).ravel()
+    rho = np.zeros((m + 1) ** alpha)
+    known = np.zeros(rho.shape, dtype=bool)
     strides = (m + 1) ** np.arange(alpha - 1, -1, -1, dtype=np.intp)
     out = np.empty(len(q))
     # per vector and point: the running excess, the flat index, the gathered
-    # factor and three temporaries, 8 bytes each, and a gathered depth
-    step = max(1, _SEARCH_BYTES // (n * 49))
+    # factor and three temporaries, 8 bytes each, a depth and two flags
+    step = max(1, _SEARCH_BYTES // (n * 51))
     for i in range(0, len(q), step):
         chunk = cols[i:i + step]
         # track prod_j(1 + f_j) - 1 directly: the deep-match points contribute
@@ -366,8 +359,15 @@ def scramble_variance(base: FieldBase, m: int, modulus: int, q, alpha: int,
             flat = np.zeros((len(chunk), n), dtype=np.intp)
             for r in range(alpha):
                 flat += depths[chunk[:, j * alpha + r]] * strides[r]
-            # weighted after the gather, so the table is never copied
-            f = tab[flat]
+            new = flat[~known[flat]]
+            if new.size:
+                # asked for an inverse, np.unique sorts, as for q above; without, it
+                # hashes, whose code takes 10 ms and 0.5 MB to load on first use
+                new = np.unique(new, return_inverse=True)[0]
+                rho[new] = _scramble_rho(m, alpha, new)
+                known[new] = True
+            # weighted after the gather, so rho is never copied
+            f = rho[flat]
             f *= wj
             excess += f + excess * f
         out[i:i + step] = excess.mean(axis=1)

@@ -58,8 +58,8 @@ per tree node:
 Other bases draw a permutation of F_b per digit and prefix, level by level,
 and interlace the scrambled digits.
 
-ScrambledRule lays each base-2 chunk of keys out with the longer of its
-two axes, keys or points, last, so that every key-against-point broadcast
+ScrambledRule lays each chunk of keys out with the longer of its two
+axes, keys or points, last, so that every key-against-point broadcast
 (the flip-table offsets, the tail hash's input) runs numpy's inner loop
 along it: (r, rep, j, point) (interlacing depth r, replication, output
 coordinate j) when the chunk has at least as many points as keys, (r, j,
@@ -70,8 +70,8 @@ of keys against points, (2, R, 4, 1) + (2, 1, 4, n) with the points last,
 took 6.1, 3.6 and 2.3 ns an element at n = 2, 4 and 8 (R = 3300, 3000 and
 2000), against 0.28, 0.31 and 0.95 ns with the keys last; at n = 1024 and
 R = 40 it took 1.07 ns with the points last and 1.30 ns with the keys last.
-Other bases keep the points last, as their floats are a matrix product
-whose rounding depends on the matrix shape.  Each chunk's output is
+Each float is read off its own digits alone (digits_to_floats), so a row
+does not depend on the layout of its chunk either.  Each chunk's output is
 transposed once into the public (R, n, d) and (R, n, d, digits) shapes.
 """
 
@@ -112,10 +112,10 @@ MAX_BASE = 256
 CHUNK_BYTES = 1 << 20
 
 
-def key_chunks(count: int, bytes_per_key: int) -> list[slice]:
+def key_chunks(count: int, bytes_per_key: int, fixed_bytes: int = 0) -> list[slice]:
     """Consecutive slices of range(count), each of as many keys as fit
-    CHUNK_BYTES at bytes_per_key, and at least one."""
-    step = max(1, CHUNK_BYTES // max(1, bytes_per_key))
+    CHUNK_BYTES less fixed_bytes at bytes_per_key, and at least one."""
+    step = max(1, (CHUNK_BYTES - fixed_bytes) // max(1, bytes_per_key))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -196,15 +196,17 @@ def _check_form(digits, b: int) -> None:
 
 def digits_to_floats(digits: np.ndarray | PackedDigits, b: int) -> np.ndarray:
     """The points in [0, 1) of digit strings, rounded down to their first
-    float_digit_cap(b) digits."""
+    prec = float_digit_cap(b) digits: those digits as one integer N < b^prec
+    <= 2^53, and N / b^prec correctly rounded, whatever the other strings."""
     _check_form(digits, b)
     if b == 2:
         # the first 53 digits of a word are exactly the double's significand
         word = digits.words[..., 0] >> np.uint64(64 - MAX_FLOAT_DIGITS_B2)
         return word.astype(np.float64) * 2.0**-MAX_FLOAT_DIGITS_B2
     prec = min(digits.shape[-1], float_digit_cap(b))
-    scale = float(b) ** -np.arange(1, prec + 1)
-    return digits[..., :prec].astype(np.float64) @ scale
+    num = digits[..., :prec].astype(np.uint64) @ np.uint64(b) ** np.arange(
+        prec - 1, -1, -1, dtype=np.uint64)
+    return num.astype(np.float64) / b**prec
 
 
 @lru_cache(maxsize=None)
@@ -315,16 +317,15 @@ def _scramble_net(net: Net, key: np.ndarray, out_prec: int) -> PackedDigits:
         raise ValueError(
             f"base-2 scrambling supports at most {MAX_BASE2_DIGITS} input digits, got {m}")
     alpha = net.streams.shape[0]
-    # numpy shifts by 64 or more give zero, so m = 0 gives zero values
-    values = net.streams.words[..., 0] >> np.uint64(64 - m)
-    shape = np.broadcast_shapes(values.shape, key.shape)
+    shape = np.broadcast_shapes(net.index.shape, key.shape)
     key = key.reshape((1,) * (len(shape) - key.ndim) + key.shape)
-    values = values.reshape((1,) * (len(shape) - values.ndim) + values.shape)
+    index = net.index.reshape((1,) * (len(shape) - net.index.ndim) + net.index.shape)
     heads, tails, nets = _layout(alpha, m, out_prec)
     parts = [None] * len(tails)  # per output word, each stream's node flips
     if any(h is not None for h in heads):
-        parts = _node_flips(_mix64_inplace(key ^ _NODE), net.index.reshape(values.shape),
-                            alpha, m, out_prec)
+        parts = _node_flips(_mix64_inplace(key ^ _NODE), index, alpha, m, out_prec)
+    # the first stream's values key the tails (m = 0 shifts by 64: zeros)
+    first = net.streams.words[:1, ..., 0].reshape(index[:1].shape) >> np.uint64(64 - m)
     words = []
     for k, (part, mask) in enumerate(zip(parts, tails)):
         word = np.zeros(shape[1:], dtype=np.uint64) if part is None else (
@@ -333,7 +334,7 @@ def _scramble_net(net: Net, key: np.ndarray, out_prec: int) -> PackedDigits:
             # one hash per output coordinate and point gives the tails of all
             # its streams, from the first stream's key and value (sliced, so
             # that the hash runs on ndarrays, not on numpy scalars)
-            tail = _mix64_inplace(mix64_array(key[:1] ^ _const(_TAIL, k + 1)) ^ values[:1])
+            tail = _mix64_inplace(mix64_array(key[:1] ^ _const(_TAIL, k + 1)) ^ first)
             tail &= mask
             word ^= tail[0]
         if k < len(nets):
@@ -474,8 +475,7 @@ def _reshaped(digits: np.ndarray | PackedDigits, shape: tuple) -> np.ndarray | P
 _WORD_TEMPS = 3
 #: uint64 words per stream and key that a chunk holds besides those: its
 #: stream key and node key at the peak (3n + 2 words a stream of n points
-#: in a base-2 points() chunk), and one more, which keeps the chunk's few KB
-#: of fixed-size temporaries inside the budget when n is small
+#: in a base-2 points() chunk), and one more as a margin
 _KEY_TEMPS = 3
 
 
@@ -495,9 +495,9 @@ class ScrambledRule:
     interlace them.  points() makes only the digits its floats keep (one
     output word in base 2), digits() all alpha*prec; base-2 digits unpack
     only at the end of digits().
-    A base-2 chunk holds the longer of its keys and its points last, the
-    others the points (see the module docstring); each chunk's output goes
-    to the (R, n, d[, digits]) arrays, transposed once, as it is written.
+    A chunk holds the longer of its keys and its points last (see the
+    module docstring); each chunk's output goes to the (R, n, d[, digits])
+    arrays, transposed once, as it is written.
     """
 
     def __init__(self, b: int, m: int, numerators: np.ndarray, alpha: int):
@@ -525,11 +525,12 @@ class ScrambledRule:
 
     def _chunks(self, R: int, words: float = _WORD_TEMPS):
         # per stream and point a chunk holds its packed working words, or
-        # its scrambled uint8 digits and their interlaced copy, and per
-        # stream and key _KEY_TEMPS words
+        # its scrambled uint8 digits and their interlaced copy, per stream
+        # and key _KEY_TEMPS words, and, however many keys it has, the first
+        # stream's values and 8 KB of numpy buffers (np.unpackbits takes 5.4 KB)
         per_point = 8 * words if self.b == 2 else 2 * self.prec
         return key_chunks(R, math.ceil((per_point * self.n + 8 * _KEY_TEMPS)
-                                       * self._stream_salt.size))
+                                       * self._stream_salt.size), 8 * self.d * self.n + (8 << 10))
 
     def points(self, keys: np.ndarray) -> np.ndarray:
         """Point arrays of shape (R, n, d), one independent scramble per key."""
@@ -566,12 +567,10 @@ class ScrambledRule:
     def _scrambled(self, keys: np.ndarray, prec: int) -> tuple:
         # the interlaced digits of the streams scrambled by each key to prec
         # digits a stream, and the axes that take their first three to (rep,
-        # point, j).  In base 2 the longer of the chunk's keys and points
-        # goes last: digits (rep, j, point) from stream keys (r, rep, j, 1),
-        # or (j, point, rep) from stream keys (r, j, 1, rep).  Other bases
-        # keep the points last: their floats are a matrix product, whose
-        # rounding depends on the matrix shape
-        keys_last = self.b == 2 and len(keys) > self.n
+        # point, j).  The longer of the chunk's keys and points goes last:
+        # digits (rep, j, point) from stream keys (r, rep, j, 1), or (j,
+        # point, rep) from stream keys (r, j, 1, rep)
+        keys_last = len(keys) > self.n
         stream_keys = _mix64_inplace(keys[:, None] ^ self._stream_salt).reshape(
             len(keys), self.d, self.alpha)
         stream_keys = np.ascontiguousarray(stream_keys.transpose(2, 1, 0)[:, :, None] if keys_last

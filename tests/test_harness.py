@@ -381,6 +381,21 @@ class TestSelftestAndCLI:
         err = capsys.readouterr().err
         assert err.startswith("cdquad: error: ") and "b^m = 2^29" in err and "4096 MiB" in err
 
+    def test_cli_deep_interlacing_fails_fast(self, capsys):
+        # alpha 12 at m = 10 spans 11^12 depth tuples: its variance search
+        # once died in a numpy allocation error of 22.8 TiB (exit 1); it is
+        # refused before rho is allocated
+        tracemalloc.start()
+        try:
+            assert main(["points", "--base", "2", "--m", "10", "--s", "1", "--alpha", "12"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("cdquad: error: ") and "m = 10, alpha = 12" in err
+        assert f"{9 * 11**12} bytes" in err
+
     def test_cli_points_worked_example(self, capsys):
         assert main(["points", "--base", "2", "--m", "2", "--s", "1"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from cdquad.lattice import (
     _leading_positions,
     _numerators,
     _phi_table,
-    _scramble_rho_table,
+    _scramble_rho,
 )
 from cdquad.quadrature import RuleSpec, empirical_variance
 
@@ -455,31 +457,67 @@ class TestSearch:
 class TestScrambleVariance:
     def test_rho_table_diagonal_is_b2_variance(self):
         for alpha in (1, 2):
-            tab = _scramble_rho_table(4, alpha)
-            full = tab[(4,) * alpha]
-            assert full == pytest.approx(1 / 180, rel=1e-12)
+            full = _scramble_rho(4, alpha, np.array([5**alpha - 1]))  # t = (4, ..., 4)
+            assert full[0] == pytest.approx(1 / 180, rel=1e-12)
 
     @pytest.mark.parametrize("m,alpha", [
         *[(m, alpha) for alpha in (1, 2, 3) for m in range(1, 7)],
         *[(m, 4) for m in range(1, 4)],
         (10, 2), (10, 3),  # the deepest workload shapes
-        # past lattice._RHO_SLICE_AXES, so built over several slices
         *[(m, alpha) for alpha in (5, 6) for m in (1, 2)],
     ])
     def test_rho_table_matches_oracle(self, m, alpha):
-        # both compute the same exact rational and round it once
-        assert np.array_equal(_scramble_rho_table(m, alpha), rho_table_oracle(m, alpha))
+        # both compute the same exact rational and round it once, at every
+        # index of the grid
+        shape = (m + 1,) * alpha
+        rho = _scramble_rho(m, alpha, np.arange(math.prod(shape))).reshape(shape)
+        assert np.array_equal(rho, rho_table_oracle(m, alpha))
 
     def test_rho_table_memory(self):
-        # the 10^6-entry table of m = 9, alpha 6 in a fresh interpreter: its
-        # exact sums go a slice at a time, so the peak RSS (VmHWM), import
-        # included, stays under 128 MB; built whole, they took 361 MB
+        # the variance search of m = 9, alpha 6 in a fresh interpreter: rho
+        # is evaluated in exact integers at the depth tuples the points
+        # reach, so the peak RSS (VmHWM), import included, stays under 128 MB
         code = (
-            "from cdquad.lattice import _scramble_rho_table\n"
-            "_scramble_rho_table(9, 6)\n"
+            "from cdquad.gfpoly import FieldBase\n"
+            "from cdquad.lattice import search_generating_vector\n"
+            "search_generating_vector(6, 9, FieldBase(2), alpha=6)\n"
             "print(hwm())\n"
         )
         assert fresh_interpreter(code) < 128
+
+    def test_rho_evaluated_once_at_reached_tuples(self, monkeypatch):
+        # the (10, 7) search reads a small share of the 11^7 depth tuples,
+        # and evaluates each one once
+        seen = []
+
+        def recording(m, alpha, flat):
+            seen.extend(flat.tolist())
+            return _scramble_rho(m, alpha, flat)
+
+        monkeypatch.setattr(lattice, "_scramble_rho", recording)
+        search_generating_vector(7, 10, F2, alpha=7)
+        assert len(set(seen)) == len(seen) < 11**7 // 100
+
+    def test_alpha_zero_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            scramble_variance(F2, 3, irreducible_modulus(2, 3), [[1, 2]], 0)
+
+    @pytest.mark.parametrize("m,alpha", [(10, 8), (11, 7), (10, 12), (1, 64), (10, 19)])
+    def test_depth_tuples_past_the_limit_rejected(self, m, alpha):
+        # rho and its flags take 9 bytes a depth tuple; past the limit the
+        # variance is refused before they or the depths are allocated, also
+        # where (m+1)^alpha would overflow a 64-bit flat index
+        need = 9 * (m + 1) ** alpha
+        assert need > lattice.MAX_RHO_BYTES
+        q = np.ones((1, alpha), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"m = {m}, alpha = {alpha} .* {need} bytes"):
+                scramble_variance(F2, m, irreducible_modulus(2, m), q, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_full_grid_is_stratified_sampling(self, m):
@@ -580,7 +618,8 @@ def variance_oracle(gv, alpha, coord_weights):
     coords = plr_points(gv).coords
     depths = [np.where((pos := first_nonzero_digit_pos(coords[:, j], 2, m)) == 0, m, pos - 1)
               for j in range(gv.s)]
-    tab = _scramble_rho_table(m, alpha)
+    shape = (m + 1,) * alpha
+    tab = _scramble_rho(m, alpha, np.arange(math.prod(shape))).reshape(shape)
     excess = np.zeros(gv.n)
     for j, w in enumerate(coord_weights):
         f = w * tab[tuple(depths[j * alpha + r] for r in range(alpha))]

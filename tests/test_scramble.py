@@ -147,6 +147,28 @@ class TestDigitPlumbing:
         assert np.allclose(digits_to_floats(numerators_to_digits([1, 3], 2, 2), 2), [0.25, 0.75])
         assert np.allclose(digits_to_floats(numerators_to_digits([1, 7], 3, 2), 3), [1 / 9, 7 / 9])
 
+    def test_base_b_floats_do_not_depend_on_blocking(self):
+        # one float per row of digits, whatever the rows converted with it:
+        # as one array, in blocks of 3 rows and row by row
+        digs = np.random.default_rng(3).integers(0, 3, size=(3000, 40), dtype=np.uint8)
+        whole = digits_to_floats(digs, 3)
+        blocks = np.concatenate([digits_to_floats(digs[i:i + 3], 3) for i in range(0, 3000, 3)])
+        rows = np.array([digits_to_floats(row, 3) for row in digs])
+        assert np.array_equal(whole, blocks) and np.array_equal(whole, rows)
+
+    @pytest.mark.parametrize("b", [3, 5, 7, 251])
+    def test_base_b_floats_equal_exact_value(self, b):
+        # the float of a string is its first float_digit_cap(b) digits,
+        # correctly rounded
+        prec = float_digit_cap(b)
+        digs = np.random.default_rng(b).integers(0, b, size=(200, prec + 4), dtype=np.uint8)
+        digs[0] = b - 1  # the largest string stays below 1
+        exact = [float(Fraction(sum(int(t) * b ** (prec - 1 - i) for i, t in enumerate(row[:prec])),
+                                b**prec))
+                 for row in digs]
+        out = digits_to_floats(digs, b)
+        assert np.array_equal(out, exact) and out.max() < 1
+
     def test_float_digit_cap(self):
         assert float_digit_cap(2) == 53
         assert float_digit_cap(3) == 33
@@ -725,33 +747,38 @@ class TestScrambledRule:
 
     @pytest.mark.parametrize("method", ["points", "digits"])
     def test_keys_last_chunks_hold_at_most_chunk_bytes(self, method):
-        # four points a stream against 20,000 keys: every chunk scrambles
-        # with the keys last, and apart from the output array the peak stays
-        # within the chunk budget
-        rule = ScrambledRule(2, 2, key_array(5, 4 * 6).reshape(4, 6) % np.uint64(4), alpha=2)
-        call = getattr(rule, method)
-        call(key_array(3, 2000))  # warm up
-        keys_ = key_array(4, 20_000)
-        tracemalloc.start()
-        try:
-            out = call(keys_)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(rule._chunks(20_000)) > 1
-        assert peak - out.nbytes <= scramble.CHUNK_BYTES
+        # four points a stream against 20,000 keys, and 64 against 3,000 at
+        # d = 1-5 and alpha 1-3: every chunk scrambles with the keys last,
+        # and apart from the output array the peak stays within the chunk
+        # budget
+        shapes = [(2, 3, 2, 20_000), *[(6, d, alpha, 3000) for d in range(1, 6)
+                                       for alpha in (1, 2, 3)]]
+        for m, d, alpha, R in shapes:
+            n, S = 2**m, d * alpha
+            rule = ScrambledRule(2, m, key_array(5, n * S).reshape(n, S) % np.uint64(n), alpha)
+            call = getattr(rule, method)
+            call(key_array(3, 2000))  # warm up
+            keys_ = key_array(4, R)
+            tracemalloc.start()
+            try:
+                out = call(keys_)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(rule._chunks(R)) > 1
+            assert peak - out.nbytes <= scramble.CHUNK_BYTES, (m, d, alpha)
 
     @pytest.mark.parametrize("b,m,d,alpha,R", [
         (2, 1, 1, 1, 3000), (2, 1, 4, 3, 5), (2, 1, 3, 2, 700), (2, 2, 4, 2, 3000),
         (2, 2, 2, 3, 4), (2, 3, 1, 1, 9), (2, 3, 3, 3, 1500), (2, 8, 1, 2, 40),
         (2, 9, 4, 1, 1), (2, 10, 2, 3, 7), (2, 10, 3, 2, 40), (3, 1, 2, 2, 500),
+        (3, 3, 2, 2, 7), (5, 1, 3, 1, 40),
     ])
     def test_layout_switch_keeps_rows(self, monkeypatch, b, m, d, alpha, R):
-        # a base-2 chunk with more keys than points scrambles with the keys
-        # last, one with fewer with the points last; each row still equals
-        # its key's single-key call, and so does a call whose chunks hold one
-        # key each.  Base 3 keeps the points last in every chunk: its floats
-        # are a matrix product, whose rounding depends on the matrix shape
+        # a chunk with more keys than points scrambles with the keys last,
+        # one with fewer with the points last, in every base; each row still
+        # equals its key's single-key call, and so does a call whose chunks
+        # hold one key each
         n = b**m
         nums = key_array(100 * m + d, n * d * alpha).reshape(n, d * alpha) % np.uint64(n)
         rule = ScrambledRule(b, m, nums, alpha)
